@@ -274,20 +274,16 @@ class SearchGroupMembership {
   std::vector<uint8_t> member_;
 };
 
-// Index of the (i, j) entry, i < j, in an upper-triangle row-major layout
-// over n items: row i starts after the i rows above it, which hold
-// (n-1) + (n-2) + ... + (n-i) entries.
-inline size_t TriangleIndex(size_t i, size_t j, size_t n) {
-  return i * (2 * n - i - 1) / 2 + (j - i - 1);
-}
-
 // Search-side twin: evaluates one (query, location) column over `groups`
 // into `out`, filling the pairwise list-distance matrix once per cell via
 // the batched engine (ranking/list_batch.h) — lists interned once, pair
 // kernels allocation-free — and reusing it across the whole group axis.
-// Only the upper triangle is stored (TriangleIndex), halving the matrix
-// memory. With `parallelism` > 1 the O(n²) distance rows are computed on
-// the pool, so a few large cells no longer serialize a whole build.
+// Lists with identical contents share an arena slot, so the matrix is kept
+// over distinct slots: list pair (i, j), i < j, reads slot pair
+// (slot(i), slot(j)), and each distinct ordered slot pair is evaluated once.
+// Ordered pairs keep every measure's orientation exactly as a per-list-pair
+// evaluation would see it. With `parallelism` > 1 the slot rows are
+// computed on the pool, so a few large cells no longer serialize a build.
 // Semantics are identical to calling SearchUnfairness per triple — bitwise,
 // not approximately (cross-checked in tests/list_batch_test.cc and
 // bench_measures_perf --batch_compare).
@@ -346,16 +342,31 @@ Status EvaluateSearchColumn(const SearchDataset& data, const GroupSpace& space,
   FAIRJOB_ASSIGN_OR_RETURN(ListDistanceBatch batch,
                            ListDistanceBatch::Make(lists));
 
-  // Upper-triangle distance matrix, rows pool-parallel; each row reuses one
-  // Scratch across its pair kernels.
+  // Slot s first appears at list first[s] and last at last[s]. Slots are
+  // numbered by first appearance, so list pairs i < j reach ordered slot
+  // pair (s, t) iff first[s] < last[t]: always for s < t, for s == t only
+  // when the slot recurs, and for s > t only when t recurs after s first
+  // appears. Only those pairs are evaluated; each row of the S × S slot
+  // matrix is written by one pool task, reusing one Scratch.
+  size_t num_slots = batch.stats().unique_lists;
+  std::vector<size_t> first(num_slots, n);
+  std::vector<size_t> last(num_slots, 0);
+  for (size_t i = 0; i < n; ++i) {
+    size_t s = batch.slot(i);
+    first[s] = std::min(first[s], i);
+    last[s] = i;
+  }
   size_t num_pairs = n * (n - 1) / 2;
-  std::vector<double> tri(num_pairs, 0.0);
+  std::vector<double> slot_dist(num_slots * num_slots, 0.0);
   Status dist_status = [&] {
     ScopedTimer matrix_timer(matrix_us);
     TraceSpan matrix_span("distance_matrix", "cube");
-    return ParallelFor(n, parallelism, [&](size_t i) -> Status {
+    return ParallelFor(num_slots, parallelism, [&](size_t s) -> Status {
       ListDistanceBatch::Scratch scratch;
-      for (size_t j = i + 1; j < n; ++j) {
+      size_t i = first[s];
+      for (size_t t = 0; t < num_slots; ++t) {
+        if (i >= last[t]) continue;
+        size_t j = first[t];
         Result<double> d = [&]() -> Result<double> {
           switch (measure) {
             case SearchMeasure::kKendallTau:
@@ -371,7 +382,7 @@ Status EvaluateSearchColumn(const SearchDataset& data, const GroupSpace& space,
           return Status::InvalidArgument("unknown search measure");
         }();
         if (!d.ok()) return d.status();
-        tri[TriangleIndex(i, j, n)] = *d;
+        slot_dist[s * num_slots + t] = *d;
       }
       return Status::OK();
     });
@@ -384,7 +395,8 @@ Status EvaluateSearchColumn(const SearchDataset& data, const GroupSpace& space,
 
   auto dist_at = [&](size_t x, size_t y) -> double {
     if (x == y) return 0.0;
-    return x < y ? tri[TriangleIndex(x, y, n)] : tri[TriangleIndex(y, x, n)];
+    if (x > y) std::swap(x, y);
+    return slot_dist[batch.slot(x) * num_slots + batch.slot(y)];
   };
 
   // Observation indices per group (lazy; flat membership probes, no label

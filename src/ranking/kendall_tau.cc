@@ -107,15 +107,12 @@ Result<double> KendallTauTopK(const RankedList& a, const RankedList& b,
   }
   size_t only_b = b.size() - z;
 
-  double penalty = 0.0;
-
-  // Case 1 + case 2 contributions, via explicit pair scan over the union.
-  // This per-pair path rebuilds the position maps on every call; when many
-  // lists of one cell are compared pairwise, ListDistanceBatch
-  // (ranking/list_batch.h) interns each list once and runs the same pair
-  // scan over flat arrays — it supersedes this function on that workload
-  // and is kept bitwise-identical to it (the penalty accumulation below is
-  // the contract both sides implement).
+  // Explicit case analysis over every pair of the union. This per-pair path
+  // is the readable oracle: it rebuilds the position maps on every call and
+  // scans O(u²) pairs. ListDistanceBatch (ranking/list_batch.h) counts the
+  // same cases in O(u log u) on interned lists; both tally integer case
+  // counts and combine them once with the same expression, so the two stay
+  // bitwise-identical at every p.
   std::vector<int32_t> union_items;
   union_items.reserve(a.size() + only_b);
   union_items.insert(union_items.end(), a.begin(), a.end());
@@ -139,6 +136,8 @@ Result<double> KendallTauTopK(const RankedList& a, const RankedList& b,
     rank_b[x] = in_b[x] ? it_b->second : b.size() + 1000000;
   }
 
+  uint64_t discordant = 0;  // pairs costing 1 (cases 1, 2 and 3)
+  uint64_t penalized = 0;   // pairs costing p (case 4)
   for (size_t x = 0; x < u; ++x) {
     for (size_t y = x + 1; y < u; ++y) {
       bool i_in_a = in_a[x] != 0;
@@ -150,27 +149,30 @@ Result<double> KendallTauTopK(const RankedList& a, const RankedList& b,
       if (lists_with_both == 2) {
         // Case 1: both lists rank both items.
         bool agree = (rank_a[x] < rank_a[y]) == (rank_b[x] < rank_b[y]);
-        if (!agree) penalty += 1.0;
+        if (!agree) ++discordant;
       } else if ((i_in_a != i_in_b) && (j_in_a != j_in_b) &&
                  (i_in_a != j_in_a)) {
         // Case 3: i appears only in one list, j only in the other.
-        penalty += 1.0;
+        ++discordant;
       } else if (lists_with_both == 1) {
         bool both_absent_somewhere =
             (!i_in_a && !j_in_a) || (!i_in_b && !j_in_b);
         if (both_absent_somewhere) {
           // Case 4: both items confined to the same single list.
-          penalty += p;
+          ++penalized;
         } else {
           // Case 2: one list ranks both, the other ranks exactly one. The
           // absent item is implicitly below the present one there.
           if ((rank_a[x] < rank_a[y]) != (rank_b[x] < rank_b[y])) {
-            penalty += 1.0;
+            ++discordant;
           }
         }
       }
     }
   }
+
+  double penalty =
+      static_cast<double>(discordant) + p * static_cast<double>(penalized);
 
   // Normalize by the value attained by two fully disjoint lists of these
   // sizes, the maximum over list pairs (see header).

@@ -31,6 +31,10 @@ Result<double> KendallTauCorrelation(const RankedList& a, const RankedList& b);
 //   * both items missing from one list entirely: penalty p in [0, 1]
 //     (p = 0 optimistic, p = 0.5 neutral).
 // Result is normalized by the maximum attainable value so it lies in [0, 1].
+// The raw penalty is n1 + p·np from the integer case counts (n1 pairs
+// costing 1, np pairs costing p), combined once; ListDistanceBatch's kernel
+// uses the same expression, so the two are bitwise identical at every p,
+// and the distance is exactly symmetric in (a, b).
 //
 // Errors: InvalidArgument if either list is empty or contains duplicates,
 // or p is outside [0, 1].

@@ -218,59 +218,50 @@ Result<double> ListDistanceBatch::KendallTauTopK(size_t i, size_t j, double p,
   const int32_t* da = dense_.data() + offsets_[si];
   const int32_t* db = dense_.data() + offsets_[sj];
 
-  // b-ranks over the union in the reference's order — a's items in rank
-  // order, then b-only items in rank order — with `sentinel` marking items
-  // absent from b (the reference's implicit below-everything rank). Both
-  // rank scans run through the SIMD gather kernel.
-  const size_t sentinel = nb + 1000000;
-  std::vector<size_t>& rank_b = scratch->rank_b_;
-  if (rank_b.size() < na + nb) rank_b.resize(na + nb);
-  std::vector<int32_t>& gathered = scratch->gather_;
-  if (gathered.size() < std::max(na, nb)) gathered.resize(std::max(na, nb));
-  simd::GatherPositions(pb, da, na, gathered.data());
+  // Counts the reference's cases instead of scanning its O(u²) pairs. Over
+  // a's items in a-rank order, take each item's b-rank, with `sentinel`
+  // (below every real b-rank) for items absent from b. Then:
+  //  · two common items cost 1 iff b reverses them (case 1), and a common
+  //    item ranked below an a-only item in a costs 1 (case 2) — both are
+  //    strict inversions of that sequence; two a-only items tie on the
+  //    sentinel and are not inversions;
+  //  · a common item costs 1 against every b-only item b ranks above it
+  //    (case 2) — one prefix count over b;
+  //  · every (a-only, b-only) pair costs 1 (case 3);
+  //  · pairs confined to one list cost p (case 4): C(s,2) + C(t,2) with s
+  //    a-only and t b-only items.
+  // The integer counts are combined once with the reference's expression.
+  const int32_t sentinel = static_cast<int32_t>(nb);
+  std::vector<int32_t>& rank_b = scratch->mapped_;
+  rank_b.resize(na);
+  simd::GatherPositions(pb, da, na, rank_b.data());
+  uint64_t only_a = 0;
   for (size_t r = 0; r < na; ++r) {
-    int32_t rb = gathered[r];
-    rank_b[r] = rb >= 0 ? static_cast<size_t>(rb) : sentinel;
+    if (rank_b[r] < 0) {
+      rank_b[r] = sentinel;
+      ++only_a;
+    }
   }
-  size_t u = na;
-  simd::GatherPositions(pa, db, nb, gathered.data());
-  for (size_t r = 0; r < nb; ++r) {
-    if (gathered[r] < 0) rank_b[u++] = r;
-  }
+  uint64_t discordant = CountInversionsInPlace(rank_b, scratch->merge_);
 
-  // The reference's 4-case pair scan, collapsed against this union layout.
-  // Positions x < na carry rank_a[x] = x (a's items in rank order), so for
-  // x < y the reference's rank_a[x] < rank_a[y] test is always true there
-  // and every case reduces to a rank_b comparison:
-  //  · x, y < na, both absent from b              → case 4, term p;
-  //  · x, y < na otherwise                        → case 1 (both in b) or
-  //    case 2 (one in b; the sentinel stands in for the absent rank): term
-  //    1.0 iff rank_b[x] ≥ rank_b[y];
-  //  · x < na ≤ y (y is b-only, real b-rank): case 2 when x ∈ b, case 3
-  //    (term 1.0) when not — and the sentinel makes both read
-  //    rank_b[x] ≥ rank_b[y];
-  //  · na ≤ x < y (both b-only)                   → case 4, term p.
-  // The scan emits exactly the reference's terms in the reference's (x, y)
-  // order, so the penalty stays bitwise-identical while each pair costs one
-  // comparison instead of the 4-flag case analysis.
-  double penalty = 0.0;
-  for (size_t x = 0; x < na; ++x) {
-    size_t rbx = rank_b[x];
-    for (size_t y = x + 1; y < na; ++y) {
-      size_t rby = rank_b[y];
-      if (rbx == sentinel && rby == sentinel) {
-        penalty += p;
-      } else if (rbx >= rby) {
-        penalty += 1.0;
-      }
-    }
-    for (size_t y = na; y < u; ++y) {
-      if (rbx >= rank_b[y]) penalty += 1.0;
+  std::vector<int32_t>& rank_a = scratch->gather_;
+  rank_a.resize(nb);
+  simd::GatherPositions(pa, db, nb, rank_a.data());
+  uint64_t only_b = 0;
+  for (size_t r = 0; r < nb; ++r) {
+    if (rank_a[r] < 0) {
+      ++only_b;
+    } else {
+      discordant += only_b;  // b-only items b ranks above this common item
     }
   }
-  for (size_t x = na; x < u; ++x) {
-    for (size_t y = x + 1; y < u; ++y) penalty += p;
-  }
+  discordant += only_a * only_b;
+  auto pairs_of = [](uint64_t n) {
+    return n < 2 ? uint64_t{0} : n * (n - 1) / 2;
+  };
+  uint64_t penalized = pairs_of(only_a) + pairs_of(only_b);
+  double penalty =
+      static_cast<double>(discordant) + p * static_cast<double>(penalized);
 
   auto pairs_within = [](size_t n) {
     return static_cast<double>(n) * static_cast<double>(n - 1) / 2.0;

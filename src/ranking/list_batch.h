@@ -44,10 +44,14 @@ struct ListBatchStats {
 // compiled in and supported, scalar otherwise; both are bitwise-equivalent
 // by construction (integer-only work).
 //
-// Bitwise contract: on inputs both paths accept, every kernel accumulates
-// exactly the same floating-point terms in exactly the same order as its
-// per-pair reference, so results are bitwise identical (enforced by
+// Bitwise contract: on inputs both paths accept, every kernel's result is
+// bitwise identical to its per-pair reference (enforced by
 // tests/list_batch_test.cc and `bench_measures_perf --batch_compare`).
+// Jaccard, Footrule and RBO accumulate exactly the reference's
+// floating-point terms in the reference's order. Top-k Kendall-Tau counts
+// the reference's pair cases in O(u log u) instead of scanning all O(u²)
+// pairs; both sides tally integer case counts, combined once with the same
+// expression.
 // Validation is stricter in one corner: Make rejects duplicate ids anywhere
 // in a list, while RboSimilarity only inspects the first min(|a|, |b|)
 // positions. SearchDataset::AddObservation already enforces the stricter
@@ -66,7 +70,6 @@ class ListDistanceBatch {
     friend class ListDistanceBatch;
     std::vector<int32_t> mapped_;
     std::vector<int32_t> merge_;
-    std::vector<size_t> rank_b_;
     std::vector<int32_t> gather_;
   };
 
@@ -79,6 +82,11 @@ class ListDistanceBatch {
 
   size_t num_lists() const { return rep_.size(); }
   size_t universe_size() const { return item_ids_.size(); }
+  // Arena slot of list i: lists with identical contents share a slot, and
+  // every kernel is a pure function of the two slots it reads, so callers
+  // may evaluate each distinct ordered slot pair once. Slots are numbered
+  // in order of first appearance, in [0, stats().unique_lists).
+  size_t slot(size_t i) const { return rep_[i]; }
   size_t list_size(size_t i) const {
     size_t slot = rep_[i];
     return offsets_[slot + 1] - offsets_[slot];

@@ -7,13 +7,18 @@
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/rng.h"
+#include "core/data_model.h"
 #include "core/group_space.h"
 #include "core/unfairness_cube.h"
 #include "core/unfairness_measures.h"
@@ -390,14 +395,93 @@ TEST(ListBatchTest, ConcurrentKernelsOnSharedBatchAreDeterministic) {
   }
 }
 
+// The cube path evaluates each distinct ordered slot pair once per cell and
+// reads every list pair through its slots. One cell whose duplicate lists
+// interleave (a later list repeats an earlier slot, so slot(i) > slot(j) for
+// some i < j) must still give, for every measure, a column bitwise equal to
+// the per-triple reference, and the kernel count must be exactly the number
+// of distinct ordered slot pairs reached by list pairs i < j.
+TEST(ListBatchTest, SlotPairMemoMatchesPerTripleReference) {
+  AttributeSchema schema;
+  ASSERT_TRUE(
+      schema.AddAttribute("ethnicity", {"Asian", "Black", "White"}).ok());
+  ASSERT_TRUE(schema.AddAttribute("gender", {"Male", "Female"}).ok());
+  SearchDataset data(schema);
+  GroupSpace space = *GroupSpace::Enumerate(data.schema());
+  QueryId q = data.queries().GetOrAdd("cleaning jobs");
+  LocationId l = data.locations().GetOrAdd("Boston, MA");
+
+  Rng rng(4242);
+  std::vector<RankedList> variants;
+  for (int v = 0; v < 4; ++v) variants.push_back(RandomList(rng, 14, 5 + v));
+  // Variant per user: A B A C B D A C D B, so list 3 (C) precedes list 4 (B)
+  // with slot 2 > slot 1, and every variant recurs.
+  const int pattern[] = {0, 1, 0, 2, 1, 3, 0, 2, 3, 1};
+  std::vector<RankedList> lists;
+  for (int u = 0; u < 10; ++u) {
+    Demographics d = {static_cast<ValueId>(u % 3),
+                      static_cast<ValueId>((u / 3) % 2)};
+    ASSERT_TRUE(data.AddUser("u" + std::to_string(u), d).ok());
+    lists.push_back(variants[static_cast<size_t>(pattern[u])]);
+    ASSERT_TRUE(
+        data.AddObservation(q, l, {static_cast<UserId>(u), lists.back()}).ok());
+  }
+
+  Result<ListDistanceBatch> batch = ListDistanceBatch::Make(Pointers(lists));
+  ASSERT_TRUE(batch.ok());
+  ASSERT_EQ(batch->stats().unique_lists, variants.size());
+  bool interleaved = false;
+  std::set<std::pair<RankedList, RankedList>> slot_pairs;
+  for (size_t i = 0; i < lists.size(); ++i) {
+    for (size_t j = i + 1; j < lists.size(); ++j) {
+      interleaved |= batch->slot(i) > batch->slot(j);
+      slot_pairs.emplace(lists[i], lists[j]);
+    }
+  }
+  ASSERT_TRUE(interleaved);
+
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  bool was_enabled = metrics.enabled();
+  metrics.SetEnabled(true);
+  Counter* pairs_evaluated = metrics.counter("measure.batch.pairs_evaluated");
+  MeasureOptions options;
+  options.kendall_penalty = 0.3;  // off-dyadic: any term-order drift shows
+  for (SearchMeasure measure :
+       {SearchMeasure::kKendallTau, SearchMeasure::kJaccard,
+        SearchMeasure::kFootrule, SearchMeasure::kRbo}) {
+    uint64_t before = pairs_evaluated->Value();
+    Result<UnfairnessCube> cube =
+        BuildSearchCube(data, space, measure, options);
+    ASSERT_TRUE(cube.ok()) << cube.status().message();
+    if (kObservabilityCompiledIn) {
+      EXPECT_EQ(pairs_evaluated->Value() - before, slot_pairs.size());
+    }
+    size_t present = 0;
+    for (size_t g = 0; g < cube->axis_size(Dimension::kGroup); ++g) {
+      GroupId group = static_cast<GroupId>(cube->axis_id(Dimension::kGroup, g));
+      Result<double> reference =
+          SearchUnfairness(data, space, group, q, l, measure, options);
+      std::optional<double> cell = cube->Get(g, 0, 0);
+      ASSERT_EQ(cell.has_value(), reference.ok()) << g;
+      if (!reference.ok()) continue;
+      ++present;
+      EXPECT_EQ(BitsOf(*cell), BitsOf(*reference))
+          << "measure " << static_cast<int>(measure) << " group " << g
+          << ": cube=" << *cell << " ref=" << *reference;
+    }
+    EXPECT_GT(present, 0u);
+  }
+  metrics.SetEnabled(was_enabled);
+}
+
 // End-to-end: a search cube built on the batch fast path must agree with the
 // per-triple SearchUnfairness reference on the simulated Google study —
 // a dataset with real missing cells (each query only exists at its Table-7
-// locations) and multi-attribute comparable groups. Jaccard and footrule
-// kernels are exactly symmetric, so those cubes are bitwise equal to the
-// reference; Kendall-Tau and RBO cells may differ in the last ulp because
-// the cube evaluates each unordered pair once (i < j) while the reference
-// evaluates both orientations.
+// locations) and multi-attribute comparable groups. The cube evaluates each
+// unordered pair once (i < j) while the reference evaluates both
+// orientations. Jaccard, Footrule and Kendall-Tau (integer case counts,
+// combined once) are exactly symmetric, so those cubes are bitwise equal to
+// the reference; RBO cells are held to 1e-12.
 TEST(ListBatchTest, GoogleStudyCubeMatchesPerTripleReference) {
   GoogleStudyConfig config;
   config.users_per_cell = 2;
@@ -427,8 +511,7 @@ TEST(ListBatchTest, GoogleStudyCubeMatchesPerTripleReference) {
           if (reference.ok()) {
             ASSERT_TRUE(cell.has_value()) << g << " " << q << " " << l;
             ++present;
-            if (measure == SearchMeasure::kJaccard ||
-                measure == SearchMeasure::kFootrule) {
+            if (measure != SearchMeasure::kRbo) {
               EXPECT_EQ(BitsOf(*cell), BitsOf(*reference))
                   << g << " " << q << " " << l;
             } else {
