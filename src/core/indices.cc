@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/thread_pool.h"
+
 namespace fairjob {
 namespace {
 
@@ -103,40 +105,72 @@ void IndexSet::OtherSizes(Dimension target, size_t* s1, size_t* s2) const {
 
 IndexSet IndexSet::Build(const UnfairnessCube& cube) {
   IndexSet set;
-  set.sizes_[0] = cube.axis_size(Dimension::kGroup);
-  set.sizes_[1] = cube.axis_size(Dimension::kQuery);
-  set.sizes_[2] = cube.axis_size(Dimension::kLocation);
+  const size_t num_groups = cube.axis_size(Dimension::kGroup);
+  const size_t num_queries = cube.axis_size(Dimension::kQuery);
+  const size_t num_locations = cube.axis_size(Dimension::kLocation);
+  set.sizes_[0] = num_groups;
+  set.sizes_[1] = num_queries;
+  set.sizes_[2] = num_locations;
+  const InvertedIndex empty{std::vector<ScoredEntry>()};
+  auto& group_lists = set.family_[static_cast<size_t>(Dimension::kGroup)];
+  auto& query_lists = set.family_[static_cast<size_t>(Dimension::kQuery)];
+  auto& location_lists =
+      set.family_[static_cast<size_t>(Dimension::kLocation)];
+  group_lists.assign(num_queries * num_locations, empty);
+  query_lists.assign(num_groups * num_locations, empty);
+  location_lists.assign(num_groups * num_queries, empty);
 
-  for (Dimension target :
-       {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
-    Dimension d1 = Dimension::kQuery;
-    Dimension d2 = Dimension::kLocation;
-    OtherDims(target, &d1, &d2);
-    size_t n1 = set.sizes_[static_cast<size_t>(d1)];
-    size_t n2 = set.sizes_[static_cast<size_t>(d2)];
-    size_t nt = set.sizes_[static_cast<size_t>(target)];
-
-    auto& family = set.family_[static_cast<size_t>(target)];
-    family.reserve(n1 * n2);
-    for (size_t p1 = 0; p1 < n1; ++p1) {
-      for (size_t p2 = 0; p2 < n2; ++p2) {
-        std::vector<ScoredEntry> entries;
-        for (size_t t = 0; t < nt; ++t) {
-          // Map (target, other1, other2) back to (g, q, l).
-          size_t coords[3];
-          coords[static_cast<size_t>(target)] = t;
-          coords[static_cast<size_t>(d1)] = p1;
-          coords[static_cast<size_t>(d2)] = p2;
-          std::optional<double> v =
-              cube.Get(coords[0], coords[1], coords[2]);
+  // Every list is fed its entries in ascending target position, and the
+  // InvertedIndex sort is a total order on distinct positions, so the lists
+  // are the ones a per-list scan of the cube would build. Each task writes
+  // only the lists of its own g (first sweep) or q (second sweep).
+  ThreadPool& pool = ThreadPool::Shared();
+  const size_t parallelism = pool.num_threads() + 1;
+  // Sweep 1, one task per group: walk g's contiguous Q×L slab once. Each row
+  // is the location list (g, q); bucketing the row by l builds the query
+  // lists (g, l).
+  Status status = pool.ParallelFor(num_groups, parallelism, [&](size_t g) {
+    std::vector<std::vector<ScoredEntry>> by_location(num_locations);
+    for (size_t q = 0; q < num_queries; ++q) {
+      std::vector<ScoredEntry> row;
+      for (size_t l = 0; l < num_locations; ++l) {
+        std::optional<double> v = cube.Get(g, q, l);
+        if (!v.has_value()) continue;
+        row.push_back(ScoredEntry{static_cast<int32_t>(l), *v});
+        by_location[l].push_back(ScoredEntry{static_cast<int32_t>(q), *v});
+      }
+      location_lists[g * num_queries + q] = InvertedIndex(std::move(row));
+    }
+    for (size_t l = 0; l < num_locations; ++l) {
+      query_lists[g * num_locations + l] =
+          InvertedIndex(std::move(by_location[l]));
+    }
+    return Status::OK();
+  });
+  // Sweep 2, one task per query: read q's contiguous L-cell row of every
+  // group, bucketed by l into the group lists (q, l).
+  if (status.ok()) {
+    status = pool.ParallelFor(num_queries, parallelism, [&](size_t q) {
+      std::vector<std::vector<ScoredEntry>> by_location(num_locations);
+      for (size_t g = 0; g < num_groups; ++g) {
+        for (size_t l = 0; l < num_locations; ++l) {
+          std::optional<double> v = cube.Get(g, q, l);
           if (v.has_value()) {
-            entries.push_back(ScoredEntry{static_cast<int32_t>(t), *v});
+            by_location[l].push_back(
+                ScoredEntry{static_cast<int32_t>(g), *v});
           }
         }
-        family.emplace_back(std::move(entries));
       }
-    }
+      for (size_t l = 0; l < num_locations; ++l) {
+        group_lists[q * num_locations + l] =
+            InvertedIndex(std::move(by_location[l]));
+      }
+      return Status::OK();
+    });
   }
+  // The sweep bodies cannot fail, so neither can the fan-out.
+  assert(status.ok());
+  (void)status;
   return set;
 }
 

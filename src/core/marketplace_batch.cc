@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
+#include <unordered_map>
 
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "ranking/exposure.h"
 #include "ranking/histogram.h"
@@ -11,6 +14,20 @@
 
 namespace fairjob {
 namespace {
+
+// Membership words one fill task owns (16384 workers): large enough to
+// amortize the task, small enough to spread a crawl over every thread.
+constexpr size_t kFillWordsPerTask = 256;
+
+struct DemographicsHash {
+  size_t operator()(const Demographics& d) const {
+    uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the value ids
+    for (ValueId v : d) {
+      h = (h ^ static_cast<uint32_t>(v)) * 0x100000001b3ULL;
+    }
+    return static_cast<size_t>(h);
+  }
+};
 
 // Membership-table observability: table builds per dataset version, Update
 // extensions, and how many (group × worker) labels were evaluated — the work
@@ -93,16 +110,59 @@ void MarketplaceGroupMembership::Update(const MarketplaceDataset& data,
 void MarketplaceGroupMembership::LabelNewWorkers(const MarketplaceDataset& data,
                                                  const GroupSpace& space,
                                                  size_t first) {
-  for (size_t g = 0; g < num_groups_; ++g) {
-    const GroupLabel& label = space.label(static_cast<GroupId>(g));
-    uint64_t* row = words_.data() + g * words_per_group_;
+  // Labels depend only on demographics, and a crawl repeats a few distinct
+  // profiles across many workers: give each new worker a dense profile id...
+  std::vector<uint32_t> profile_of(num_workers_ - first);
+  std::vector<const Demographics*> profiles;
+  {
+    std::unordered_map<Demographics, uint32_t, DemographicsHash> ids;
     for (size_t w = first; w < num_workers_; ++w) {
-      if (label.Matches(
-              data.worker_demographics(static_cast<WorkerId>(w)))) {
-        row[w >> 6] |= uint64_t{1} << (w & 63);
-      }
+      const Demographics& d =
+          data.worker_demographics(static_cast<WorkerId>(w));
+      auto [it, inserted] =
+          ids.try_emplace(d, static_cast<uint32_t>(profiles.size()));
+      if (inserted) profiles.push_back(&d);
+      profile_of[w - first] = it->second;
     }
   }
+  // ...match each profile against the labels once (CSR: profile p's groups
+  // are groups_of[group_begin[p], group_begin[p + 1]))...
+  std::vector<size_t> group_begin(profiles.size() + 1, 0);
+  std::vector<uint32_t> groups_of;
+  for (size_t p = 0; p < profiles.size(); ++p) {
+    for (size_t g = 0; g < num_groups_; ++g) {
+      if (space.label(static_cast<GroupId>(g)).Matches(*profiles[p])) {
+        groups_of.push_back(static_cast<uint32_t>(g));
+      }
+    }
+    group_begin[p + 1] = groups_of.size();
+  }
+  // ...and OR each worker's bit into its groups' rows. A task owns a block
+  // of word columns across every row, so no two tasks share a word — not
+  // even the partial word an Update extends.
+  const size_t first_word = first >> 6;
+  const size_t tasks =
+      (words_per_group_ - first_word + kFillWordsPerTask - 1) /
+      kFillWordsPerTask;
+  ThreadPool& pool = ThreadPool::Shared();
+  Status status =
+      pool.ParallelFor(tasks, pool.num_threads() + 1, [&](size_t t) {
+        size_t word_lo = first_word + t * kFillWordsPerTask;
+        size_t w_lo = std::max(first, word_lo * 64);
+        size_t w_hi =
+            std::min(num_workers_, (word_lo + kFillWordsPerTask) * 64);
+        for (size_t w = w_lo; w < w_hi; ++w) {
+          uint32_t p = profile_of[w - first];
+          uint64_t bit = uint64_t{1} << (w & 63);
+          for (size_t k = group_begin[p]; k < group_begin[p + 1]; ++k) {
+            words_[groups_of[k] * words_per_group_ + (w >> 6)] |= bit;
+          }
+        }
+        return Status::OK();
+      });
+  // The fill body cannot fail, so neither can the fan-out.
+  assert(status.ok());
+  (void)status;
   MembershipWorkersLabeled()->Add(num_workers_ - first);
 }
 

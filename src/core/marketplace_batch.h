@@ -15,11 +15,12 @@ namespace fairjob {
 // Per-worker group membership bitmaps, hoisted across (query, location)
 // columns — the marketplace twin of the search cube's SearchGroupMembership.
 // Whether a worker matches a group label depends only on demographics, never
-// on the column, so the O(G · workers) label matching is done once per
-// dataset version instead of once per cell; per-cell membership becomes one
-// word probe per (group, position). Rows are bit-packed (bit w of row g =
-// "worker w is in group g"), 8x smaller than a byte table and directly
-// usable as the input of the simd:: bitmap kernels.
+// on the column, so label matching is done once per dataset version instead
+// of once per cell — and once per distinct demographic profile rather than
+// per worker; the bits are then filled in word blocks on ThreadPool::Shared().
+// Per-cell membership becomes one word probe per (group, position). Rows are
+// bit-packed (bit w of row g = "worker w is in group g"), 8x smaller than a
+// byte table and directly usable as the input of the simd:: bitmap kernels.
 //
 // Lifecycle: built once per dataset version (cube builders construct one per
 // build; MarketplaceCubeMaintainer keeps one alive) and extended by Update
@@ -65,7 +66,9 @@ class MarketplaceGroupMembership {
   }
 
  private:
-  // Labels workers [first, num_workers_) into the already-sized rows.
+  // Labels workers [first, num_workers_) into the already-sized rows: maps
+  // them to distinct profiles, matches each profile once, then ORs worker
+  // bits in per-task blocks of whole words starting at word first / 64.
   void LabelNewWorkers(const MarketplaceDataset& data, const GroupSpace& space,
                        size_t first);
 

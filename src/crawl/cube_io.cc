@@ -909,6 +909,7 @@ class BinaryCubeColumnWriter::Impl {
     l_size_ = axes.locations.size();
     cells_ = g_size_ * q_size_ * l_size_;
     presence_.assign((cells_ + 63) / 64, 0);
+    streamed_.assign((q_size_ * l_size_ + 63) / 64, 0);
 
     // Header placeholder + axis/name tables + padding; cell values land at
     // values_offset_ via per-column pwrite, the bitmap after them.
@@ -960,25 +961,38 @@ class BinaryCubeColumnWriter::Impl {
       return Status::InvalidArgument(
           "streamed column does not match the writer's axes");
     }
-    size_t base = (query_pos * l_size_ + location_pos) * g_size_;
-    std::vector<unsigned char> buf(8 * g_size_);
+    size_t column = query_pos * l_size_ + location_pos;
+    size_t base = column * g_size_;
     size_t present = 0;
-    for (size_t g = 0; g < g_size_; ++g) {
-      StoreF64(buf.data() + 8 * g, values[g].value_or(0.0));
-      present += values[g].has_value() ? 1 : 0;
-    }
-    FAIRJOB_RETURN_IF_ERROR(
-        WriteAt(buf.data(), buf.size(), values_offset_ + 8 * base));
     {
       std::lock_guard<std::mutex> lock(presence_mutex_);
+      uint64_t& streamed = streamed_[column / 64];
+      const uint64_t bit = uint64_t{1} << (column % 64);
+      if ((streamed & bit) != 0) {
+        return Status::FailedPrecondition(
+            "column (" + std::to_string(query_pos) + ", " +
+            std::to_string(location_pos) + ") was already streamed");
+      }
+      streamed |= bit;
       for (size_t g = 0; g < g_size_; ++g) {
         if (values[g].has_value()) {
           size_t index = base + g;
           presence_[index / 64] |= uint64_t{1} << (index % 64);
+          ++present;
         }
       }
     }
-    present_count_.fetch_add(present, std::memory_order_relaxed);
+    // An all-absent column is all zeros on disk, which the ftruncate in Init
+    // already wrote.
+    if (present > 0) {
+      std::vector<unsigned char> buf(8 * g_size_);
+      for (size_t g = 0; g < g_size_; ++g) {
+        StoreF64(buf.data() + 8 * g, values[g].value_or(0.0));
+      }
+      FAIRJOB_RETURN_IF_ERROR(
+          WriteAt(buf.data(), buf.size(), values_offset_ + 8 * base));
+      present_count_.fetch_add(present, std::memory_order_relaxed);
+    }
     ColumnsStreamed()->Add(1);
     return Status::OK();
 #endif
@@ -1066,8 +1080,9 @@ class BinaryCubeColumnWriter::Impl {
   size_t presence_offset_ = 0;
   size_t file_bytes_ = 0;
   bool finished_ = false;
-  std::mutex presence_mutex_;
+  std::mutex presence_mutex_;  // guards presence_ and streamed_
   std::vector<uint64_t> presence_;
+  std::vector<uint64_t> streamed_;  // bit per (query, location) column
   std::atomic<uint64_t> present_count_{0};
 };
 

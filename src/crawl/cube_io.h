@@ -154,9 +154,11 @@ class MappedCube {
 // to BuildMarketplaceCubeSharded / BuildSearchCubeSharded when the cube
 // should land on disk instead of in memory. Create sizes the file from the
 // resolved axes (unstreamed columns stay all-missing); Consume accepts
-// columns from any thread in any order (writes to disjoint offsets);
-// Finish seals the file — presence bitmap, CRC, header — and must be called
-// exactly once before destruction for the file to be readable.
+// columns from any thread in any order (writes to disjoint offsets; an
+// all-absent column writes nothing) and rejects a column streamed twice with
+// FailedPrecondition; Finish seals the file — presence bitmap, CRC, header —
+// and must be called exactly once before destruction for the file to be
+// readable.
 class BinaryCubeColumnWriter final : public CubeColumnSink {
  public:
   static Result<std::unique_ptr<BinaryCubeColumnWriter>> Create(

@@ -8,8 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "crawl/csv.h"
+#include "serve/cache_key.h"
 
 namespace fairjob {
 namespace {
@@ -420,6 +422,121 @@ TEST(BinaryCubeIoTest, ColumnWriterSkippedColumnsStayMissing) {
   EXPECT_EQ(restored.Get(0, 0, 0), std::nullopt);
   EXPECT_EQ(restored.Get(1, 2, 0), std::nullopt);
   std::remove(path.c_str());
+}
+
+// A column streamed twice would leave the first stream's presence bits and
+// count it twice in the header's present total, so the writer rejects the
+// repeat — also for an all-absent column, which writes nothing.
+TEST(BinaryCubeIoTest, RejectsColumnStreamedTwice) {
+  std::string path = TempPath("twice.fjcube");
+  CubeAxes axes;
+  axes.groups = {1, 2, 3};
+  axes.queries = {4, 5};
+  axes.locations = {6};
+  auto writer = BinaryCubeColumnWriter::Create(path, axes);
+  ASSERT_TRUE(writer.ok());
+  std::optional<double> first[3] = {0.5, 0.25, std::nullopt};
+  std::optional<double> fewer[3] = {std::nullopt, 0.75, std::nullopt};
+  std::optional<double> absent[3] = {std::nullopt, std::nullopt,
+                                     std::nullopt};
+  ASSERT_TRUE((*writer)->Consume(0, 0, first, 3).ok());
+  EXPECT_EQ((*writer)->Consume(0, 0, fewer, 3).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ((*writer)->Consume(0, 0, absent, 3).code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE((*writer)->Consume(1, 0, absent, 3).ok());
+  EXPECT_EQ((*writer)->Consume(1, 0, first, 3).code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE((*writer)->Finish().ok());
+
+  // The file holds exactly the first stream of each column.
+  Result<MappedCube> mapped = MappedCube::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(mapped->num_present(), 2u);
+  UnfairnessCube restored = *mapped->Materialize();
+  EXPECT_EQ(restored.Get(0, 0, 0), std::optional<double>(0.5));
+  EXPECT_EQ(restored.Get(1, 0, 0), std::optional<double>(0.25));
+  EXPECT_EQ(restored.Get(2, 0, 0), std::nullopt);
+  for (size_t g = 0; g < 3; ++g) {
+    EXPECT_EQ(restored.Get(g, 1, 0), std::nullopt) << "g=" << g;
+  }
+  std::remove(path.c_str());
+}
+
+// All-absent columns are not written: the zeros Create sized the file with
+// stand in for them, so a cube whose columns are mostly empty still passes
+// the verified open, reads back equal to the in-memory cube, and is
+// byte-identical to SaveCubeBinary's dense file.
+TEST(BinaryCubeIoTest, MostlyAbsentColumnsRoundTrip) {
+  std::string streamed_path = TempPath("mostly_absent.fjcube");
+  std::string direct_path = TempPath("mostly_absent_direct.fjcube");
+  const size_t num_groups = 7;
+  const size_t num_queries = 20;
+  const size_t num_locations = 10;
+  std::vector<int32_t> groups(num_groups);
+  std::vector<int32_t> queries(num_queries);
+  std::vector<int32_t> locations(num_locations);
+  for (size_t i = 0; i < num_groups; ++i) groups[i] = static_cast<int32_t>(i);
+  for (size_t i = 0; i < num_queries; ++i) {
+    queries[i] = static_cast<int32_t>(100 + i);
+  }
+  for (size_t i = 0; i < num_locations; ++i) {
+    locations[i] = static_cast<int32_t>(200 + i);
+  }
+  UnfairnessCube cube = *UnfairnessCube::Make(groups, queries, locations);
+  // 14 of the 200 columns hold cells (93% all-absent), each at ~half density.
+  Rng rng(4242);
+  size_t filled_columns = 0;
+  for (size_t column = 3; column < num_queries * num_locations; column += 15) {
+    size_t q = column / num_locations;
+    size_t l = column % num_locations;
+    for (size_t g = 0; g < num_groups; ++g) {
+      if (rng.NextBelow(2) == 0) cube.Set(g, q, l, rng.NextDouble());
+    }
+    cube.Set(column % num_groups, q, l, 0.0);  // a present exact zero
+    ++filled_columns;
+  }
+  ASSERT_LE(filled_columns * 10, num_queries * num_locations);
+
+  CubeAxes axes;
+  axes.groups = groups;
+  axes.queries = queries;
+  axes.locations = locations;
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  bool was_enabled = metrics.enabled();
+  metrics.SetEnabled(true);
+  Counter* streamed = metrics.counter("cube.io.columns_streamed");
+  uint64_t before = streamed->Value();
+  auto writer = BinaryCubeColumnWriter::Create(streamed_path, axes);
+  ASSERT_TRUE(writer.ok());
+  std::vector<std::optional<double>> column(num_groups);
+  for (size_t q = 0; q < num_queries; ++q) {
+    for (size_t l = 0; l < num_locations; ++l) {
+      for (size_t g = 0; g < num_groups; ++g) column[g] = cube.Get(g, q, l);
+      ASSERT_TRUE(
+          (*writer)->Consume(q, l, column.data(), column.size()).ok());
+    }
+  }
+  ASSERT_TRUE((*writer)->Finish().ok());
+  if (kObservabilityCompiledIn) {
+    // Skipped all-absent columns are still counted as streamed.
+    EXPECT_EQ(streamed->Value() - before, num_queries * num_locations);
+  }
+  metrics.SetEnabled(was_enabled);
+
+  Result<MappedCube> mapped = MappedCube::Open(streamed_path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(mapped->num_present(), cube.num_present());
+  Result<UnfairnessCube> restored = mapped->Materialize();
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(FingerprintCube(*restored), FingerprintCube(cube));
+
+  BinaryCubeWriteOptions options;
+  options.layout = BinaryCubeWriteOptions::Layout::kDense;
+  ASSERT_TRUE(SaveCubeBinary(direct_path, cube, nullptr, options).ok());
+  EXPECT_EQ(ReadFileBytes(streamed_path), ReadFileBytes(direct_path));
+  std::remove(streamed_path.c_str());
+  std::remove(direct_path.c_str());
 }
 
 // End-to-end scale path in miniature: a sharded marketplace build streamed

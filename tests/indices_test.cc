@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace fairjob {
 namespace {
 
@@ -171,6 +177,146 @@ TEST_F(IndexSetTest, RefreshColumnMatchesFullRebuild) {
           EXPECT_DOUBLE_EQ(incremental.entry(i).value, fresh.entry(i).value);
         }
       }
+    }
+  }
+}
+
+// Brute-force oracle: the plain per-list scan of the cube, one list at a time
+// in (other1, other2) order with the target axis innermost.
+std::vector<InvertedIndex> OracleFamily(const UnfairnessCube& cube,
+                                        Dimension target) {
+  Dimension d1 = target == Dimension::kGroup ? Dimension::kQuery
+                                             : Dimension::kGroup;
+  Dimension d2 = target == Dimension::kLocation ? Dimension::kQuery
+                                                : Dimension::kLocation;
+  std::vector<InvertedIndex> family;
+  for (size_t p1 = 0; p1 < cube.axis_size(d1); ++p1) {
+    for (size_t p2 = 0; p2 < cube.axis_size(d2); ++p2) {
+      std::vector<ScoredEntry> entries;
+      for (size_t t = 0; t < cube.axis_size(target); ++t) {
+        size_t coords[3];
+        coords[static_cast<size_t>(target)] = t;
+        coords[static_cast<size_t>(d1)] = p1;
+        coords[static_cast<size_t>(d2)] = p2;
+        std::optional<double> v = cube.Get(coords[0], coords[1], coords[2]);
+        if (v.has_value()) {
+          entries.push_back(ScoredEntry{static_cast<int32_t>(t), *v});
+        }
+      }
+      family.emplace_back(std::move(entries));
+    }
+  }
+  return family;
+}
+
+void ExpectListsIdentical(const InvertedIndex& actual,
+                          const InvertedIndex& expected, size_t axis) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(actual.entry(i).pos, expected.entry(i).pos) << "entry " << i;
+    ASSERT_EQ(std::bit_cast<uint64_t>(actual.entry(i).value),
+              std::bit_cast<uint64_t>(expected.entry(i).value))
+        << "entry " << i;
+  }
+  ASSERT_EQ(actual.dense_size(), expected.dense_size());
+  for (size_t pos = 0; pos < axis; ++pos) {
+    std::optional<double> a = actual.Find(static_cast<int32_t>(pos));
+    std::optional<double> e = expected.Find(static_cast<int32_t>(pos));
+    ASSERT_EQ(a.has_value(), e.has_value()) << "pos " << pos;
+    if (e.has_value()) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(*a), std::bit_cast<uint64_t>(*e))
+          << "pos " << pos;
+    }
+  }
+}
+
+// Every list of every family equals the oracle's, entry for entry and on
+// every random access along its target axis.
+void ExpectMatchesOracle(const IndexSet& indices, const UnfairnessCube& cube) {
+  for (Dimension target :
+       {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
+    std::vector<InvertedIndex> oracle = OracleFamily(cube, target);
+    std::vector<const InvertedIndex*> lists =
+        indices.ListsFor(target, AxisSelector::All(), AxisSelector::All());
+    ASSERT_EQ(lists.size(), oracle.size()) << DimensionName(target);
+    for (size_t i = 0; i < oracle.size(); ++i) {
+      SCOPED_TRACE(std::string(DimensionName(target)) + " list " +
+                   std::to_string(i));
+      ExpectListsIdentical(*lists[i], oracle[i], cube.axis_size(target));
+    }
+  }
+}
+
+// A cube with `density` of its cells present. Values are drawn from a few
+// levels so that lists hold many ties, broken by position.
+UnfairnessCube RandomCube(size_t groups, size_t queries, size_t locations,
+                          double density, uint64_t seed) {
+  std::vector<int32_t> ids[3];
+  size_t sizes[3] = {groups, queries, locations};
+  for (size_t d = 0; d < 3; ++d) {
+    for (size_t i = 0; i < sizes[d]; ++i) {
+      ids[d].push_back(static_cast<int32_t>(7 * i + d));
+    }
+  }
+  UnfairnessCube cube = *UnfairnessCube::Make(ids[0], ids[1], ids[2]);
+  Rng rng(seed);
+  for (size_t g = 0; g < groups; ++g) {
+    for (size_t q = 0; q < queries; ++q) {
+      for (size_t l = 0; l < locations; ++l) {
+        if (rng.NextDouble() >= density) continue;
+        double value = rng.NextBelow(3) == 0
+                           ? static_cast<double>(rng.NextBelow(4)) / 4.0
+                           : rng.NextDouble();
+        cube.Set(g, q, l, value);
+      }
+    }
+  }
+  return cube;
+}
+
+TEST_F(IndexSetTest, BuildMatchesBruteForceOracle) {
+  struct Case {
+    const char* name;
+    size_t groups, queries, locations;
+    double density;
+  };
+  const Case cases[] = {
+      {"all absent", 5, 4, 6, 0.0},
+      {"one cell", 1, 1, 1, 1.0},
+      {"single group", 1, 9, 5, 0.6},
+      {"single query", 8, 1, 7, 0.6},
+      {"single location", 6, 11, 1, 0.6},
+      {"5% dense", 23, 17, 13, 0.05},
+      {"fully dense", 12, 9, 10, 1.0},
+      // Each sweep spans dozens of pool tasks (one per group / query).
+      {"many tasks", 67, 53, 29, 0.5},
+  };
+  uint64_t seed = 9001;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    UnfairnessCube cube =
+        RandomCube(c.groups, c.queries, c.locations, c.density, ++seed);
+    IndexSet indices = IndexSet::Build(cube);
+    EXPECT_EQ(indices.axis_size(Dimension::kGroup), c.groups);
+    EXPECT_EQ(indices.axis_size(Dimension::kQuery), c.queries);
+    EXPECT_EQ(indices.axis_size(Dimension::kLocation), c.locations);
+    ExpectMatchesOracle(indices, cube);
+  }
+}
+
+TEST_F(IndexSetTest, RepeatedBuildsAreIdentical) {
+  UnfairnessCube cube = RandomCube(31, 19, 11, 0.4, 77);
+  IndexSet first = IndexSet::Build(cube);
+  IndexSet second = IndexSet::Build(cube);
+  for (Dimension target :
+       {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
+    std::vector<const InvertedIndex*> a =
+        first.ListsFor(target, AxisSelector::All(), AxisSelector::All());
+    std::vector<const InvertedIndex*> b =
+        second.ListsFor(target, AxisSelector::All(), AxisSelector::All());
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      ExpectListsIdentical(*a[i], *b[i], cube.axis_size(target));
     }
   }
 }

@@ -270,6 +270,65 @@ TEST(MarketplaceBatchTest, IncrementalMembershipUpdateMatchesFreshBuild) {
   EXPECT_EQ(incremental, fresh);
 }
 
+// Brute-force check of the table: every (group, worker) bit equals direct
+// label matching on the worker's demographics.
+void ExpectMatchesLabels(const MarketplaceGroupMembership& membership,
+                         const MarketplaceDataset& data,
+                         const GroupSpace& space) {
+  ASSERT_EQ(membership.num_workers(), data.num_workers());
+  for (size_t g = 0; g < space.num_groups(); ++g) {
+    const GroupLabel& label = space.label(static_cast<GroupId>(g));
+    for (size_t w = 0; w < data.num_workers(); ++w) {
+      WorkerId worker = static_cast<WorkerId>(w);
+      ASSERT_EQ(membership.Matches(static_cast<GroupId>(g), worker),
+                label.Matches(data.worker_demographics(worker)))
+          << "g=" << g << " w=" << w;
+    }
+  }
+}
+
+// Large enough (40000 workers = 625 words) for the fill to span several
+// 256-word pool tasks, over three attributes so profiles and groups are
+// many-to-many.
+TEST(MarketplaceBatchTest, ProfileLabelingMatchesPerWorkerLabels) {
+  AttributeSchema schema;
+  ASSERT_TRUE(
+      schema.AddAttribute("ethnicity", {"Asian", "Black", "White"}).ok());
+  ASSERT_TRUE(schema.AddAttribute("gender", {"Male", "Female"}).ok());
+  ASSERT_TRUE(
+      schema.AddAttribute("age", {"18-25", "26-40", "41-60", "60+"}).ok());
+  MarketplaceDataset data(schema);
+  GroupSpace space = *GroupSpace::Enumerate(data.schema());
+  Rng rng(314);
+  auto add_workers = [&](size_t count) {
+    size_t first = data.num_workers();
+    for (size_t w = first; w < first + count; ++w) {
+      Demographics d = {static_cast<ValueId>(rng.NextBelow(3)),
+                        rng.NextBernoulli(0.7) ? ValueId{0} : ValueId{1},
+                        static_cast<ValueId>(rng.NextBelow(4))};
+      ASSERT_TRUE(data.AddWorker("w" + std::to_string(w), d).ok());
+    }
+  };
+
+  // Start mid-word just below the first task boundary (16347 = 255 · 64 +
+  // 27), so the first Update extends a partial word and its fill crosses
+  // the 256-word boundary.
+  add_workers(16347);
+  MarketplaceGroupMembership incremental(data, space);
+  ExpectMatchesLabels(incremental, data, space);
+
+  add_workers(39990 - 16347);  // re-strides the rows
+  incremental.Update(data, space);
+  EXPECT_EQ(incremental, MarketplaceGroupMembership(data, space));
+  add_workers(10);  // 39990 → 40000 fills the last partial word in place
+  incremental.Update(data, space);
+
+  MarketplaceGroupMembership fresh(data, space);
+  EXPECT_EQ(fresh.words_per_group(), 625u);
+  ExpectMatchesLabels(fresh, data, space);
+  EXPECT_EQ(incremental, fresh);
+}
+
 // The maintainer's upsert path runs on the batched engine with its
 // persistent membership table; the differential contract (upsert ≡ cold
 // rebuild, bitwise) must survive the engine swap.
