@@ -39,8 +39,8 @@ void NormalizePositions(const std::vector<size_t>& positions, size_t axis_size,
   }
 }
 
-// allowed_targets IS a set (the top-k runners build a hash set from it), so
-// here duplicates are dropped as well as sorted.
+// allowed_targets IS a set (the top-k runners turn it into a position
+// bitmap), so here duplicates are dropped as well as sorted.
 void NormalizeTargets(const std::vector<int32_t>& targets, size_t axis_size,
                       std::vector<int32_t>* out) {
   out->clear();
@@ -84,15 +84,18 @@ RequestCacheKey::RequestCacheKey(const QuantificationRequest& request,
 }
 
 bool RequestCacheKey::operator==(const RequestCacheKey& other) const {
-  return epoch_digest == other.epoch_digest && target == other.target &&
-         k == other.k && direction == other.direction &&
-         missing == other.missing && algorithm == other.algorithm &&
-         agg1 == other.agg1 && agg2 == other.agg2 && allowed == other.allowed;
+  return epoch_digest == other.epoch_digest &&
+         RequestShapeEqual()(*this, other);
 }
 
 size_t RequestCacheKeyHash::operator()(const RequestCacheKey& key) const {
-  uint64_t h = fnv::kOffset;
+  uint64_t h = RequestShapeHash()(key);
   fnv::HashValue(&h, key.epoch_digest);
+  return static_cast<size_t>(h);
+}
+
+size_t RequestShapeHash::operator()(const RequestCacheKey& key) const {
+  uint64_t h = fnv::kOffset;
   fnv::HashValue(&h, static_cast<uint32_t>(key.target));
   fnv::HashValue(&h, key.k);
   fnv::HashValue(&h, static_cast<uint32_t>(key.direction));
@@ -106,6 +109,13 @@ size_t RequestCacheKeyHash::operator()(const RequestCacheKey& key) const {
   fnv::HashValue(&h, static_cast<uint64_t>(key.allowed.size()));
   for (int32_t t : key.allowed) fnv::HashValue(&h, t);
   return static_cast<size_t>(h);
+}
+
+bool RequestShapeEqual::operator()(const RequestCacheKey& a,
+                                   const RequestCacheKey& b) const {
+  return a.target == b.target && a.k == b.k && a.direction == b.direction &&
+         a.missing == b.missing && a.algorithm == b.algorithm &&
+         a.agg1 == b.agg1 && a.agg2 == b.agg2 && a.allowed == b.allowed;
 }
 
 uint64_t FingerprintCube(const UnfairnessCube& cube) {

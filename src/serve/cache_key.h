@@ -29,14 +29,23 @@ class CubeSnapshot;
 // the missing-cell policy, direction and k.
 //
 // `epoch_digest` binds the key to the data the answer was computed from —
-// but only the part it read: it digests the snapshot lineage plus the
-// per-(query, location) column epochs of exactly the columns the normalized
-// selectors touch (CubeSnapshot::EpochDigest). An incremental upsert bumps
-// epochs for the columns it changed, so entries over untouched columns keep
-// matching across the flip while entries over changed columns stop matching
-// and age out of the LRU. A full rebuild changes the lineage and therefore
-// every key — unless the rebuilt cube is bitwise identical, in which case
-// the whole cache stays warm on purpose.
+// but only the part it read: an additive digest of the snapshot lineage plus
+// the per-(query, location) column epochs of exactly the columns the
+// normalized selectors touch (CubeSnapshot::EpochDigest), computed in
+// O(|selector|) from per-query and per-location sums the snapshot keeps. An
+// incremental upsert bumps epochs for the columns it changed, so entries
+// over untouched columns keep matching across the flip while entries over
+// changed columns stop matching (up to a ~2^-64 chance that a change in a
+// read column goes unnoticed). A full rebuild changes the lineage and
+// therefore every digest — unless the rebuilt cube is bitwise identical, in
+// which case the whole cache stays warm on purpose.
+//
+// operator== and RequestCacheKeyHash cover the digest (single-flight and the
+// micro-batch window must not coalesce across data versions). The answer
+// cache stores entries under the same key through RequestShapeHash /
+// RequestShapeEqual, which ignore it: the digest an answer was computed
+// against lives in the cached value, so an upsert turns an entry stale in
+// place instead of stranding it under a dead key.
 struct RequestCacheKey {
   uint64_t epoch_digest = 0;
   Dimension target = Dimension::kGroup;
@@ -61,6 +70,15 @@ struct RequestCacheKey {
 
 struct RequestCacheKeyHash {
   size_t operator()(const RequestCacheKey& key) const;
+};
+
+// Hash and equality over every field but `epoch_digest`: the answer cache's
+// storage identity (one entry per request shape, see above).
+struct RequestShapeHash {
+  size_t operator()(const RequestCacheKey& key) const;
+};
+struct RequestShapeEqual {
+  bool operator()(const RequestCacheKey& a, const RequestCacheKey& b) const;
 };
 
 // Order-sensitive 64-bit FNV-1a digest of the cube's full identity: axis

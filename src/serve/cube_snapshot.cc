@@ -3,33 +3,29 @@
 #include <utility>
 
 #include "serve/cache_key.h"
-#include "serve/fnv.h"
 
 namespace fairjob {
 namespace {
 
-// Epoch contribution of the column block (qs × ls) in canonical order:
-// queries outer, locations inner, selector order as normalized by the cache
-// key (sorted; duplicates kept — deterministic either way).
-void HashColumnEpochs(uint64_t* h, const UnfairnessCube& cube,
-                      const std::vector<size_t>& qs,
-                      const std::vector<size_t>& ls) {
-  size_t num_queries = cube.axis_size(Dimension::kQuery);
-  size_t num_locations = cube.axis_size(Dimension::kLocation);
-  auto hash_row = [&](size_t q) {
-    if (ls.empty()) {
-      for (size_t l = 0; l < num_locations; ++l) {
-        fnv::HashValue(h, cube.column_epoch(q, l));
-      }
-    } else {
-      for (size_t l : ls) fnv::HashValue(h, cube.column_epoch(q, l));
-    }
-  };
-  if (qs.empty()) {
-    for (size_t q = 0; q < num_queries; ++q) hash_row(q);
-  } else {
-    for (size_t q : qs) hash_row(q);
-  }
+// murmur3's fmix64 finalizer: a bijection of 64-bit words in which every
+// input bit flips each output bit with probability about 1/2.
+uint64_t Fmix64(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+// Pseudo-random word for the pair (a, b). Fmix64(a) is a bijection, so two
+// pairs collide before the outer finalizer only by accident of the sum.
+uint64_t Mix64(uint64_t a, uint64_t b) { return Fmix64(Fmix64(a) + b); }
+
+// One column's term of the additive digest: column index q * L + l, and
+// epoch + 1 so that epoch 0 still mixes a non-zero word.
+uint64_t ColumnMix(size_t column, uint64_t epoch) {
+  return Mix64(static_cast<uint64_t>(column), epoch + 1);
 }
 
 }  // namespace
@@ -37,10 +33,23 @@ void HashColumnEpochs(uint64_t* h, const UnfairnessCube& cube,
 void CubeSnapshot::Finish() {
   cube_ = owned_cube_.has_value() ? &*owned_cube_ : cube_;
   indices_ = owned_indices_.has_value() ? &*owned_indices_ : indices_;
-  uint64_t h = fnv::kOffset;
-  fnv::HashValue(&h, lineage_);
-  HashColumnEpochs(&h, *cube_, {}, {});
-  full_epoch_digest_ = h;
+  const size_t num_queries = cube_->axis_size(Dimension::kQuery);
+  const size_t num_locations = cube_->axis_size(Dimension::kLocation);
+  query_epoch_sums_.assign(num_queries, 0);
+  location_epoch_sums_.assign(num_locations, 0);
+  uint64_t total = 0;
+  for (size_t q = 0; q < num_queries; ++q) {
+    uint64_t row = 0;
+    for (size_t l = 0; l < num_locations; ++l) {
+      const uint64_t mix =
+          ColumnMix(q * num_locations + l, cube_->column_epoch(q, l));
+      row += mix;
+      location_epoch_sums_[l] += mix;
+    }
+    query_epoch_sums_[q] = row;
+    total += row;
+  }
+  full_epoch_digest_ = Mix64(lineage_, total);
 }
 
 std::shared_ptr<const CubeSnapshot> CubeSnapshot::Make(UnfairnessCube cube) {
@@ -93,10 +102,28 @@ uint64_t CubeSnapshot::EpochDigest(Dimension target,
       break;
   }
   if (qs->empty() && ls->empty()) return full_epoch_digest_;
-  uint64_t h = fnv::kOffset;
-  fnv::HashValue(&h, lineage_);
-  HashColumnEpochs(&h, *cube_, *qs, *ls);
-  return h;
+  const size_t num_queries = query_epoch_sums_.size();
+  const size_t num_locations = location_epoch_sums_.size();
+  uint64_t sum = 0;
+  if (qs->empty()) {
+    for (size_t l : *ls) {
+      if (l < num_locations) sum += location_epoch_sums_[l];
+    }
+  } else if (ls->empty()) {
+    for (size_t q : *qs) {
+      if (q < num_queries) sum += query_epoch_sums_[q];
+    }
+  } else {
+    for (size_t q : *qs) {
+      if (q >= num_queries) continue;
+      for (size_t l : *ls) {
+        if (l < num_locations) {
+          sum += ColumnMix(q * num_locations + l, cube_->column_epoch(q, l));
+        }
+      }
+    }
+  }
+  return Mix64(lineage_, sum);
 }
 
 }  // namespace fairjob

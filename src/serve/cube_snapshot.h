@@ -69,8 +69,17 @@ class CubeSnapshot {
   // Empty selector = whole axis. Group selectors never narrow the column
   // set — epochs are column-granular, which is conservative (a change in an
   // unselected group row of a read column re-keys the entry) but never
-  // stale. Equal keys hash the same columns in the same order, so equal
-  // keys ⇒ equal digests.
+  // stale.
+  //
+  // The digest is additive: column (q, l) contributes a 64-bit mix of its
+  // index and epoch, summed mod 2^64 over the read set (a selector is a
+  // multiset, so a duplicated position adds its columns twice), then folded
+  // with the lineage. The sum ignores order, so equal keys ⇒ equal digests,
+  // and per-query / per-location sums precomputed by Finish make the cost
+  // O(|selector|) whenever one side is a whole axis; a window × window
+  // request pays one mix per selected cell. Positions outside the cube
+  // contribute nothing (the solver rejects such requests; errors are never
+  // cached).
   uint64_t EpochDigest(Dimension target, const std::vector<size_t>& agg1,
                        const std::vector<size_t>& agg2) const;
 
@@ -81,7 +90,9 @@ class CubeSnapshot {
  private:
   CubeSnapshot() = default;
 
-  void Finish();  // resolves pointers + precomputes full_epoch_digest_
+  // Resolves the cube/index pointers and, in one pass over the columns,
+  // the epoch sums EpochDigest folds: per query, per location and in total.
+  void Finish();
 
   std::optional<UnfairnessCube> owned_cube_;
   std::optional<IndexSet> owned_indices_;
@@ -90,6 +101,8 @@ class CubeSnapshot {
   uint64_t lineage_ = 0;
   uint64_t version_ = 0;
   uint64_t full_epoch_digest_ = 0;
+  std::vector<uint64_t> query_epoch_sums_;     // Σ_l column mix (q, l)
+  std::vector<uint64_t> location_epoch_sums_;  // Σ_q column mix (q, l)
 };
 
 // The RCU publication point: an atomically swappable shared_ptr slot.

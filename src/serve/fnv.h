@@ -7,9 +7,10 @@
 namespace fairjob {
 namespace fnv {
 
-// 64-bit FNV-1a, shared by the cube fingerprint, the request cache key and
-// the snapshot epoch digests so every digest in the serving layer mixes the
-// same way.
+// 64-bit FNV-1a, shared by the cube fingerprint (snapshot lineage) and the
+// request cache key hashes. The snapshot epoch digests are not FNV: they are
+// additive sums of per-column mixes (serve/cube_snapshot.cc), so a digest
+// over a whole axis costs one add per selected position.
 inline constexpr uint64_t kOffset = 0xcbf29ce484222325ULL;
 inline constexpr uint64_t kPrime = 0x100000001b3ULL;
 

@@ -94,15 +94,6 @@ const ServeMetrics& Metrics() {
   return metrics;
 }
 
-// The LRU is keyed by the canonical request shape alone; the epoch digest
-// the answer was computed against lives in the value, so one upsert turns
-// an entry stale in place instead of stranding it under a dead key.
-RequestCacheKey StorageKey(const RequestCacheKey& key) {
-  RequestCacheKey storage = key;
-  storage.epoch_digest = 0;
-  return storage;
-}
-
 }  // namespace
 
 QuantificationService::QuantificationService(
@@ -162,16 +153,16 @@ Result<QuantificationResult> QuantificationService::Answer(
 }
 
 QuantificationService::Probe QuantificationService::ProbeCache(
-    const RequestCacheKey& storage_key, uint64_t epoch_digest, int64_t now,
+    const RequestCacheKey& key, int64_t now,
     std::shared_ptr<const QuantificationResult>* answer) {
   if (options_.cache_capacity == 0) return Probe::kDisabled;
-  std::optional<CachedAnswer> cached = cache_.Get(storage_key);
+  std::optional<CachedAnswer> cached = cache_.Get(key);
   if (!cached.has_value()) return Probe::kMiss;
   if (options_.cache_ttl_micros > 0 &&
       now - cached->inserted_micros >= options_.cache_ttl_micros) {
     return Probe::kTtlExpired;
   }
-  if (cached->epoch_digest == epoch_digest) {
+  if (cached->epoch_digest == key.epoch_digest) {
     *answer = std::move(cached->result);
     return Probe::kFresh;
   }
@@ -262,15 +253,16 @@ Result<QuantificationResult> QuantificationService::AnswerInternal(
   const int64_t deadline_abs = budget > 0 ? now + budget : kNoDeadline;
 
   // `snapshot` was pinned once by the caller; everything below — key,
-  // cache probe, computation — sees that one immutable state.
+  // cache probe, computation — sees that one immutable state. The one key
+  // serves every layer: the cache looks it up by shape (digest ignored),
+  // single flight and the window by its full identity.
   RequestCacheKey key(request, *snapshot);
-  const RequestCacheKey storage_key = StorageKey(key);
 
   // Cache probe runs before the admission gate: hits (fresh or bounded
   // stale) cost no permit, so a warm cache keeps absorbing load even when
   // the compute path is saturated.
   std::shared_ptr<const QuantificationResult> cached_answer;
-  Probe probe = ProbeCache(storage_key, key.epoch_digest, now, &cached_answer);
+  Probe probe = ProbeCache(key, now, &cached_answer);
   switch (probe) {
     case Probe::kFresh:
       admitted_.fetch_add(1, std::memory_order_relaxed);
@@ -317,9 +309,8 @@ Result<QuantificationResult> QuantificationService::AnswerInternal(
     if (waited) {
       // The answer may have been computed and cached while this request
       // was parked; serving it now avoids a duplicate computation.
-      Probe reprobe =
-          ProbeCache(storage_key, key.epoch_digest,
-                     needs_time ? clock_->NowMicros() : 0, &cached_answer);
+      Probe reprobe = ProbeCache(key, needs_time ? clock_->NowMicros() : 0,
+                                 &cached_answer);
       if (reprobe == Probe::kFresh || reprobe == Probe::kStaleServed) {
         ReleasePermit();
         admitted_.fetch_add(1, std::memory_order_relaxed);
@@ -417,7 +408,7 @@ Result<QuantificationResult> QuantificationService::AnswerInternal(
     entry.inserted_micros =
         options_.cache_ttl_micros > 0 ? clock_->NowMicros() : now;
     entry.stale_served = std::make_shared<std::atomic<uint32_t>>(0);
-    cache_.Put(storage_key, std::move(entry));
+    cache_.Put(key, std::move(entry));
     if (refreshing) {
       stale_refreshes_.fetch_add(1, std::memory_order_relaxed);
       Metrics().stale_refreshes->Add(1);
@@ -630,7 +621,7 @@ void QuantificationService::DrainBatchWindow(std::vector<BatchEntry>* entries) {
           cached.inserted_micros =
               options_.cache_ttl_micros > 0 ? clock_->NowMicros() : drain_now;
           cached.stale_served = std::make_shared<std::atomic<uint32_t>>(0);
-          cache_.Put(StorageKey(entry.key), std::move(cached));
+          cache_.Put(entry.key, std::move(cached));
           if (entry.refreshing) {
             stale_refreshes_.fetch_add(1, std::memory_order_relaxed);
             Metrics().stale_refreshes->Add(1);
@@ -670,7 +661,9 @@ std::vector<Result<QuantificationResult>> QuantificationService::AnswerBatch(
       if (inserted) representatives.push_back(i);
     }
   }
-  Metrics().batch_deduped->Add(requests.size() - representatives.size());
+  const size_t deduped = requests.size() - representatives.size();
+  batch_deduped_.fetch_add(deduped, std::memory_order_relaxed);
+  Metrics().batch_deduped->Add(deduped);
 
   std::vector<std::optional<Result<QuantificationResult>>> answered(
       requests.size());
@@ -702,6 +695,7 @@ QuantificationService::Stats QuantificationService::stats() const {
   Stats stats;
   stats.requests = requests_.load(std::memory_order_relaxed);
   stats.batch_requests = batch_requests_.load(std::memory_order_relaxed);
+  stats.batch_deduped = batch_deduped_.load(std::memory_order_relaxed);
   stats.admitted = admitted_.load(std::memory_order_relaxed);
   stats.rejected_queue = rejected_queue_.load(std::memory_order_relaxed);
   stats.rejected_followers =

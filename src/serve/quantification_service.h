@@ -120,8 +120,15 @@ class QuantificationService {
   // With admission off (max_inflight == 0) every request is admitted, so
   // the pre-hardening identities hold unchanged.
   struct Stats {
-    uint64_t requests = 0;        // Answer calls, incl. those via AnswerBatch
-    uint64_t batch_requests = 0;  // requests that arrived through AnswerBatch
+    // Requests that entered the request path: every Answer call plus each
+    // distinct key of an AnswerBatch (its representative).
+    uint64_t requests = 0;
+    uint64_t batch_requests = 0;  // AnswerBatch representatives (in requests)
+    // AnswerBatch requests answered by an earlier in-batch duplicate; they
+    // never reach the request path, so they sit outside every identity
+    // above. batch_requests + batch_deduped == requests submitted to
+    // AnswerBatch.
+    uint64_t batch_deduped = 0;
     uint64_t admitted = 0;        // answered (from cache or by computing)
     uint64_t rejected_queue = 0;  // kUnavailable: admission queue was full
     uint64_t rejected_followers = 0;  // kUnavailable: flight follower bound
@@ -225,14 +232,18 @@ class QuantificationService {
     std::shared_ptr<std::atomic<uint32_t>> stale_served;
   };
 
+  // The answer cache: the request's own key, hashed and compared without
+  // its epoch digest (RequestShapeHash / RequestShapeEqual), so one entry
+  // per request shape holds the answer and the digest it was computed at.
+  using AnswerCache = ShardedLruCache<RequestCacheKey, CachedAnswer,
+                                      RequestShapeHash, RequestShapeEqual>;
+
   // hits + misses + evictions of the underlying answer cache. Note the LRU
   // is keyed by request shape alone (epochs live in the value), so an
   // internal "hit" may still be a service-level miss (stale over budget or
-  // past TTL); service-level freshness counts live in stats().
-  ShardedLruCache<RequestCacheKey, CachedAnswer, RequestCacheKeyHash>::Stats
-  cache_stats() const {
-    return cache_.stats();
-  }
+  // past TTL), and a refresh after an upsert is an update in place, not an
+  // insertion; service-level freshness counts live in stats().
+  AnswerCache::Stats cache_stats() const { return cache_.stats(); }
 
  private:
   // Outcome of one single-flight computation, shared between the leader and
@@ -306,10 +317,9 @@ class QuantificationService {
   // pass, publishes to the cache, and resolves every entry's promise.
   void DrainBatchWindow(std::vector<BatchEntry>* entries);
 
-  // Classifies the entry under `storage_key` (epochs zeroed) against
-  // `epoch_digest` at time `now`; on kFresh/kStaleServed fills *answer.
-  Probe ProbeCache(const RequestCacheKey& storage_key, uint64_t epoch_digest,
-                   int64_t now,
+  // Classifies the entry stored for `key`'s shape against `key`'s epoch
+  // digest at time `now`; on kFresh/kStaleServed fills *answer.
+  Probe ProbeCache(const RequestCacheKey& key, int64_t now,
                    std::shared_ptr<const QuantificationResult>* answer);
 
   // Blocks until a compute permit is free (within `deadline_abs_micros`,
@@ -327,7 +337,7 @@ class QuantificationService {
   // std::atomic<std::shared_ptr>.
   SnapshotPtr snapshot_;
 
-  ShardedLruCache<RequestCacheKey, CachedAnswer, RequestCacheKeyHash> cache_;
+  AnswerCache cache_;
 
   std::mutex flights_mutex_;
   std::unordered_map<RequestCacheKey, Flight, RequestCacheKeyHash> flights_;
@@ -354,6 +364,7 @@ class QuantificationService {
 
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> batch_requests_{0};
+  std::atomic<uint64_t> batch_deduped_{0};
   std::atomic<uint64_t> admitted_{0};
   std::atomic<uint64_t> rejected_queue_{0};
   std::atomic<uint64_t> rejected_followers_{0};

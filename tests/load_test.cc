@@ -634,6 +634,58 @@ TEST(CacheFreshnessTest, StaleBudgetZeroKeepsStrictFreshness) {
   ExpectExactAccounting(stats);
 }
 
+// The answer cache keys entries by request shape and keeps the epoch digest
+// in the value, so the refresh that ends a staleness episode overwrites the
+// stale entry in place: one update, no insertion. A request over untouched
+// columns keeps hitting fresh across the upsert.
+TEST(CacheFreshnessTest, RefreshAfterUpsertUpdatesTheEntryInPlace) {
+  SwrFixture fx;
+  fx.Build(/*seed=*/59);
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  constexpr uint32_t kStaleBudget = 2;
+
+  QuantificationService::Options options;
+  options.stale_budget = kStaleBudget;
+  QuantificationService service(fx.maintainer->snapshot(), options);
+  const QuantificationRequest& touched = fx.requests[0];
+  const QuantificationRequest& untouched =
+      fx.requests[SwrFixture::kColumns - 1];
+  ASSERT_TRUE(service.Answer(touched).ok());
+  ASSERT_TRUE(service.Answer(untouched).ok());
+  const auto warm = service.cache_stats();
+  ASSERT_EQ(warm.insertions, 2u);
+  ASSERT_EQ(warm.updates, 0u);
+
+  Rng rng(/*seed=*/61);
+  fx.TouchColumns(/*k=*/1, rng);  // column 0: read by `touched` only
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  service.SetSnapshot(fx.maintainer->snapshot());
+
+  // kStaleBudget stale serves, then the budget forces a refresh.
+  for (uint32_t serve = 0; serve <= kStaleBudget; ++serve) {
+    ASSERT_TRUE(service.Answer(touched).ok());
+  }
+  QuantificationService::Stats stats = service.stats();
+  EXPECT_EQ(stats.stale_hits, kStaleBudget);
+  EXPECT_EQ(stats.stale_refreshes, 1u);
+  EXPECT_EQ(stats.computations, 3u);
+  const auto refreshed = service.cache_stats();
+  EXPECT_EQ(refreshed.insertions, warm.insertions);
+  EXPECT_EQ(refreshed.updates, warm.updates + 1);
+
+  // Both entries now serve fresh: no computation, no stale serve, no entry.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(service.Answer(untouched).ok());
+  }
+  ASSERT_TRUE(service.Answer(touched).ok());
+  stats = service.stats();
+  EXPECT_EQ(stats.stale_hits, kStaleBudget);
+  EXPECT_EQ(stats.computations, 3u);
+  EXPECT_EQ(stats.cache_hits, kStaleBudget + 4u);
+  EXPECT_EQ(service.cache_stats().insertions, warm.insertions);
+  ExpectExactAccounting(stats);
+}
+
 // --- Micro-batch window ------------------------------------------------------
 
 // A request whose deadline expires while parked in the batch window is shed

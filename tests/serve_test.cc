@@ -6,11 +6,13 @@
 
 #include "serve/quantification_service.h"
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "core/quantification.h"
 #include "serve/cache_key.h"
@@ -246,6 +248,22 @@ TEST_F(ServeDifferentialTest, ErrorsPropagateAndAreNotCached) {
   EXPECT_EQ(stats.errors, 2u);
   EXPECT_EQ(stats.computations, 2u);  // failures are never cached
   EXPECT_EQ(stats.cache_hits, 0u);
+
+  // Selector positions past the cube's axes fail the same way; keying them
+  // (all × window, window × all, window × window) reads no epoch out of
+  // bounds.
+  for (Dimension target :
+       {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
+    QuantificationRequest out_of_range;
+    out_of_range.target = target;
+    out_of_range.agg2 = AxisSelector{{0, 99}};
+    EXPECT_EQ(service.Answer(out_of_range).status().code(),
+              StatusCode::kInvalidArgument);
+    out_of_range.agg1 = AxisSelector{{99}};
+    EXPECT_EQ(service.Answer(out_of_range).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(service.stats().cache_hits, 0u);
 }
 
 TEST(RequestCacheKeyTest, AlgorithmAndPolicyArePartOfTheIdentity) {
@@ -360,6 +378,177 @@ TEST(RequestCacheKeyTest, EpochDigestBindsOnlyTheColumnsARequestReads) {
   EXPECT_TRUE(narrow_before == RequestCacheKey(narrow, *after));
   EXPECT_FALSE(disjoint_before == RequestCacheKey(disjoint, *after));
   EXPECT_FALSE(full_before == RequestCacheKey(full, *after));
+}
+
+// Brute-force oracle for CubeSnapshot::EpochDigest: the (query, location)
+// columns a request reads, straight from the table in cube_snapshot.h —
+//   kGroup    -> agg1 queries × agg2 locations
+//   kQuery    -> all queries  × agg2 locations
+//   kLocation -> agg2 queries × all locations
+// with an empty selector meaning the whole axis.
+std::vector<std::vector<bool>> ReadSetOracle(const QuantificationRequest& r,
+                                             size_t num_queries,
+                                             size_t num_locations) {
+  auto reads = [](const AxisSelector& sel, size_t pos) {
+    return sel.all() || std::find(sel.positions.begin(), sel.positions.end(),
+                                  pos) != sel.positions.end();
+  };
+  const AxisSelector all;
+  const AxisSelector& queries =
+      r.target == Dimension::kGroup
+          ? r.agg1
+          : (r.target == Dimension::kLocation ? r.agg2 : all);
+  const AxisSelector& locations = r.target == Dimension::kLocation ? all : r.agg2;
+  std::vector<std::vector<bool>> read(num_queries,
+                                      std::vector<bool>(num_locations, false));
+  for (size_t q = 0; q < num_queries; ++q) {
+    for (size_t l = 0; l < num_locations; ++l) {
+      read[q][l] = reads(queries, q) && reads(locations, l);
+    }
+  }
+  return read;
+}
+
+// Spellings of one selector over an axis of `n` positions that must share a
+// digest: "all" (empty, an explicit full list, the same list permuted) or a
+// window holding a duplicated position (as written, and permuted).
+std::vector<AxisSelector> Spellings(size_t n, bool window) {
+  if (!window) {
+    AxisSelector explicit_all;
+    AxisSelector reversed;
+    for (size_t i = 0; i < n; ++i) {
+      explicit_all.positions.push_back(i);
+      reversed.positions.push_back(n - 1 - i);
+    }
+    return {AxisSelector(), explicit_all, reversed};
+  }
+  if (n == 1) return {AxisSelector{{0, 0}}};
+  return {AxisSelector{{n - 1, 0, n - 1}}, AxisSelector{{0, n - 1, n - 1}},
+          AxisSelector{{n - 1, n - 1, 0}}};
+}
+
+// The additive digest must change exactly when an epoch in the request's
+// read set changes, for every target and selector shape, and must agree
+// across every spelling of one normalized key.
+TEST(RequestCacheKeyTest, EpochDigestMatchesReadSetOracle) {
+  struct Shape {
+    size_t groups, queries, locations;
+  };
+  for (Shape shape : {Shape{3, 6, 5}, Shape{3, 1, 4}, Shape{3, 5, 1}}) {
+    SCOPED_TRACE(::testing::Message() << "cube " << shape.groups << "x"
+                                      << shape.queries << "x"
+                                      << shape.locations);
+    std::vector<int32_t> axes[3];
+    const size_t sizes[3] = {shape.groups, shape.queries, shape.locations};
+    for (size_t d = 0; d < 3; ++d) {
+      for (size_t i = 0; i < sizes[d]; ++i) {
+        axes[d].push_back(static_cast<int32_t>(100 * d + i));
+      }
+    }
+    UnfairnessCube base = *UnfairnessCube::Make(axes[0], axes[1], axes[2]);
+    for (size_t g = 0; g < shape.groups; ++g) {
+      for (size_t q = 0; q < shape.queries; ++q) {
+        for (size_t l = 0; l < shape.locations; ++l) {
+          base.Set(g, q, l, 0.01 * static_cast<double>(g + 7 * q + 31 * l));
+        }
+      }
+    }
+    std::shared_ptr<const CubeSnapshot> before = CubeSnapshot::Make(base);
+    // One derived snapshot per column, with only that column's epoch bumped.
+    std::vector<std::shared_ptr<const CubeSnapshot>> bumped;
+    for (size_t q = 0; q < shape.queries; ++q) {
+      for (size_t l = 0; l < shape.locations; ++l) {
+        UnfairnessCube cube = before->cube();
+        cube.BumpColumnEpoch(q, l);
+        IndexSet indices = IndexSet::Build(cube);
+        bumped.push_back(CubeSnapshot::MakeDerived(
+            std::move(cube), std::move(indices), before->lineage(), 1));
+      }
+    }
+
+    size_t cases = 0;
+    for (Dimension target :
+         {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
+      Dimension d1;
+      Dimension d2;
+      QuantificationOtherDims(target, &d1, &d2);
+      const size_t n1 = sizes[static_cast<size_t>(d1)];
+      const size_t n2 = sizes[static_cast<size_t>(d2)];
+      for (bool window1 : {false, true}) {
+        for (bool window2 : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "target " << static_cast<int>(target) << " agg1 "
+                       << (window1 ? "window" : "all") << " agg2 "
+                       << (window2 ? "window" : "all"));
+          std::vector<QuantificationRequest> spellings;
+          for (const AxisSelector& agg1 : Spellings(n1, window1)) {
+            for (const AxisSelector& agg2 : Spellings(n2, window2)) {
+              QuantificationRequest request;
+              request.target = target;
+              request.missing = MissingCellPolicy::kZero;
+              request.agg1 = agg1;
+              request.agg2 = agg2;
+              spellings.push_back(request);
+            }
+          }
+          const std::vector<std::vector<bool>> read = ReadSetOracle(
+              spellings.front(), shape.queries, shape.locations);
+          const uint64_t digest =
+              RequestCacheKey(spellings.front(), *before).epoch_digest;
+          for (const QuantificationRequest& spelling : spellings) {
+            EXPECT_EQ(RequestCacheKey(spelling, *before).epoch_digest, digest);
+          }
+          for (size_t q = 0; q < shape.queries; ++q) {
+            for (size_t l = 0; l < shape.locations; ++l) {
+              const CubeSnapshot& after = *bumped[q * shape.locations + l];
+              const uint64_t moved =
+                  RequestCacheKey(spellings.front(), after).epoch_digest;
+              EXPECT_EQ(moved != digest, read[q][l])
+                  << "bumped column (" << q << ", " << l << ")";
+              for (const QuantificationRequest& spelling : spellings) {
+                EXPECT_EQ(RequestCacheKey(spelling, after).epoch_digest, moved)
+                    << "bumped column (" << q << ", " << l << ")";
+              }
+            }
+          }
+          ++cases;
+        }
+      }
+    }
+    EXPECT_EQ(cases, 12u);
+  }
+}
+
+// In-batch duplicates never reach the request path; Stats still accounts
+// for every submitted request, whether or not the metrics registry is on.
+TEST(AnswerBatchAccountingTest, DedupedRequestsAreCountedWithMetricsOff) {
+  ASSERT_FALSE(MetricsRegistry::Global().enabled());
+  std::unique_ptr<UnfairnessCube> cube = MakeCube(/*seed=*/13);
+  IndexSet indices = IndexSet::Build(*cube);
+  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices));
+  QuantificationRequest a;
+  a.missing = MissingCellPolicy::kZero;
+  QuantificationRequest b = a;
+  b.agg1 = AxisSelector{{2, 0}};
+  QuantificationRequest b_permuted = a;
+  b_permuted.agg1 = AxisSelector{{0, 2}};
+  QuantificationRequest c = a;
+  c.target = Dimension::kQuery;
+  QuantificationRequest d = a;
+  d.k = 2;
+  const std::vector<QuantificationRequest> batch = {a, b, a, c, b_permuted,
+                                                    d, a, c, d, b};
+  std::vector<Result<QuantificationResult>> results = service.AnswerBatch(batch);
+  ASSERT_EQ(results.size(), 10u);
+  for (const Result<QuantificationResult>& result : results) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  QuantificationService::Stats stats = service.stats();
+  EXPECT_EQ(stats.batch_requests, 4u);
+  EXPECT_EQ(stats.batch_deduped, 6u);
+  EXPECT_EQ(stats.batch_requests + stats.batch_deduped, batch.size());
+  EXPECT_EQ(stats.requests, 4u);
+  EXPECT_EQ(stats.computations, 4u);
 }
 
 TEST(FingerprintCubeTest, SensitiveToValuesPresenceAndShape) {
