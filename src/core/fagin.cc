@@ -12,16 +12,7 @@
 namespace fairjob {
 namespace {
 
-using fagin_internal::Better;
-using fagin_internal::BuildAllowedBitmap;
-using fagin_internal::DenseAggregate;
-using fagin_internal::IsAllowed;
-using fagin_internal::MeteredRun;
-using fagin_internal::ScoreCandidates;
-using fagin_internal::SortResults;
-using fagin_internal::ThresholdBound;
-using fagin_internal::UniverseOf;
-using fagin_internal::UseParallelScoring;
+using fagin_internal::GatherNonEmpty;
 using fagin_internal::ValidateTopK;
 
 }  // namespace
@@ -46,17 +37,35 @@ Result<std::vector<ScoredEntry>> FaginTopK(
     const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
     FaginStats* stats) {
   FAIRJOB_RETURN_IF_ERROR(ValidateTopK(lists, options.k));
+  return fagin_internal::ThresholdTopK(GatherNonEmpty(lists), options, stats);
+}
+
+Result<std::vector<ScoredEntry>> ScanTopK(
+    const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
+    FaginStats* stats) {
+  FAIRJOB_RETURN_IF_ERROR(ValidateTopK(lists, options.k));
+  return fagin_internal::ScanTopK(GatherNonEmpty(lists), options, stats);
+}
+
+namespace fagin_internal {
+
+Result<std::vector<ScoredEntry>> ThresholdTopK(const ListSet& set,
+                                               const TopKOptions& options,
+                                               FaginStats* stats) {
+  FAIRJOB_RETURN_IF_ERROR(ValidateTopK(set, options.k));
   TraceSpan span("FaginTopK", "fagin");
   MeteredRun run("ta", &stats);
   bool most = options.direction == RankDirection::kMostUnfair;
+  const std::vector<const InvertedIndex*>& lists = set.lists;
 
-  const size_t universe = UniverseOf(lists, options.universe_hint);
+  const size_t universe = UniverseOf(set, options.universe_hint);
   std::vector<uint8_t> allowed_scratch;
   const uint8_t* allowed =
       BuildAllowedBitmap(options.allowed, universe, &allowed_scratch);
 
   std::vector<size_t> cursors(lists.size(), 0);
   std::vector<uint8_t> seen(universe, 0);
+  CandidateScorer scorer(set, universe);
 
   // `kept` is a heap whose top is the *worst* retained entry, so it can be
   // evicted when a better candidate arrives. std::push_heap puts the
@@ -81,7 +90,7 @@ Result<std::vector<ScoredEntry>> FaginTopK(
       }
       seen[static_cast<size_t>(e.pos)] = 1;
       std::optional<double> agg =
-          DenseAggregate(lists, e.pos, options.missing, stats);
+          scorer.Aggregate(e.pos, options.missing, stats);
       if (!agg.has_value()) continue;  // unreachable: e.pos is in list i
       ++stats->ids_scored;
       ScoredEntry scored{e.pos, *agg};
@@ -99,7 +108,7 @@ Result<std::vector<ScoredEntry>> FaginTopK(
 
     if (kept.size() >= options.k) {
       ++stats->threshold_checks;
-      double tau = ThresholdBound(lists, cursors, options);
+      double tau = ThresholdBound(set, cursors, options);
       double kth = kept.front().value;
       bool done = most ? (kth >= tau) : (kth <= tau);
       if (done) break;
@@ -110,71 +119,45 @@ Result<std::vector<ScoredEntry>> FaginTopK(
   return kept;
 }
 
-Result<std::vector<ScoredEntry>> ScanTopK(
-    const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
-    FaginStats* stats) {
-  FAIRJOB_RETURN_IF_ERROR(ValidateTopK(lists, options.k));
+Result<std::vector<ScoredEntry>> ScanTopK(const ListSet& set,
+                                          const TopKOptions& options,
+                                          FaginStats* stats) {
+  FAIRJOB_RETURN_IF_ERROR(ValidateTopK(set, options.k));
   TraceSpan span("ScanTopK", "fagin");
   MeteredRun run("scan", &stats);
 
-  const size_t universe = UniverseOf(lists, options.universe_hint);
+  const size_t universe = UniverseOf(set, options.universe_hint);
   std::vector<uint8_t> allowed_scratch;
   const uint8_t* allowed =
       BuildAllowedBitmap(options.allowed, universe, &allowed_scratch);
 
+  // One list-order pass over every entry: O(total entries) instead of
+  // O(candidates × lists) random accesses, with the same per-position sums.
+  // A scan's "depth" is the longest list: it reads everything.
+  for (const InvertedIndex* list : set.lists) {
+    stats->rounds = std::max(stats->rounds, list->size());
+  }
+  stats->sorted_accesses += set.entries;
+  CandidateScorer scorer(set, universe);
+  scorer.Fill();
+
   std::vector<ScoredEntry> scored;
-  if (UseParallelScoring(lists.size(), universe)) {
-    // Wide fan-out: mark candidates in one cheap pass over the entries, then
-    // fan candidate scoring out across position chunks.
-    std::vector<uint8_t> candidates(universe, 0);
-    for (const InvertedIndex* list : lists) {
-      stats->rounds = std::max(stats->rounds, list->size());
-      stats->sorted_accesses += list->size();
-      for (size_t i = 0; i < list->size(); ++i) {
-        int32_t pos = list->entry(i).pos;
-        if (IsAllowed(allowed, pos)) candidates[static_cast<size_t>(pos)] = 1;
-      }
+  for (size_t pos = 0; pos < universe; ++pos) {
+    uint32_t present = scorer.count(pos);
+    if (present == 0 || !IsAllowed(allowed, static_cast<int32_t>(pos))) {
+      continue;
     }
-    ScoreCandidates(lists, universe, candidates, options.missing, stats,
-                    &scored);
-  } else {
-    // Single pass over all list entries into per-position accumulators:
-    // O(total entries) instead of O(candidates × lists) random accesses.
-    // Lists are visited in order, so each position's sum accumulates in the
-    // same FP order as per-candidate random access.
-    std::vector<double> sums(universe, 0.0);
-    std::vector<uint32_t> counts(universe, 0);
-    for (const InvertedIndex* list : lists) {
-      // A scan's "depth" is the longest list: it reads everything.
-      stats->rounds = std::max(stats->rounds, list->size());
-      stats->sorted_accesses += list->size();
-      for (size_t i = 0; i < list->size(); ++i) {
-        const ScoredEntry& e = list->entry(i);
-        if (!IsAllowed(allowed, e.pos)) continue;
-        sums[static_cast<size_t>(e.pos)] += e.value;
-        ++counts[static_cast<size_t>(e.pos)];
-      }
-    }
-    // counts[pos] > 0 already implies the position was allowed: disallowed
-    // entries never reach the accumulators.
-    for (size_t pos = 0; pos < universe; ++pos) {
-      if (counts[pos] == 0) continue;
-      // The legacy engine answered each candidate with one random access per
-      // list; the accumulator pass keeps those counter semantics.
-      stats->random_accesses += lists.size();
-      stats->dense_accesses += lists.size();
-      ++stats->ids_scored;
-      double denom = options.missing == MissingCellPolicy::kSkip
-                         ? static_cast<double>(counts[pos])
-                         : static_cast<double>(lists.size());
-      scored.push_back(
-          ScoredEntry{static_cast<int32_t>(pos), sums[pos] / denom});
-    }
+    // The pass keeps the counters of per-candidate random access.
+    scorer.CountAccess(stats);
+    ++stats->ids_scored;
+    const double value =
+        AggregateOf(scorer.sum(pos), present, set.selected, options.missing);
+    scored.push_back(ScoredEntry{static_cast<int32_t>(pos), value});
   }
 
-  SortResults(&scored, options.direction);
-  if (scored.size() > options.k) scored.resize(options.k);
+  KeepTopK(&scored, options.k, options.direction);
   return scored;
 }
 
+}  // namespace fagin_internal
 }  // namespace fairjob

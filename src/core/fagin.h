@@ -87,12 +87,10 @@ Result<std::vector<ScoredEntry>> FaginTopK(
 // Baseline: scores every id appearing in any list. The dense engine does
 // this in a single pass over all list entries into per-position sum /
 // present-count accumulator arrays — O(total entries) instead of
-// O(candidates × lists) random accesses — and, for large selector fan-outs
-// (hundreds of lists), parallelizes candidate scoring across positions via
-// ThreadPool::Shared(). Both paths keep the per-candidate list-iteration
-// order, so aggregates are bitwise-identical to per-candidate random
-// access. Same contract as FaginTopK; used for correctness cross-checks
-// and as the comparison point in bench_fagin_perf.
+// O(candidates × lists) random accesses. The pass keeps the per-candidate
+// list-iteration order, so aggregates are bitwise-identical to
+// per-candidate random access. Same contract as FaginTopK; used for
+// correctness cross-checks and as the comparison point in bench_fagin_perf.
 Result<std::vector<ScoredEntry>> ScanTopK(
     const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
     FaginStats* stats = nullptr);

@@ -5,31 +5,51 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/fagin.h"
+#include "core/fagin_family.h"
 #include "core/indices.h"
 
-// Internal helpers for the dense Fagin engine, shared by fagin.cc and
-// fagin_family.cc. Axis positions are dense 0..N-1 cube coordinates, so all
-// per-run candidate state lives in flat position-indexed arrays: the allowed
-// filter is a byte bitmap, random accesses are O(1) column loads, and bulk
-// candidate scoring is either a single pass over all list entries or a
-// ThreadPool fan-out across position ranges.
+// Internal helpers for the dense Fagin engine, shared by fagin.cc,
+// fagin_family.cc and quantification_batch.cc. Axis positions are dense
+// 0..N-1 cube coordinates, so all per-run candidate state lives in flat
+// position-indexed arrays: the allowed filter is a byte bitmap, random
+// accesses are O(1) column loads, and candidate aggregates come from one
+// CandidateScorer that switches from per-candidate random access to a
+// single list-order pass once that pass is the cheaper of the two.
 
 namespace fairjob {
 namespace fagin_internal {
 
-// Candidate scoring switches to ThreadPool::Shared() when the selector
-// fan-out (number of aggregated lists) and the target axis are both large
-// enough that the fan-out amortizes the pool handoff.
-constexpr size_t kParallelScoringMinLists = 64;
-constexpr size_t kParallelScoringMinUniverse = 128;
-// Positions handed to a pool worker per claimed index; chunks write to
-// disjoint slices of the accumulator arrays.
-constexpr size_t kParallelScoringChunk = 256;
+// The lists one run reads: the non-empty lists of a selection, in selection
+// order, plus how many lists were selected, empty ones included. An empty
+// list is exhausted from the start and adds exactly 0 to every sum, so
+// dropping it changes no sorted access, bound or aggregate bit. The
+// selected count still fixes kZero denominators, FA's completeness test,
+// NRA's width limit and the random-access counters.
+struct ListSet {
+  std::vector<const InvertedIndex*> lists;  // non-empty, selection order
+  size_t selected = 0;
+  size_t entries = 0;  // total entries over `lists`
+};
+
+// Drops the empty lists of a selection whose lists are all non-null.
+inline ListSet GatherNonEmpty(std::vector<const InvertedIndex*> lists) {
+  ListSet set;
+  set.selected = lists.size();
+  size_t kept = 0;
+  for (const InvertedIndex* list : lists) {
+    if (list->empty()) continue;
+    set.entries += list->size();
+    lists[kept++] = list;
+  }
+  lists.resize(kept);
+  set.lists = std::move(lists);
+  return set;
+}
 
 // True when `a` should rank ahead of `b` for the requested direction.
 inline bool Better(double a, double b, RankDirection dir) {
@@ -39,17 +59,35 @@ inline bool Better(double a, double b, RankDirection dir) {
 // Final ordering of every engine's output: best-first for the direction,
 // ties by ascending position. A total order, so the result is deterministic
 // however the candidate set was produced.
+inline auto ResultOrder(RankDirection dir) {
+  return [dir](const ScoredEntry& a, const ScoredEntry& b) {
+    if (a.value != b.value) return Better(a.value, b.value, dir);
+    return a.pos < b.pos;
+  };
+}
+
 inline void SortResults(std::vector<ScoredEntry>* out, RankDirection dir) {
-  std::sort(out->begin(), out->end(),
-            [dir](const ScoredEntry& a, const ScoredEntry& b) {
-              if (a.value != b.value) return Better(a.value, b.value, dir);
-              return a.pos < b.pos;
-            });
+  std::sort(out->begin(), out->end(), ResultOrder(dir));
+}
+
+// The best k entries of `out` in ResultOrder, sorted: a selection, then a
+// sort of the k kept. The order is total, so these are the entries, in the
+// order, that sorting everything and truncating would keep.
+inline void KeepTopK(std::vector<ScoredEntry>* out, size_t k,
+                     RankDirection dir) {
+  if (out->size() > k) {
+    std::nth_element(out->begin(), out->begin() + static_cast<long>(k),
+                     out->end(), ResultOrder(dir));
+    out->resize(k);
+  }
+  SortResults(out, dir);
 }
 
 // Request-shape validation shared by every engine (and replicated lane-wise
 // by the batched executor, which must reject exactly the requests the
-// per-request engines reject, with the same messages).
+// per-request engines reject, with the same messages). The vector form
+// checks caller-built lists before they are gathered; the ListSet form
+// checks a gathered selection.
 inline Status ValidateTopK(const std::vector<const InvertedIndex*>& lists,
                            size_t k) {
   if (k == 0) return Status::InvalidArgument("k must be positive");
@@ -64,14 +102,23 @@ inline Status ValidateTopK(const std::vector<const InvertedIndex*>& lists,
   return Status::OK();
 }
 
+inline Status ValidateTopK(const ListSet& set, size_t k) {
+  if (k == 0) return Status::InvalidArgument("k must be positive");
+  if (set.selected == 0) {
+    return Status::InvalidArgument("top-k needs at least one inverted list");
+  }
+  return Status::OK();
+}
+
 // Bound on the aggregate of any id never returned by sorted access so far —
 // TA's termination bound. Pure in (lists, cursors, direction, missing), so
 // the batched executor evaluates it per lane against shared cursors and
 // gets the same bound the per-request run would.
-inline double ThresholdBound(const std::vector<const InvertedIndex*>& lists,
+inline double ThresholdBound(const ListSet& set,
                              const std::vector<size_t>& cursors,
                              const TopKOptions& opt) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<const InvertedIndex*>& lists = set.lists;
   bool most = opt.direction == RankDirection::kMostUnfair;
   if (opt.missing == MissingCellPolicy::kSkip) {
     double bound = most ? -kInf : kInf;
@@ -83,7 +130,8 @@ inline double ThresholdBound(const std::vector<const InvertedIndex*>& lists,
     }
     return bound;
   }
-  // kZero: average of per-list bounds; a missing cell contributes exactly 0.
+  // kZero: average of per-list bounds over every selected list; a missing
+  // cell (and so an empty list) contributes exactly 0.
   double sum = 0.0;
   for (size_t i = 0; i < lists.size(); ++i) {
     if (cursors[i] >= lists[i]->size()) continue;  // per-list bound is 0
@@ -91,15 +139,14 @@ inline double ThresholdBound(const std::vector<const InvertedIndex*>& lists,
     double frontier = lists[i]->entry(next).value;
     sum += most ? std::max(frontier, 0.0) : std::min(frontier, 0.0);
   }
-  return sum / static_cast<double>(lists.size());
+  return sum / static_cast<double>(set.selected);
 }
 
 // Extent of the position space: every entry pos of every list lies in
 // [0, universe). An understated hint is corrected from the lists.
-inline size_t UniverseOf(const std::vector<const InvertedIndex*>& lists,
-                         size_t hint) {
+inline size_t UniverseOf(const ListSet& set, size_t hint) {
   size_t universe = hint;
-  for (const InvertedIndex* list : lists) {
+  for (const InvertedIndex* list : set.lists) {
     universe = std::max(universe, list->dense_size());
   }
   return universe;
@@ -127,97 +174,157 @@ inline bool IsAllowed(const uint8_t* allowed, int32_t pos) {
   return allowed == nullptr || allowed[static_cast<size_t>(pos)] != 0;
 }
 
-// Aggregate of `pos` across all lists under the missing-cell policy via
-// dense random access; nullopt when the id appears in no list. Lists are
-// visited in order, so the FP summation order matches the legacy engine.
-inline std::optional<double> DenseAggregate(
-    const std::vector<const InvertedIndex*>& lists, int32_t pos,
-    MissingCellPolicy policy, FaginStats* stats) {
+// The aggregate of a position over a ListSet under the missing-cell policy:
+// the mean over present lists (kSkip) or over every selected list (kZero).
+inline double AggregateOf(double sum, uint32_t present, size_t selected,
+                          MissingCellPolicy policy) {
+  double denom = policy == MissingCellPolicy::kSkip
+                     ? static_cast<double>(present)
+                     : static_cast<double>(selected);
+  return sum / denom;
+}
+
+// The inputs of a position's aggregate: the sum of its values over the
+// lists, in list order, and how many lists hold it.
+struct PositionSum {
   double sum = 0.0;
-  size_t present = 0;
-  stats->random_accesses += lists.size();
-  stats->dense_accesses += lists.size();
-  for (const InvertedIndex* list : lists) {
-    std::optional<double> v = list->Find(pos);
-    if (v.has_value()) {
-      sum += *v;
-      ++present;
+  uint32_t present = 0;
+};
+
+// The one source of candidate aggregates: TA's and FA's random accesses,
+// NRA's exact-value epilogue and the scan. A candidate is first answered by
+// random access, one dense-column load per non-empty list. Once those loads
+// would exceed the entry count of the lists, the scorer instead fills a
+// per-position (sum, present-count) table in one pass over every entry and
+// answers each later candidate from it. Either way a position's sum
+// accumulates in list order — each list holds a position at most once — so
+// the aggregate bits do not depend on which path answered, and the switch
+// point is a property of the input, not a tuning knob. Counters follow
+// per-candidate random access over the selected lists whichever path ran.
+class CandidateScorer {
+ public:
+  CandidateScorer(const ListSet& set, size_t universe)
+      : set_(set), universe_(universe), budget_(set.entries) {}
+
+  CandidateScorer(const CandidateScorer&) = delete;
+  CandidateScorer& operator=(const CandidateScorer&) = delete;
+
+  // The caller is about to score `candidates` positions: fills the table
+  // now when answering them one by one would exceed the remaining budget.
+  void Expect(size_t candidates) {
+    const size_t width = set_.lists.size();
+    if (width > 0 && candidates > budget_ / width) Fill();
+  }
+
+  // The aggregate of `pos` under `policy`, nullopt when no list holds it.
+  // Counts one random (dense) access per selected list; the caller owns
+  // ids_scored.
+  std::optional<double> Aggregate(int32_t pos, MissingCellPolicy policy,
+                                  FaginStats* stats) {
+    CountAccess(stats);
+    PositionSum s = Sum(pos);
+    if (s.present == 0) return std::nullopt;
+    return AggregateOf(s.sum, s.present, set_.selected, policy);
+  }
+
+  // What one per-candidate random access costs in the counters.
+  void CountAccess(FaginStats* stats) const {
+    stats->random_accesses += set_.selected;
+    stats->dense_accesses += set_.selected;
+  }
+
+  // The inputs of `pos`'s aggregate, counting nothing: batch lanes that
+  // share a candidate compute it once and each count their own access.
+  PositionSum Sum(int32_t pos) {
+    const size_t width = set_.lists.size();
+    if (width > budget_) Fill();
+    PositionSum s;
+    if (filled_) {
+      s.sum = sums_[static_cast<size_t>(pos)];
+      s.present = counts_[static_cast<size_t>(pos)];
+      return s;
     }
-  }
-  if (present == 0) return std::nullopt;
-  if (policy == MissingCellPolicy::kSkip) {
-    return sum / static_cast<double>(present);
-  }
-  return sum / static_cast<double>(lists.size());
-}
-
-inline bool UseParallelScoring(size_t num_lists, size_t universe) {
-  return num_lists >= kParallelScoringMinLists &&
-         universe >= kParallelScoringMinUniverse;
-}
-
-// Scores every position with candidates[pos] != 0 and appends the results
-// to `out` in ascending position order. Each candidate's aggregate iterates
-// the lists in order — the same FP summation order as DenseAggregate — so
-// results are bitwise-identical whether this runs serially or fanned out
-// across position chunks on ThreadPool::Shared(). Workers write disjoint
-// slices of the sum/count arrays, keeping the path TSan-clean. Counts one
-// random (dense) access per list per candidate, like per-candidate random
-// access would.
-inline void ScoreCandidates(const std::vector<const InvertedIndex*>& lists,
-                            size_t universe,
-                            const std::vector<uint8_t>& candidates,
-                            MissingCellPolicy policy, FaginStats* stats,
-                            std::vector<ScoredEntry>* out) {
-  const size_t num_lists = lists.size();
-  auto score_range = [&](size_t lo, size_t hi, std::vector<double>& sums,
-                         std::vector<uint32_t>& counts) {
-    for (size_t pos = lo; pos < hi; ++pos) {
-      if (candidates[pos] == 0) continue;
-      double sum = 0.0;
-      uint32_t present = 0;
-      for (const InvertedIndex* list : lists) {
-        std::optional<double> v = list->Find(static_cast<int32_t>(pos));
-        if (v.has_value()) {
-          sum += *v;
-          ++present;
-        }
+    budget_ -= width;
+    for (const InvertedIndex* list : set_.lists) {
+      std::optional<double> v = list->Find(pos);
+      if (v.has_value()) {
+        s.sum += *v;
+        ++s.present;
       }
-      sums[pos] = sum;
-      counts[pos] = present;
     }
-  };
-
-  std::vector<double> sums(universe, 0.0);
-  std::vector<uint32_t> counts(universe, 0);
-  bool scored = false;
-  if (UseParallelScoring(num_lists, universe)) {
-    ThreadPool& pool = ThreadPool::Shared();
-    size_t chunks =
-        (universe + kParallelScoringChunk - 1) / kParallelScoringChunk;
-    Status status =
-        pool.ParallelFor(chunks, pool.num_threads() + 1, [&](size_t c) {
-          size_t lo = c * kParallelScoringChunk;
-          size_t hi = std::min(universe, lo + kParallelScoringChunk);
-          score_range(lo, hi, sums, counts);
-          return Status::OK();
-        });
-    scored = status.ok();
+    return s;
   }
-  if (!scored) score_range(0, universe, sums, counts);
 
-  for (size_t pos = 0; pos < universe; ++pos) {
-    if (candidates[pos] == 0) continue;
-    stats->random_accesses += num_lists;
-    stats->dense_accesses += num_lists;
-    if (counts[pos] == 0) continue;
+  // The list-order pass over every entry; idempotent.
+  void Fill() {
+    if (filled_) return;
+    filled_ = true;
+    budget_ = 0;
+    sums_.assign(universe_, 0.0);
+    counts_.assign(universe_, 0);
+    for (const InvertedIndex* list : set_.lists) {
+      for (size_t i = 0; i < list->size(); ++i) {
+        const ScoredEntry& e = list->entry(i);
+        sums_[static_cast<size_t>(e.pos)] += e.value;
+        ++counts_[static_cast<size_t>(e.pos)];
+      }
+    }
+  }
+
+  // The table, valid after Fill.
+  bool filled() const { return filled_; }
+  double sum(size_t pos) const { return sums_[pos]; }
+  uint32_t count(size_t pos) const { return counts_[pos]; }
+
+ private:
+  const ListSet& set_;
+  size_t universe_;
+  size_t budget_;  // random accesses left before the table pass is cheaper
+  bool filled_ = false;
+  std::vector<double> sums_;
+  std::vector<uint32_t> counts_;
+};
+
+// FA's phase 2, shared with the batch FA lanes: scores the positions
+// sorted access has seen, in the given ascending order, and keeps the best
+// k. The candidate count is known up front, so the scorer decides once
+// whether one pass over the entries is cheaper than per-candidate random
+// access.
+inline std::vector<ScoredEntry> ScoreSeenCandidates(
+    const std::vector<int32_t>& candidates, const TopKOptions& options,
+    CandidateScorer* scorer, FaginStats* stats) {
+  scorer->Expect(candidates.size());
+  std::vector<ScoredEntry> scored;
+  scored.reserve(candidates.size());
+  for (int32_t pos : candidates) {
+    std::optional<double> agg = scorer->Aggregate(pos, options.missing, stats);
+    if (!agg.has_value()) continue;
     ++stats->ids_scored;
-    double denom = policy == MissingCellPolicy::kSkip
-                       ? static_cast<double>(counts[pos])
-                       : static_cast<double>(num_lists);
-    out->push_back(ScoredEntry{static_cast<int32_t>(pos), sums[pos] / denom});
+    scored.push_back(ScoredEntry{pos, *agg});
   }
+  KeepTopK(&scored, options.k, options.direction);
+  return scored;
 }
+
+// The family's engines over a gathered selection. The public entry points
+// in fagin.h / fagin_family.h validate caller-built lists and gather them;
+// SolveQuantification gathers from the indices and calls these directly.
+Result<std::vector<ScoredEntry>> ThresholdTopK(const ListSet& set,
+                                               const TopKOptions& options,
+                                               FaginStats* stats);
+Result<std::vector<ScoredEntry>> ScanTopK(const ListSet& set,
+                                          const TopKOptions& options,
+                                          FaginStats* stats);
+Result<std::vector<ScoredEntry>> FaginFA(const ListSet& set,
+                                         const TopKOptions& options,
+                                         FaginStats* stats);
+Result<std::vector<ScoredEntry>> FaginNRA(const ListSet& set,
+                                          const TopKOptions& options,
+                                          FaginStats* stats);
+Result<std::vector<ScoredEntry>> RunTopK(TopKAlgorithm algorithm,
+                                         const ListSet& set,
+                                         const TopKOptions& options,
+                                         FaginStats* stats);
 
 }  // namespace fagin_internal
 }  // namespace fairjob

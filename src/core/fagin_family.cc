@@ -11,13 +11,7 @@
 namespace fairjob {
 namespace {
 
-using fagin_internal::BuildAllowedBitmap;
-using fagin_internal::DenseAggregate;
-using fagin_internal::IsAllowed;
-using fagin_internal::MeteredRun;
-using fagin_internal::ScoreCandidates;
-using fagin_internal::SortResults;
-using fagin_internal::UniverseOf;
+using fagin_internal::GatherNonEmpty;
 using fagin_internal::ValidateTopK;
 
 }  // namespace
@@ -40,11 +34,36 @@ Result<std::vector<ScoredEntry>> FaginFA(
     const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
     FaginStats* stats) {
   FAIRJOB_RETURN_IF_ERROR(ValidateTopK(lists, options.k));
+  return fagin_internal::FaginFA(GatherNonEmpty(lists), options, stats);
+}
+
+Result<std::vector<ScoredEntry>> FaginNRA(
+    const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
+    FaginStats* stats) {
+  FAIRJOB_RETURN_IF_ERROR(ValidateTopK(lists, options.k));
+  return fagin_internal::FaginNRA(GatherNonEmpty(lists), options, stats);
+}
+
+Result<std::vector<ScoredEntry>> RunTopK(
+    TopKAlgorithm algorithm, const std::vector<const InvertedIndex*>& lists,
+    const TopKOptions& options, FaginStats* stats) {
+  FAIRJOB_RETURN_IF_ERROR(ValidateTopK(lists, options.k));
+  return fagin_internal::RunTopK(algorithm, GatherNonEmpty(lists), options,
+                                 stats);
+}
+
+namespace fagin_internal {
+
+Result<std::vector<ScoredEntry>> FaginFA(const ListSet& set,
+                                         const TopKOptions& options,
+                                         FaginStats* stats) {
+  FAIRJOB_RETURN_IF_ERROR(ValidateTopK(set, options.k));
   TraceSpan span("FaginFA", "fagin");
   MeteredRun run("fa", &stats);
   bool most = options.direction == RankDirection::kMostUnfair;
+  const std::vector<const InvertedIndex*>& lists = set.lists;
 
-  const size_t universe = UniverseOf(lists, options.universe_hint);
+  const size_t universe = UniverseOf(set, options.universe_hint);
   std::vector<uint8_t> allowed_scratch;
   const uint8_t* allowed =
       BuildAllowedBitmap(options.allowed, universe, &allowed_scratch);
@@ -67,8 +86,10 @@ Result<std::vector<ScoredEntry>> FaginFA(
       ++stats->sorted_accesses;
       any_read = true;
       if (!IsAllowed(allowed, e.pos)) continue;
+      // Complete means seen on every *selected* list, so a selection with
+      // an empty list never completes an id.
       uint32_t seen = ++seen_count[static_cast<size_t>(e.pos)];
-      if (seen == lists.size()) ++complete_ids;
+      if (seen == set.selected) ++complete_ids;
     }
     if (!any_read) break;
     ++stats->rounds;
@@ -79,22 +100,18 @@ Result<std::vector<ScoredEntry>> FaginFA(
   }
 
   // Phase 2: random access to score every seen id, ascending by position.
-  std::vector<uint8_t> candidates(universe, 0);
+  std::vector<int32_t> candidates;
   for (size_t pos = 0; pos < universe; ++pos) {
-    if (seen_count[pos] > 0) candidates[pos] = 1;
+    if (seen_count[pos] > 0) candidates.push_back(static_cast<int32_t>(pos));
   }
-  std::vector<ScoredEntry> scored;
-  ScoreCandidates(lists, universe, candidates, options.missing, stats,
-                  &scored);
-  SortResults(&scored, options.direction);
-  if (scored.size() > options.k) scored.resize(options.k);
-  return scored;
+  CandidateScorer scorer(set, universe);
+  return ScoreSeenCandidates(candidates, options, &scorer, stats);
 }
 
-Result<std::vector<ScoredEntry>> FaginNRA(
-    const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
-    FaginStats* stats) {
-  FAIRJOB_RETURN_IF_ERROR(ValidateTopK(lists, options.k));
+Result<std::vector<ScoredEntry>> FaginNRA(const ListSet& set,
+                                          const TopKOptions& options,
+                                          FaginStats* stats) {
+  FAIRJOB_RETURN_IF_ERROR(ValidateTopK(set, options.k));
   if (options.missing != MissingCellPolicy::kZero) {
     return Status::InvalidArgument(
         "NRA bounds require MissingCellPolicy::kZero (the average over "
@@ -107,13 +124,16 @@ Result<std::vector<ScoredEntry>> FaginNRA(
   TraceSpan span("FaginNRA", "fagin");
   MeteredRun run("nra", &stats);
 
-  const size_t num_lists = lists.size();
-  const double denom = static_cast<double>(num_lists);
-  if (num_lists > 64) {
+  // The width limit and the kZero denominator count every selected list;
+  // the per-list bookkeeping below covers only the non-empty ones.
+  if (set.selected > 64) {
     return Status::InvalidArgument("NRA supports at most 64 lists");
   }
+  const std::vector<const InvertedIndex*>& lists = set.lists;
+  const size_t num_lists = lists.size();
+  const double denom = static_cast<double>(set.selected);
 
-  const size_t universe = UniverseOf(lists, options.universe_hint);
+  const size_t universe = UniverseOf(set, options.universe_hint);
   std::vector<uint8_t> allowed_scratch;
   const uint8_t* allowed =
       BuildAllowedBitmap(options.allowed, universe, &allowed_scratch);
@@ -277,12 +297,13 @@ Result<std::vector<ScoredEntry>> FaginNRA(
       // The top-k id set is final. Resolve exact aggregates for those ids
       // (a pragmatic k·L random-access epilogue; classic NRA would return
       // bounds).
+      CandidateScorer scorer(set, universe);
       std::vector<ScoredEntry> out;
       out.reserve(options.k);
       for (size_t i = 0; i < options.k; ++i) {
         int32_t pos = monotone ? top[i].second : lowers[i].second;
         std::optional<double> agg =
-            DenseAggregate(lists, pos, options.missing, stats);
+            scorer.Aggregate(pos, options.missing, stats);
         if (agg.has_value()) {
           ++stats->ids_scored;
           out.push_back(ScoredEntry{pos, *agg});
@@ -308,25 +329,26 @@ Result<std::vector<ScoredEntry>> FaginNRA(
     out.push_back(
         ScoredEntry{pos, known_sum[static_cast<size_t>(pos)] / denom});
   }
-  SortResults(&out, options.direction);
-  if (out.size() > options.k) out.resize(options.k);
+  KeepTopK(&out, options.k, options.direction);
   return out;
 }
 
-Result<std::vector<ScoredEntry>> RunTopK(
-    TopKAlgorithm algorithm, const std::vector<const InvertedIndex*>& lists,
-    const TopKOptions& options, FaginStats* stats) {
+Result<std::vector<ScoredEntry>> RunTopK(TopKAlgorithm algorithm,
+                                         const ListSet& set,
+                                         const TopKOptions& options,
+                                         FaginStats* stats) {
   switch (algorithm) {
     case TopKAlgorithm::kThresholdAlgorithm:
-      return FaginTopK(lists, options, stats);
+      return ThresholdTopK(set, options, stats);
     case TopKAlgorithm::kFA:
-      return FaginFA(lists, options, stats);
+      return FaginFA(set, options, stats);
     case TopKAlgorithm::kNRA:
-      return FaginNRA(lists, options, stats);
+      return FaginNRA(set, options, stats);
     case TopKAlgorithm::kScan:
-      return ScanTopK(lists, options, stats);
+      return ScanTopK(set, options, stats);
   }
   return Status::InvalidArgument("unknown top-k algorithm");
 }
 
+}  // namespace fagin_internal
 }  // namespace fairjob

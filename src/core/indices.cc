@@ -47,15 +47,18 @@ InvertedIndex::InvertedIndex(std::vector<ScoredEntry> entries)
   for (const ScoredEntry& e : entries_) max_pos = std::max(max_pos, e.pos);
   values_.assign(static_cast<size_t>(max_pos + 1), 0.0);
   present_.assign(static_cast<size_t>(max_pos + 1), 0);
-  // On duplicate positions the first (highest-value) entry wins, matching
-  // the pre-dense hash map's emplace semantics.
+  // One entry per position: on duplicates the first (highest-value) entry
+  // is kept and the rest are dropped, so sorted access, the dense column and
+  // Find all see the same value.
+  size_t kept = 0;
   for (const ScoredEntry& e : entries_) {
     size_t pos = static_cast<size_t>(e.pos);
-    if (present_[pos] == 0) {
-      present_[pos] = 1;
-      values_[pos] = e.value;
-    }
+    if (present_[pos] != 0) continue;
+    present_[pos] = 1;
+    values_[pos] = e.value;
+    entries_[kept++] = e;
   }
+  entries_.resize(kept);
 }
 
 void InvertedIndex::Upsert(int32_t pos, double value) {

@@ -29,7 +29,8 @@ struct ScoredEntry {
 class InvertedIndex {
  public:
   // Takes entries in any order; sorts descending by value (ties by pos for
-  // determinism).
+  // determinism). A position given more than once keeps only its first
+  // entry in that order, the one Find returns.
   explicit InvertedIndex(std::vector<ScoredEntry> entries);
 
   size_t size() const { return entries_.size(); }

@@ -1,6 +1,9 @@
 #include "core/quantification.h"
 
+#include <algorithm>
+
 #include "common/trace.h"
+#include "core/fagin_dense.h"
 
 namespace fairjob {
 namespace {
@@ -37,6 +40,12 @@ void QuantificationOtherDims(Dimension target, Dimension* d1, Dimension* d2) {
   }
 }
 
+AxisSelector CanonicalSelector(const AxisSelector& selector) {
+  AxisSelector canonical = selector;
+  std::sort(canonical.positions.begin(), canonical.positions.end());
+  return canonical;
+}
+
 Status ValidateQuantificationRequest(const UnfairnessCube& cube,
                                      const QuantificationRequest& request) {
   Dimension d1;
@@ -61,8 +70,11 @@ Result<QuantificationResult> SolveQuantification(
   TraceSpan span("SolveQuantification", "quantification");
   FAIRJOB_RETURN_IF_ERROR(ValidateQuantificationRequest(cube, request));
 
-  std::vector<const InvertedIndex*> lists =
-      indices.ListsFor(request.target, request.agg1, request.agg2);
+  // Gather in canonical selector order and drop the empty lists once; the
+  // engines read only the non-empty ones and keep the selected count.
+  fagin_internal::ListSet lists = fagin_internal::GatherNonEmpty(
+      indices.ListsFor(request.target, CanonicalSelector(request.agg1),
+                       CanonicalSelector(request.agg2)));
 
   TopKOptions options;
   options.k = request.k;
@@ -76,7 +88,8 @@ Result<QuantificationResult> SolveQuantification(
 
   QuantificationResult result;
   Result<std::vector<ScoredEntry>> top =
-      RunTopK(request.algorithm, lists, options, &result.stats);
+      fagin_internal::RunTopK(request.algorithm, lists, options,
+                              &result.stats);
   if (!top.ok()) return top.status();
 
   result.answers.reserve(top->size());

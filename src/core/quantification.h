@@ -46,6 +46,12 @@ struct QuantificationResult {
 // the batched executor.
 void QuantificationOtherDims(Dimension target, Dimension* d1, Dimension* d2);
 
+// The canonical order of an aggregation selector: positions ascending,
+// duplicates kept — the form RequestCacheKey normalizes to. Both solvers
+// gather lists in this order, so an answer depends only on the selector
+// multisets, never on how the caller ordered them.
+AxisSelector CanonicalSelector(const AxisSelector& selector);
+
 // Request-shape validation against the cube's axis sizes: selector and
 // allowed-target positions must be in range. Exactly the checks (and
 // messages) SolveQuantification applies before touching the indices; shared

@@ -15,90 +15,48 @@
 namespace fairjob {
 namespace {
 
+using fagin_internal::AggregateOf;
 using fagin_internal::Better;
 using fagin_internal::BuildAllowedBitmap;
+using fagin_internal::CandidateScorer;
+using fagin_internal::GatherNonEmpty;
 using fagin_internal::IsAllowed;
+using fagin_internal::KeepTopK;
+using fagin_internal::ListSet;
+using fagin_internal::PositionSum;
+using fagin_internal::ScoreSeenCandidates;
 using fagin_internal::SortResults;
 using fagin_internal::ThresholdBound;
 using fagin_internal::UniverseOf;
 using fagin_internal::ValidateTopK;
 
-// FNV-1a over the exact selector sequences; bucket collisions fall back to
-// SameSelectorGroup.
-uint64_t SelectorHash(const QuantificationRequest& r) {
+// A request's selector group: its target and canonical selectors.
+struct SelectorKey {
+  Dimension target;
+  AxisSelector agg1;
+  AxisSelector agg2;
+
+  bool operator==(const SelectorKey& o) const {
+    return target == o.target && agg1.positions == o.agg1.positions &&
+           agg2.positions == o.agg2.positions;
+  }
+};
+
+// FNV-1a over the canonical selector sequences; bucket collisions fall back
+// to SelectorKey equality.
+uint64_t SelectorHash(const SelectorKey& key) {
   uint64_t h = 1469598103934665603ull;
   auto mix = [&h](uint64_t v) {
     h ^= v;
     h *= 1099511628211ull;
   };
-  mix(static_cast<uint64_t>(r.target));
-  mix(r.agg1.positions.size());
-  for (size_t p : r.agg1.positions) mix(p);
-  mix(r.agg2.positions.size());
-  for (size_t p : r.agg2.positions) mix(p);
+  mix(static_cast<uint64_t>(key.target));
+  mix(key.agg1.positions.size());
+  for (size_t p : key.agg1.positions) mix(p);
+  mix(key.agg2.positions.size());
+  for (size_t p : key.agg2.positions) mix(p);
   return h;
 }
-
-bool SameSelectorGroup(const QuantificationRequest& a,
-                       const QuantificationRequest& b) {
-  return a.target == b.target && a.agg1.positions == b.agg1.positions &&
-         a.agg2.positions == b.agg2.positions;
-}
-
-// Lazily-filled per-position (sum, present-count) over the group's lists —
-// the quantity DenseAggregate/ScoreCandidates recompute per candidate. The
-// aggregate of a position depends only on the group's lists and the missing
-// policy, never on the lane (k, direction and allowed filters decide which
-// positions get scored, not what they score), so one computation serves
-// every TA random access, FA phase-2 sweep and NRA epilogue in the group.
-// The sum accumulates in list order — the exact FP order DenseAggregate
-// uses — and the policy division happens fresh per call, so memoized
-// answers are bitwise-identical to per-request ones. Counter increments
-// (one random/dense access per list) are replayed on every call whether or
-// not the value was cached: stats record what the per-request engine would
-// have done, not how much work the memo saved.
-class ScoreMemo {
- public:
-  ScoreMemo(const std::vector<const InvertedIndex*>& lists, size_t universe)
-      : lists_(lists),
-        sums_(universe, 0.0),
-        counts_(universe, 0),
-        known_(universe, 0) {}
-
-  // DenseAggregate semantics: bumps random/dense accesses, nullopt when the
-  // position is present in no list; the caller owns ids_scored.
-  std::optional<double> Aggregate(int32_t pos, MissingCellPolicy policy,
-                                  FaginStats* stats) {
-    stats->random_accesses += lists_.size();
-    stats->dense_accesses += lists_.size();
-    const size_t p = static_cast<size_t>(pos);
-    if (known_[p] == 0) {
-      double sum = 0.0;
-      uint32_t present = 0;
-      for (const InvertedIndex* list : lists_) {
-        std::optional<double> v = list->Find(pos);
-        if (v.has_value()) {
-          sum += *v;
-          ++present;
-        }
-      }
-      sums_[p] = sum;
-      counts_[p] = present;
-      known_[p] = 1;
-    }
-    if (counts_[p] == 0) return std::nullopt;
-    if (policy == MissingCellPolicy::kSkip) {
-      return sums_[p] / static_cast<double>(counts_[p]);
-    }
-    return sums_[p] / static_cast<double>(lists_.size());
-  }
-
- private:
-  const std::vector<const InvertedIndex*>& lists_;
-  std::vector<double> sums_;
-  std::vector<uint32_t> counts_;
-  std::vector<uint8_t> known_;
-};
 
 // One valid request inside a selector group: its engine options, the output
 // slots, and the lane-local allowed bitmap.
@@ -114,10 +72,9 @@ struct Lane {
 // Engine-eligibility checks with exactly the per-request precedence and
 // messages: ValidateTopK first (all engines), then NRA's policy, direction
 // and width restrictions in FaginNRA's order.
-Status ValidateForEngine(TopKAlgorithm algorithm,
-                         const std::vector<const InvertedIndex*>& lists,
+Status ValidateForEngine(TopKAlgorithm algorithm, const ListSet& set,
                          const TopKOptions& options) {
-  FAIRJOB_RETURN_IF_ERROR(ValidateTopK(lists, options.k));
+  FAIRJOB_RETURN_IF_ERROR(ValidateTopK(set, options.k));
   if (algorithm == TopKAlgorithm::kNRA) {
     if (options.missing != MissingCellPolicy::kZero) {
       return Status::InvalidArgument(
@@ -128,7 +85,7 @@ Status ValidateForEngine(TopKAlgorithm algorithm,
       return Status::InvalidArgument(
           "NRA supports kMostUnfair only; use TA or the scan for bottom-k");
     }
-    if (lists.size() > 64) {
+    if (set.selected > 64) {
       return Status::InvalidArgument("NRA supports at most 64 lists");
     }
   }
@@ -136,28 +93,17 @@ Status ValidateForEngine(TopKAlgorithm algorithm,
 }
 
 // --- Scan lanes ----------------------------------------------------------
-// One shared, unfiltered accumulation pass over every list entry answers
-// all scan lanes of the group. An entry at position p only ever contributes
-// to sums[p], and lists are visited in order, so each position's sum
-// accumulates in exactly the same FP order as the per-request scan — lane
-// filters only decide which positions are *emitted*, never what their sums
-// are. Sequential cost O(lanes × total entries) drops to
+// The group scorer's one list-order table pass answers all scan lanes of the
+// group. An entry at position p only ever contributes to the sum of p, so
+// lane filters only decide which positions are *emitted*, never what their
+// sums are. Sequential cost O(lanes × total entries) drops to
 // O(total entries + lanes × universe).
-void RunScanLanes(const std::vector<const InvertedIndex*>& lists,
-                  size_t universe, const std::vector<Lane*>& lanes) {
-  const size_t num_lists = lists.size();
-  std::vector<double> sums(universe, 0.0);
-  std::vector<uint32_t> counts(universe, 0);
+void RunScanLanes(const ListSet& set, size_t universe,
+                  const std::vector<Lane*>& lanes, CandidateScorer* scorer) {
+  scorer->Fill();
   size_t longest = 0;
-  size_t total_entries = 0;
-  for (const InvertedIndex* list : lists) {
+  for (const InvertedIndex* list : set.lists) {
     longest = std::max(longest, list->size());
-    total_entries += list->size();
-    for (size_t i = 0; i < list->size(); ++i) {
-      const ScoredEntry& e = list->entry(i);
-      sums[static_cast<size_t>(e.pos)] += e.value;
-      ++counts[static_cast<size_t>(e.pos)];
-    }
   }
 
   // Present positions as a word bitmap: each lane's emit sweep intersects
@@ -167,14 +113,16 @@ void RunScanLanes(const std::vector<const InvertedIndex*>& lists,
   const size_t words = (universe + 63) / 64;
   std::vector<uint64_t> present(words, 0);
   for (size_t pos = 0; pos < universe; ++pos) {
-    if (counts[pos] != 0) present[pos >> 6] |= uint64_t{1} << (pos & 63);
+    if (scorer->count(pos) != 0) {
+      present[pos >> 6] |= uint64_t{1} << (pos & 63);
+    }
   }
 
   std::vector<uint64_t> lane_words;
   for (Lane* lane : lanes) {
     FaginStats* stats = &lane->stats;
     stats->rounds = std::max(stats->rounds, longest);
-    stats->sorted_accesses += total_entries;
+    stats->sorted_accesses += set.entries;
 
     const uint64_t* filter = present.data();
     if (lane->allowed != nullptr) {
@@ -190,198 +138,186 @@ void RunScanLanes(const std::vector<const InvertedIndex*>& lists,
         simd::IntersectPopcount(filter, present.data(), words);
     std::vector<ScoredEntry>& out = lane->entries;
     out.reserve(emitted);
-    const double full_denom = static_cast<double>(num_lists);
-    const bool skip_policy =
-        lane->options.missing == MissingCellPolicy::kSkip;
     for (size_t w = 0; w < words; ++w) {
       uint64_t bits = filter[w] & present[w];
       while (bits != 0) {
         const size_t pos =
             (w << 6) + static_cast<size_t>(std::countr_zero(bits));
         bits &= bits - 1;
-        const double denom =
-            skip_policy ? static_cast<double>(counts[pos]) : full_denom;
-        out.push_back(
-            ScoredEntry{static_cast<int32_t>(pos), sums[pos] / denom});
+        const double value =
+            AggregateOf(scorer->sum(pos), scorer->count(pos), set.selected,
+                        lane->options.missing);
+        out.push_back(ScoredEntry{static_cast<int32_t>(pos), value});
       }
     }
-    // Per-request counter semantics: one random (dense) access per list per
-    // emitted candidate, one ids_scored each.
-    stats->random_accesses += emitted * num_lists;
-    stats->dense_accesses += emitted * num_lists;
+    // Per-request counter semantics: one random (dense) access per selected
+    // list per emitted candidate, one ids_scored each.
+    stats->random_accesses += emitted * set.selected;
+    stats->dense_accesses += emitted * set.selected;
     stats->ids_scored += emitted;
-    SortResults(&out, lane->options.direction);
-    if (out.size() > lane->options.k) out.resize(lane->options.k);
+    KeepTopK(&out, lane->options.k, lane->options.direction);
   }
 }
 
 // --- TA lanes ------------------------------------------------------------
 // In per-request TA the cursors advance identically every round regardless
 // of k / allowed / missing — only the direction changes the access pattern.
-// So all TA lanes of one direction share the round-robin sorted access:
-// each list entry is read once per round and delivered to every active
-// lane in list order (the same order DenseAggregate sees per request).
-// Threshold bounds are pure in (cursors, missing, direction) and cursors
-// are shared, so they are memoized per missing policy within a round, and
-// candidate scores come from the group ScoreMemo.
-void RunTaLanes(const std::vector<const InvertedIndex*>& lists,
-                size_t universe, RankDirection direction,
-                const std::vector<Lane*>& lanes, ScoreMemo* memo) {
-  struct TaState {
-    Lane* lane;
-    std::vector<uint8_t> seen;
-    std::vector<ScoredEntry> kept;
-    bool active = true;
-  };
+// So all TA lanes of one direction share the round-robin sorted access, and
+// with it the seen set: a lane is active from the first round until it
+// stops, so while active it has read every entry read so far, and a
+// position is new to it exactly when it is new to the group and allowed by
+// the lane. Each new position's (sum, count) is fetched once from the group
+// CandidateScorer; each lane that allows it counts its own random access
+// and offers the aggregate under its own missing policy to its own heap.
+// Sorted accesses are counted per lane once per round. Threshold bounds are
+// pure in (cursors, missing, direction), so they are memoized per missing
+// policy within a round.
+void RunTaLanes(const ListSet& set, size_t universe, RankDirection direction,
+                const std::vector<Lane*>& lanes, CandidateScorer* scorer) {
+  const std::vector<const InvertedIndex*>& lists = set.lists;
   const bool most = direction == RankDirection::kMostUnfair;
   auto worse_on_top = [direction](const ScoredEntry& a, const ScoredEntry& b) {
     return Better(a.value, b.value, direction);
   };
 
-  std::vector<TaState> states;
-  states.reserve(lanes.size());
-  for (Lane* lane : lanes) {
-    states.push_back(TaState{lane, std::vector<uint8_t>(universe, 0), {}, true});
-  }
-
+  // Each lane's entries are its kept heap until the final sort.
+  std::vector<Lane*> active = lanes;
+  std::vector<uint8_t> seen(universe, 0);
   std::vector<size_t> cursors(lists.size(), 0);
-  size_t active = states.size();
-  while (active > 0) {
-    bool any_read = false;
+  while (!active.empty()) {
+    size_t reads = 0;
     for (size_t i = 0; i < lists.size(); ++i) {
       if (cursors[i] >= lists[i]->size()) continue;
       const size_t at = most ? cursors[i] : lists[i]->size() - 1 - cursors[i];
       const ScoredEntry& e = lists[i]->entry(at);
       ++cursors[i];
-      any_read = true;
-      for (TaState& s : states) {
-        if (!s.active) continue;
-        FaginStats* stats = &s.lane->stats;
-        ++stats->sorted_accesses;
-        if (!IsAllowed(s.lane->allowed, e.pos) ||
-            s.seen[static_cast<size_t>(e.pos)] != 0) {
-          continue;
-        }
-        s.seen[static_cast<size_t>(e.pos)] = 1;
-        std::optional<double> agg =
-            memo->Aggregate(e.pos, s.lane->options.missing, stats);
-        if (!agg.has_value()) continue;  // unreachable: e.pos is in list i
+      ++reads;
+      if (seen[static_cast<size_t>(e.pos)] != 0) continue;
+      seen[static_cast<size_t>(e.pos)] = 1;
+      std::optional<PositionSum> sum;
+      for (Lane* lane : active) {
+        if (!IsAllowed(lane->allowed, e.pos)) continue;
+        FaginStats* stats = &lane->stats;
+        scorer->CountAccess(stats);
+        if (!sum.has_value()) sum = scorer->Sum(e.pos);
+        if (sum->present == 0) continue;  // unreachable: e.pos is in list i
         ++stats->ids_scored;
-        ScoredEntry scored{e.pos, *agg};
-        if (s.kept.size() < s.lane->options.k) {
-          s.kept.push_back(scored);
-          std::push_heap(s.kept.begin(), s.kept.end(), worse_on_top);
-        } else if (Better(scored.value, s.kept.front().value, direction)) {
-          std::pop_heap(s.kept.begin(), s.kept.end(), worse_on_top);
-          s.kept.back() = scored;
-          std::push_heap(s.kept.begin(), s.kept.end(), worse_on_top);
+        const double value = AggregateOf(sum->sum, sum->present, set.selected,
+                                         lane->options.missing);
+        ScoredEntry scored{e.pos, value};
+        std::vector<ScoredEntry>& kept = lane->entries;
+        if (kept.size() < lane->options.k) {
+          kept.push_back(scored);
+          std::push_heap(kept.begin(), kept.end(), worse_on_top);
+        } else if (Better(scored.value, kept.front().value, direction)) {
+          std::pop_heap(kept.begin(), kept.end(), worse_on_top);
+          kept.back() = scored;
+          std::push_heap(kept.begin(), kept.end(), worse_on_top);
         }
       }
     }
-    if (!any_read) break;  // every list exhausted, for every lane at once
+    if (reads == 0) break;  // every list exhausted, for every lane at once
     bool tau_valid[2] = {false, false};
     double tau_memo[2] = {0.0, 0.0};
-    for (TaState& s : states) {
-      if (!s.active) continue;
-      FaginStats* stats = &s.lane->stats;
+    size_t still_active = 0;
+    for (Lane* lane : active) {
+      FaginStats* stats = &lane->stats;
+      stats->sorted_accesses += reads;
       ++stats->rounds;
-      if (s.kept.size() < s.lane->options.k) continue;
-      ++stats->threshold_checks;
-      const size_t mi =
-          s.lane->options.missing == MissingCellPolicy::kSkip ? 0 : 1;
-      if (!tau_valid[mi]) {
-        tau_memo[mi] = ThresholdBound(lists, cursors, s.lane->options);
-        tau_valid[mi] = true;
+      bool done = false;
+      if (lane->entries.size() >= lane->options.k) {
+        ++stats->threshold_checks;
+        const size_t mi =
+            lane->options.missing == MissingCellPolicy::kSkip ? 0 : 1;
+        if (!tau_valid[mi]) {
+          tau_memo[mi] = ThresholdBound(set, cursors, lane->options);
+          tau_valid[mi] = true;
+        }
+        const double tau = tau_memo[mi];
+        const double kth = lane->entries.front().value;
+        done = most ? (kth >= tau) : (kth <= tau);
       }
-      const double tau = tau_memo[mi];
-      const double kth = s.kept.front().value;
-      const bool done = most ? (kth >= tau) : (kth <= tau);
-      if (done) {
-        s.active = false;
-        --active;
-      }
+      if (!done) active[still_active++] = lane;
     }
+    active.resize(still_active);
   }
-  for (TaState& s : states) {
-    SortResults(&s.kept, direction);
-    s.lane->entries = std::move(s.kept);
-  }
+  for (Lane* lane : lanes) SortResults(&lane->entries, direction);
 }
 
 // --- FA lanes ------------------------------------------------------------
 // Phase 1 (round-robin sorted access) is shared per direction exactly like
-// TA; each lane keeps its own seen counts and stops when k ids are complete
-// on every list (kZero only). Phase 2 sweeps each lane's candidates in
-// ascending position order — the order ScoreCandidates emits — against the
-// group ScoreMemo, with ScoreCandidates' exact counter semantics (one
-// random/dense access per list per candidate, ids_scored only when the
-// position is present somewhere).
-void RunFaLanes(const std::vector<const InvertedIndex*>& lists,
-                size_t universe, RankDirection direction,
-                const std::vector<Lane*>& lanes, ScoreMemo* memo) {
+// TA, and so are the seen counts: an active lane's count of a position is
+// the group's count when the lane allows it and 0 otherwise. Each lane
+// stops when k of its allowed ids are complete on every selected list
+// (kZero only); its phase-2 candidates are the allowed positions first read
+// no later than its last round. Phase 2 scores them in ascending position
+// order against the group CandidateScorer, as per-request FA's phase 2
+// does.
+void RunFaLanes(const ListSet& set, size_t universe, RankDirection direction,
+                const std::vector<Lane*>& lanes, CandidateScorer* scorer) {
+  const std::vector<const InvertedIndex*>& lists = set.lists;
   struct FaState {
     Lane* lane;
-    std::vector<uint32_t> seen_count;
     size_t complete_ids = 0;
-    bool can_stop_early = false;
-    bool active = true;
+    size_t last_round = 0;  // the round the lane stopped after
   };
   const bool most = direction == RankDirection::kMostUnfair;
 
   std::vector<FaState> states;
   states.reserve(lanes.size());
-  for (Lane* lane : lanes) {
-    FaState s{lane, std::vector<uint32_t>(universe, 0), 0,
-              lane->options.missing == MissingCellPolicy::kZero, true};
-    states.push_back(std::move(s));
-  }
+  for (Lane* lane : lanes) states.push_back(FaState{lane, 0, 0});
+  std::vector<FaState*> active;
+  for (FaState& s : states) active.push_back(&s);
 
+  std::vector<uint32_t> seen_count(universe, 0);
+  // Round of each position's first read (1-based; 0 = never read).
+  std::vector<uint32_t> first_round(universe, 0);
   std::vector<size_t> cursors(lists.size(), 0);
-  size_t active = states.size();
-  while (active > 0) {
-    bool any_read = false;
+  size_t round = 0;
+  while (!active.empty()) {
+    ++round;
+    size_t reads = 0;
     for (size_t i = 0; i < lists.size(); ++i) {
       if (cursors[i] >= lists[i]->size()) continue;
       const size_t at = most ? cursors[i] : lists[i]->size() - 1 - cursors[i];
       const ScoredEntry& e = lists[i]->entry(at);
       ++cursors[i];
-      any_read = true;
-      for (FaState& s : states) {
-        if (!s.active) continue;
-        ++s.lane->stats.sorted_accesses;
-        if (!IsAllowed(s.lane->allowed, e.pos)) continue;
-        const uint32_t seen = ++s.seen_count[static_cast<size_t>(e.pos)];
-        if (seen == lists.size()) ++s.complete_ids;
+      ++reads;
+      const size_t p = static_cast<size_t>(e.pos);
+      if (first_round[p] == 0) first_round[p] = static_cast<uint32_t>(round);
+      if (++seen_count[p] != set.selected) continue;
+      for (FaState* s : active) {
+        if (IsAllowed(s->lane->allowed, e.pos)) ++s->complete_ids;
       }
     }
-    if (!any_read) break;
-    for (FaState& s : states) {
-      if (!s.active) continue;
-      ++s.lane->stats.rounds;
-      if (s.can_stop_early) {
-        ++s.lane->stats.threshold_checks;
-        if (s.complete_ids >= s.lane->options.k) {
-          s.active = false;
-          --active;
-        }
+    if (reads == 0) break;
+    size_t still_active = 0;
+    for (FaState* s : active) {
+      FaginStats* stats = &s->lane->stats;
+      stats->sorted_accesses += reads;
+      ++stats->rounds;
+      s->last_round = round;
+      bool done = false;
+      if (s->lane->options.missing == MissingCellPolicy::kZero) {
+        ++stats->threshold_checks;
+        done = s->complete_ids >= s->lane->options.k;
       }
+      if (!done) active[still_active++] = s;
     }
+    active.resize(still_active);
   }
 
+  std::vector<int32_t> candidates;
   for (FaState& s : states) {
-    FaginStats* stats = &s.lane->stats;
-    std::vector<ScoredEntry> scored;
+    candidates.clear();
     for (size_t pos = 0; pos < universe; ++pos) {
-      if (s.seen_count[pos] == 0) continue;
-      std::optional<double> agg = memo->Aggregate(
-          static_cast<int32_t>(pos), s.lane->options.missing, stats);
-      if (!agg.has_value()) continue;
-      ++stats->ids_scored;
-      scored.push_back(ScoredEntry{static_cast<int32_t>(pos), *agg});
+      if (first_round[pos] != 0 && first_round[pos] <= s.last_round &&
+          IsAllowed(s.lane->allowed, static_cast<int32_t>(pos))) {
+        candidates.push_back(static_cast<int32_t>(pos));
+      }
     }
-    SortResults(&scored, direction);
-    if (scored.size() > s.lane->options.k) scored.resize(s.lane->options.k);
-    s.lane->entries = std::move(scored);
+    s.lane->entries = ScoreSeenCandidates(candidates, s.lane->options,
+                                          scorer, &s.lane->stats);
   }
 }
 
@@ -391,9 +327,8 @@ void RunFaLanes(const std::vector<const InvertedIndex*>& lists,
 // frontier bounds are shared, the bound bookkeeping is per lane. The
 // `monotone` fast path depends only on the lists, so it is decided once for
 // the whole group.
-void RunNraLanes(const std::vector<const InvertedIndex*>& lists,
-                 size_t universe, const std::vector<Lane*>& lanes,
-                 ScoreMemo* memo) {
+void RunNraLanes(const ListSet& set, size_t universe,
+                 const std::vector<Lane*>& lanes, CandidateScorer* scorer) {
   struct NraState {
     Lane* lane;
     std::vector<double> known_sum;
@@ -407,8 +342,9 @@ void RunNraLanes(const std::vector<const InvertedIndex*>& lists,
     bool top_built = false;
     bool active = true;
   };
+  const std::vector<const InvertedIndex*>& lists = set.lists;
   const size_t num_lists = lists.size();
-  const double denom = static_cast<double>(num_lists);
+  const double denom = static_cast<double>(set.selected);
 
   auto lower_cmp = [](const std::pair<double, int32_t>& a,
                       const std::pair<double, int32_t>& b) {
@@ -496,7 +432,8 @@ void RunNraLanes(const std::vector<const InvertedIndex*>& lists,
           std::partial_sort(s.lowers.begin(),
                             s.lowers.begin() + static_cast<long>(k),
                             s.lowers.end(), lower_cmp);
-          s.top.assign(s.lowers.begin(), s.lowers.begin() + static_cast<long>(k));
+          s.top.assign(s.lowers.begin(),
+                       s.lowers.begin() + static_cast<long>(k));
           for (const auto& entry : s.top) {
             s.in_top[static_cast<size_t>(entry.second)] = 1;
           }
@@ -556,7 +493,7 @@ void RunNraLanes(const std::vector<const InvertedIndex*>& lists,
         for (size_t i = 0; i < k; ++i) {
           const int32_t pos = monotone ? s.top[i].second : s.lowers[i].second;
           std::optional<double> agg =
-              memo->Aggregate(pos, s.lane->options.missing, stats);
+              scorer->Aggregate(pos, s.lane->options.missing, stats);
           if (agg.has_value()) {
             ++stats->ids_scored;
             out.push_back(ScoredEntry{pos, *agg});
@@ -585,8 +522,7 @@ void RunNraLanes(const std::vector<const InvertedIndex*>& lists,
       out.push_back(
           ScoredEntry{pos, s.known_sum[static_cast<size_t>(pos)] / denom});
     }
-    SortResults(&out, s.lane->options.direction);
-    if (out.size() > s.lane->options.k) out.resize(s.lane->options.k);
+    KeepTopK(&out, s.lane->options.k, s.lane->options.direction);
     s.lane->entries = std::move(out);
   }
 }
@@ -606,8 +542,9 @@ std::vector<Result<QuantificationResult>> SolveQuantificationBatch(
   std::vector<Status> errors(requests.size());
   std::vector<QuantificationResult> values(requests.size());
 
-  // Group valid requests by exact selector sequence (see header).
+  // Group valid requests by canonical selectors (see header).
   struct Group {
+    SelectorKey key;
     std::vector<size_t> members;  // request indices, in arrival order
   };
   std::vector<Group> groups;
@@ -619,30 +556,30 @@ std::vector<Result<QuantificationResult>> SolveQuantificationBatch(
       ++exec_stats->invalid;
       continue;
     }
-    std::vector<size_t>& bucket = buckets[SelectorHash(requests[i])];
+    SelectorKey key{requests[i].target, CanonicalSelector(requests[i].agg1),
+                    CanonicalSelector(requests[i].agg2)};
+    std::vector<size_t>& bucket = buckets[SelectorHash(key)];
     size_t group_index = groups.size();
     for (size_t g : bucket) {
-      if (SameSelectorGroup(requests[groups[g].members.front()], requests[i])) {
+      if (groups[g].key == key) {
         group_index = g;
         break;
       }
     }
     if (group_index == groups.size()) {
-      groups.push_back(Group{});
+      groups.push_back(Group{std::move(key), {}});
       bucket.push_back(group_index);
     }
     groups[group_index].members.push_back(i);
   }
 
   for (const Group& group : groups) {
-    const QuantificationRequest& representative =
-        requests[group.members.front()];
-    std::vector<const InvertedIndex*> lists = indices.ListsFor(
-        representative.target, representative.agg1, representative.agg2);
+    const SelectorKey& key = group.key;
+    const ListSet lists = GatherNonEmpty(
+        indices.ListsFor(key.target, key.agg1, key.agg2));
     ++exec_stats->groups;
-    exec_stats->lists_gathered += lists.size();
-    const size_t universe =
-        UniverseOf(lists, cube.axis_size(representative.target));
+    exec_stats->lists_gathered += lists.selected;
+    const size_t universe = UniverseOf(lists, cube.axis_size(key.target));
 
     // Build the group's lanes; engine-invalid requests error out here with
     // exactly the per-request status (their per-request run would have
@@ -651,7 +588,7 @@ std::vector<Result<QuantificationResult>> SolveQuantificationBatch(
     lanes.reserve(group.members.size());
     for (size_t i : group.members) {
       const QuantificationRequest& request = requests[i];
-      exec_stats->lists_demanded += lists.size();
+      exec_stats->lists_demanded += lists.selected;
       TopKOptions options;
       options.k = request.k;
       options.direction = request.direction;
@@ -708,30 +645,32 @@ std::vector<Result<QuantificationResult>> SolveQuantificationBatch(
     exec_stats->fa_lanes += fa_most.size() + fa_least.size();
     exec_stats->nra_lanes += nra_lanes.size();
 
+    // One scorer per group: scan passes, TA random accesses, FA phase-2
+    // sweeps and NRA epilogues all aggregate the same lists, so they share
+    // one random-access budget and at most one table pass.
+    CandidateScorer scorer(lists, universe);
     if (!scan_lanes.empty()) {
       ++exec_stats->shared_scan_passes;
-      RunScanLanes(lists, universe, scan_lanes);
+      RunScanLanes(lists, universe, scan_lanes, &scorer);
     }
-    // One score memo per group: TA random accesses, FA phase-2 sweeps and
-    // NRA epilogues all aggregate the same lists, so each position's
-    // (sum, count) is computed at most once across every random-access lane.
-    ScoreMemo memo(lists, universe);
     if (!ta_most.empty()) {
-      RunTaLanes(lists, universe, RankDirection::kMostUnfair, ta_most, &memo);
+      RunTaLanes(lists, universe, RankDirection::kMostUnfair, ta_most,
+                 &scorer);
     }
     if (!ta_least.empty()) {
       RunTaLanes(lists, universe, RankDirection::kLeastUnfair, ta_least,
-                 &memo);
+                 &scorer);
     }
     if (!fa_most.empty()) {
-      RunFaLanes(lists, universe, RankDirection::kMostUnfair, fa_most, &memo);
+      RunFaLanes(lists, universe, RankDirection::kMostUnfair, fa_most,
+                 &scorer);
     }
     if (!fa_least.empty()) {
       RunFaLanes(lists, universe, RankDirection::kLeastUnfair, fa_least,
-                 &memo);
+                 &scorer);
     }
     if (!nra_lanes.empty()) {
-      RunNraLanes(lists, universe, nra_lanes, &memo);
+      RunNraLanes(lists, universe, nra_lanes, &scorer);
     }
 
     for (Lane& lane : lanes) {

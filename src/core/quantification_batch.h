@@ -18,8 +18,8 @@ struct BatchExecStats {
   size_t requests = 0;   // lanes that reached an engine (valid requests)
   size_t invalid = 0;    // requests rejected by validation
   size_t groups = 0;     // distinct (target, agg1, agg2) selector groups
-  size_t lists_gathered = 0;  // inverted lists materialized (once per group)
-  size_t lists_demanded = 0;  // lists N per-request runs would have gathered
+  size_t lists_gathered = 0;  // inverted lists selected (once per group)
+  size_t lists_demanded = 0;  // lists N per-request runs would have selected
   size_t scan_lanes = 0;
   size_t ta_lanes = 0;
   size_t fa_lanes = 0;
@@ -30,12 +30,11 @@ struct BatchExecStats {
 // Multi-request Fagin executor: answers a whole batch of quantification
 // requests with one pass over each distinct list view.
 //
-// Requests are grouped by their exact (target, agg1, agg2) selector
-// sequences — not the canonical multiset the cache key uses — because
-// IndexSet::ListsFor resolves positions verbatim (order and duplicates
-// included) and per-candidate FP summation follows list order, so only the
-// literal sequence guarantees a bitwise-identical list view. Each group
-// materializes its inverted lists once; every request in the group becomes
+// Requests are grouped by target and canonical selectors (CanonicalSelector:
+// sorted, duplicates kept — the multiset the cache key uses). Both solvers
+// gather lists in that order, so every spelling of a selector multiset sees
+// the same list view and the same FP summation order. Each group gathers
+// its non-empty inverted lists once; every request in the group becomes
 // a *lane* (its own k / direction / missing policy / allowed bitmap /
 // algorithm) driven during shared passes over those lists:
 //
@@ -44,9 +43,13 @@ struct BatchExecStats {
 //    lane filters only select which positions are emitted);
 //  * TA / FA lanes of the same direction share the round-robin sorted
 //    access — cursors advance identically in the per-request engines, so
-//    each entry is read once per round and delivered to every active lane;
+//    each entry is read once per round — and with it the seen set (TA) or
+//    seen counts (FA): a lane's view is the group's, filtered by the lane's
+//    allowed targets;
 //  * NRA lanes share the sorted access and the per-round frontier bounds,
-//    keeping per-lane bound state.
+//    keeping per-lane bound state;
+//  * every lane takes its candidates' (sum, count) from one group
+//    CandidateScorer, so random-access work is paid once per group.
 //
 // Contract: results[i] is bitwise-identical to
 // SolveQuantification(cube, indices, requests[i]) — same answers (bit-equal

@@ -15,8 +15,8 @@ namespace {
 // verbatim, so a duplicated position contributes its list twice to the
 // aggregate — {0, 0} is a genuinely different request from {0}. Sorting
 // alone makes the key a multiset identity: permutations of the same
-// selector share one cache entry (their answers agree up to floating-point
-// summation order; see docs/serving.md).
+// selector share one cache entry, and the solvers gather lists in this same
+// sorted order (CanonicalSelector), so their answers are bit-identical.
 //
 // Writes straight into the key member (one reserve, one allocation) instead
 // of returning a temporary that gets move-assigned — this runs on every

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/fagin_reference.h"
 #include "core/indices.h"
 #include "core/quantification.h"
 #include "core/unfairness_cube.h"
@@ -66,6 +68,50 @@ void ExpectBatchMatchesReference(
         SolveQuantification(cube, indices, requests[i]);
     ExpectIdentical(batched[i], reference, "request " + std::to_string(i));
   }
+}
+
+// The per-request answer against the hash reference engine run over the
+// same canonical list view: bitwise answers, equal counters, and each
+// engine's random accesses attributed to its own storage counter.
+void ExpectMatchesHashReference(const UnfairnessCube& cube,
+                                const IndexSet& indices,
+                                const QuantificationRequest& request,
+                                const std::string& label) {
+  Result<QuantificationResult> single =
+      SolveQuantification(cube, indices, request);
+  std::vector<HashedListView> views = BuildHashedViews(
+      indices.ListsFor(request.target, CanonicalSelector(request.agg1),
+                       CanonicalSelector(request.agg2)));
+  TopKOptions options;
+  options.k = request.k;
+  options.direction = request.direction;
+  options.missing = request.missing;
+  options.allowed =
+      request.allowed_targets.empty() ? nullptr : &request.allowed_targets;
+  FaginStats ref_stats;
+  Result<std::vector<ScoredEntry>> ref =
+      ReferenceRunTopK(request.algorithm, views, options, &ref_stats);
+  ASSERT_EQ(single.ok(), ref.ok()) << label;
+  if (!ref.ok()) {
+    EXPECT_EQ(single.status().message(), ref.status().message()) << label;
+    return;
+  }
+  ASSERT_EQ(single->answers.size(), ref->size()) << label;
+  for (size_t i = 0; i < ref->size(); ++i) {
+    EXPECT_EQ(single->answers[i].id,
+              cube.axis_id(request.target,
+                           static_cast<size_t>((*ref)[i].pos)))
+        << label << " answer " << i;
+    EXPECT_TRUE(SameBits(single->answers[i].value, (*ref)[i].value))
+        << label << " answer " << i;
+  }
+  const FaginStats& ss = single->stats;
+  EXPECT_EQ(ss.sorted_accesses, ref_stats.sorted_accesses) << label;
+  EXPECT_EQ(ss.random_accesses, ref_stats.random_accesses) << label;
+  EXPECT_EQ(ss.ids_scored, ref_stats.ids_scored) << label;
+  EXPECT_EQ(ss.rounds, ref_stats.rounds) << label;
+  EXPECT_EQ(ss.threshold_checks, ref_stats.threshold_checks) << label;
+  EXPECT_EQ(ss.dense_accesses, ref_stats.hash_accesses) << label;
 }
 
 // A cube with missing cells, negative values and duplicate aggregates so
@@ -225,9 +271,9 @@ TEST(BatchExecTest, PropertyRandomBatchesBitwise) {
   }
 }
 
-// Selector sequences group verbatim: permutations and duplicates land in
-// different groups (their list views differ), but the results still match
-// the per-request reference bitwise.
+// Selectors group by their canonical multiset: permutations share a group,
+// duplicates do not (a duplicated position weighs its lists twice), and
+// every result still matches the per-request reference bitwise.
 TEST(BatchExecTest, DuplicateAndPermutedSelectors) {
   Rng rng(14);
   UnfairnessCube cube = MakeRandomCube(&rng, 8, 4, 3);
@@ -246,9 +292,9 @@ TEST(BatchExecTest, DuplicateAndPermutedSelectors) {
   }
   BatchExecStats stats;
   ExpectBatchMatchesReference(cube, indices, requests, &stats);
-  // {0,1} and {1,0} are distinct sequences; {} ("all") distinct from
+  // {0,1} and {1,0} share a group; {} ("all") stays distinct from
   // {0,1,2,3} even though it resolves the same axis.
-  EXPECT_EQ(stats.groups, 5u);
+  EXPECT_EQ(stats.groups, 4u);
 }
 
 TEST(BatchExecTest, ValidationErrorsMatchPerRequest) {
@@ -320,9 +366,9 @@ TEST(BatchExecTest, KLargerThanUniverse) {
   ExpectBatchMatchesReference(cube, indices, requests);
 }
 
-// Wide selector fan-out crosses ScoreCandidates' parallel-scoring threshold
-// (>= 64 lists, universe >= 128): the shared pass must still be bitwise.
-TEST(BatchExecTest, ParallelScoringThresholdBitwise) {
+// Wide selector fan-out (72 lists over 150 groups): scan and FA lanes score
+// through the group scorer's table pass, which must still be bitwise.
+TEST(BatchExecTest, WideFanOutTablePassBitwise) {
   Rng rng(18);
   UnfairnessCube cube = MakeRandomCube(&rng, 150, 9, 8, /*present_p=*/0.9);
   IndexSet indices = IndexSet::Build(cube);
@@ -382,6 +428,263 @@ TEST(BatchExecTest, ExecStatsAmortization) {
   EXPECT_EQ(stats.lists_demanded, 200u);  // 10 lanes x 20 lists
   EXPECT_EQ(stats.shared_scan_passes, 1u);
   EXPECT_EQ(stats.scan_lanes, 10u);
+}
+
+constexpr TopKAlgorithm kAllAlgorithms[] = {
+    TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kFA,
+    TopKAlgorithm::kNRA, TopKAlgorithm::kScan};
+
+// Every algorithm × direction × policy, with and without allowed targets,
+// over every target of `cube`: batch ≡ single ≡ hash reference.
+void ExpectFullGridAgrees(const UnfairnessCube& cube, const IndexSet& indices,
+                          const AxisSelector& agg1, const AxisSelector& agg2,
+                          size_t k) {
+  for (Dimension target :
+       {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
+    std::vector<int32_t> allowed;
+    for (size_t pos = 0; pos < cube.axis_size(target); pos += 2) {
+      allowed.push_back(static_cast<int32_t>(pos));
+    }
+    std::vector<QuantificationRequest> requests;
+    for (TopKAlgorithm algorithm : kAllAlgorithms) {
+      for (RankDirection direction :
+           {RankDirection::kMostUnfair, RankDirection::kLeastUnfair}) {
+        for (MissingCellPolicy missing :
+             {MissingCellPolicy::kSkip, MissingCellPolicy::kZero}) {
+          for (bool filtered : {false, true}) {
+            QuantificationRequest request;
+            request.target = target;
+            request.k = k;
+            request.direction = direction;
+            request.missing = missing;
+            request.algorithm = algorithm;
+            if (target != Dimension::kGroup) {
+              request.agg1 = agg1;
+              request.agg2 = agg2;
+            }
+            if (filtered) request.allowed_targets = allowed;
+            requests.push_back(request);
+          }
+        }
+      }
+    }
+    ExpectBatchMatchesReference(cube, indices, requests);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      ExpectMatchesHashReference(cube, indices, requests[i],
+                                 std::string(DimensionName(target)) +
+                                     " request " + std::to_string(i));
+    }
+  }
+}
+
+// At least 90% of the (query, location) columns hold no cell: most selected
+// lists are empty, and every engine drops them at the gather.
+TEST(BatchExecTest, MostlyEmptyColumnsMatchSingleAndReference) {
+  Rng rng(21);
+  UnfairnessCube cube = MakeRandomCube(&rng, 10, 8, 5, /*present_p=*/0.0);
+  size_t live_columns = 0;
+  for (size_t q = 0; q < 8; ++q) {
+    for (size_t l = 0; l < 5; ++l) {
+      if (!rng.NextBernoulli(0.07) && !(q == 1 && l == 2)) continue;
+      ++live_columns;
+      for (size_t g = 0; g < 10; ++g) {
+        if (rng.NextBernoulli(0.75)) cube.Set(g, q, l, rng.NextDouble());
+      }
+    }
+  }
+  ASSERT_LE(live_columns * 10, 8u * 5u);
+  IndexSet indices = IndexSet::Build(cube);
+  for (size_t k : {size_t{1}, size_t{3}, size_t{20}}) {
+    ExpectFullGridAgrees(cube, indices, AxisSelector::All(),
+                         AxisSelector::All(), k);
+  }
+}
+
+// A selection whose every list is empty answers OK with no answers.
+TEST(BatchExecTest, AllEmptySelectionAnswersNothing) {
+  Rng rng(22);
+  UnfairnessCube cube = MakeRandomCube(&rng, 6, 4, 3);
+  for (size_t g = 0; g < 6; ++g) cube.Clear(g, 2, 1);
+  IndexSet indices = IndexSet::Build(cube);
+  std::vector<QuantificationRequest> requests;
+  for (TopKAlgorithm algorithm : kAllAlgorithms) {
+    QuantificationRequest request;
+    request.target = Dimension::kGroup;
+    request.k = 3;
+    request.missing = MissingCellPolicy::kZero;
+    request.agg1 = AxisSelector{{2, 2}};
+    request.agg2 = AxisSelector::Single(1);
+    request.algorithm = algorithm;
+    requests.push_back(request);
+  }
+  std::vector<Result<QuantificationResult>> batched =
+      SolveQuantificationBatch(cube, indices, requests);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(batched[i].ok()) << batched[i].status().message();
+    EXPECT_TRUE(batched[i]->answers.empty());
+    ExpectMatchesHashReference(cube, indices, requests[i],
+                               "request " + std::to_string(i));
+  }
+  ExpectBatchMatchesReference(cube, indices, requests);
+}
+
+// 72 selected lists of which only 9 hold cells: NRA still rejects the
+// selection by its width, and the other lanes of the group still compute.
+TEST(BatchExecTest, NraWidthLimitCountsEmptyLists) {
+  Rng rng(24);
+  UnfairnessCube cube = MakeRandomCube(&rng, 6, 9, 8, /*present_p=*/0.0);
+  for (size_t q = 0; q < 9; ++q) {
+    for (size_t g = 0; g < 6; ++g) cube.Set(g, q, q % 8, rng.NextDouble());
+  }
+  IndexSet indices = IndexSet::Build(cube);
+  QuantificationRequest nra;
+  nra.target = Dimension::kGroup;
+  nra.missing = MissingCellPolicy::kZero;
+  nra.algorithm = TopKAlgorithm::kNRA;
+  Result<QuantificationResult> single = SolveQuantification(cube, indices, nra);
+  ASSERT_FALSE(single.ok());
+  EXPECT_EQ(single.status().message(), "NRA supports at most 64 lists");
+  std::vector<QuantificationRequest> requests = {nra};
+  for (TopKAlgorithm algorithm :
+       {TopKAlgorithm::kThresholdAlgorithm, TopKAlgorithm::kFA,
+        TopKAlgorithm::kScan}) {
+    QuantificationRequest other = nra;
+    other.algorithm = algorithm;
+    requests.push_back(other);
+  }
+  ExpectBatchMatchesReference(cube, indices, requests);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ExpectMatchesHashReference(cube, indices, requests[i],
+                               "request " + std::to_string(i));
+  }
+}
+
+// TA lanes that stop before the group scorer switches to its table, and a
+// lane that reads everything and forces the switch, in one batch.
+TEST(BatchExecTest, ThresholdLanesBeforeAndAfterTheScorerSwitch) {
+  Rng rng(25);
+  UnfairnessCube cube = MakeRandomCube(&rng, 60, 4, 3, /*present_p=*/0.8);
+  for (size_t q = 0; q < 4; ++q) {
+    for (size_t l = 0; l < 3; ++l) cube.Set(7, q, l, 5.0 + rng.NextDouble());
+  }
+  IndexSet indices = IndexSet::Build(cube);
+  QuantificationRequest early;
+  early.target = Dimension::kGroup;
+  early.k = 1;
+  early.algorithm = TopKAlgorithm::kThresholdAlgorithm;
+  QuantificationRequest full = early;
+  full.missing = MissingCellPolicy::kZero;
+  full.direction = RankDirection::kLeastUnfair;  // no useful bound: reads all
+  full.k = 5;
+
+  // Entries over the 12 (all non-empty) lists.
+  size_t entries = 0;
+  for (const InvertedIndex* list : indices.ListsFor(
+           Dimension::kGroup, AxisSelector::All(), AxisSelector::All())) {
+    entries += list->size();
+  }
+  Result<QuantificationResult> early_run =
+      SolveQuantification(cube, indices, early);
+  Result<QuantificationResult> full_run =
+      SolveQuantification(cube, indices, full);
+  ASSERT_TRUE(early_run.ok() && full_run.ok());
+  EXPECT_LE(early_run->stats.ids_scored * 12, entries);
+  EXPECT_GT(full_run->stats.ids_scored * 12, entries);
+
+  ExpectBatchMatchesReference(cube, indices, {early});
+  ExpectBatchMatchesReference(cube, indices, {early, full});
+  ExpectBatchMatchesReference(cube, indices, {full, early});
+  ExpectMatchesHashReference(cube, indices, early, "early");
+  ExpectMatchesHashReference(cube, indices, full, "full");
+}
+
+// FA lanes of one direction share sorted access but stop at their own
+// rounds: a kZero lane with a small k stops early, and its phase-2
+// candidates are only the positions read by then, while a kSkip lane in the
+// same group reads every list to the end.
+TEST(BatchExecTest, FaLanesStopAtTheirOwnRounds) {
+  Rng rng(27);
+  UnfairnessCube cube = MakeRandomCube(&rng, 40, 4, 3, /*present_p=*/1.0);
+  // Group 7 heads every list and group 11 tails every list, so the k=1
+  // kZero lanes complete an id in the first round.
+  for (size_t q = 0; q < 4; ++q) {
+    for (size_t l = 0; l < 3; ++l) {
+      cube.Set(7, q, l, 5.0 + rng.NextDouble());
+      cube.Set(11, q, l, -5.0 - rng.NextDouble());
+    }
+  }
+  IndexSet indices = IndexSet::Build(cube);
+  std::vector<QuantificationRequest> requests;
+  for (RankDirection direction :
+       {RankDirection::kMostUnfair, RankDirection::kLeastUnfair}) {
+    for (size_t k : {size_t{1}, size_t{6}}) {
+      for (MissingCellPolicy missing :
+           {MissingCellPolicy::kZero, MissingCellPolicy::kSkip}) {
+        QuantificationRequest request;
+        request.target = Dimension::kGroup;
+        request.k = k;
+        request.direction = direction;
+        request.missing = missing;
+        request.algorithm = TopKAlgorithm::kFA;
+        requests.push_back(request);
+        request.allowed_targets = {0, 3, 4, 9, 17, 25, 31, 38};
+        requests.push_back(request);
+      }
+    }
+  }
+  std::vector<Result<QuantificationResult>> batched =
+      SolveQuantificationBatch(cube, indices, requests);
+  ASSERT_TRUE(batched[0].ok() && batched[2].ok());
+  // The kZero k=1 lane stopped after one round; the kSkip lane read on.
+  EXPECT_EQ(batched[0]->stats.rounds, 1u);
+  EXPECT_GT(batched[2]->stats.rounds, 1u);
+  ExpectBatchMatchesReference(cube, indices, requests);
+}
+
+// Every permutation of a selector multiset returns the same bits, for every
+// algorithm, single and batched.
+TEST(BatchExecTest, SelectorPermutationsGiveEqualBits) {
+  Rng rng(26);
+  UnfairnessCube cube =
+      MakeRandomCube(&rng, 9, 5, 4, /*present_p=*/0.8, /*negatives=*/true);
+  IndexSet indices = IndexSet::Build(cube);
+  for (TopKAlgorithm algorithm : kAllAlgorithms) {
+    SCOPED_TRACE(TopKAlgorithmName(algorithm));
+    QuantificationRequest base;
+    base.target = Dimension::kGroup;
+    base.k = 4;
+    base.missing = MissingCellPolicy::kZero;
+    base.algorithm = algorithm;
+    base.agg1.positions = {0, 1, 3, 3};
+    base.agg2.positions = {0, 2, 3};
+    Result<QuantificationResult> want =
+        SolveQuantification(cube, indices, base);
+    ASSERT_TRUE(want.ok()) << want.status().message();
+
+    std::vector<QuantificationRequest> spellings;
+    std::vector<size_t> agg1 = base.agg1.positions;
+    do {
+      std::vector<size_t> agg2 = base.agg2.positions;
+      do {
+        QuantificationRequest request = base;
+        request.agg1.positions = agg1;
+        request.agg2.positions = agg2;
+        spellings.push_back(request);
+      } while (std::next_permutation(agg2.begin(), agg2.end()));
+    } while (std::next_permutation(agg1.begin(), agg1.end()));
+    ASSERT_EQ(spellings.size(), 12u * 6u);
+
+    BatchExecStats stats;
+    std::vector<Result<QuantificationResult>> batched =
+        SolveQuantificationBatch(cube, indices, spellings, &stats);
+    EXPECT_EQ(stats.groups, 1u);
+    for (size_t i = 0; i < spellings.size(); ++i) {
+      const std::string label = "spelling " + std::to_string(i);
+      ExpectIdentical(SolveQuantification(cube, indices, spellings[i]), want,
+                      label);
+      ExpectIdentical(batched[i], want, label + " batched");
+    }
+  }
 }
 
 }  // namespace

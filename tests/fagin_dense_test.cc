@@ -4,8 +4,7 @@
 // every algorithm, direction, missing-cell policy and allowed-filter
 // variant, on cubes with missing cells, and after incremental index
 // maintenance. A dedicated binary (see tests/CMakeLists.txt) so CI can run
-// it directly under ASan/TSan; the parallel scoring cases below must be
-// TSan-clean.
+// it directly under ASan/TSan.
 
 #include <cstdint>
 #include <cstring>
@@ -16,9 +15,12 @@
 
 #include "common/rng.h"
 #include "core/fagin.h"
+#include "core/fagin_dense.h"
 #include "core/fagin_family.h"
 #include "core/fagin_reference.h"
 #include "core/indices.h"
+#include "core/quantification.h"
+#include "core/quantification_batch.h"
 #include "core/unfairness_cube.h"
 
 namespace fairjob {
@@ -54,11 +56,12 @@ UnfairnessCube MakeRandomCube(Rng& rng, size_t groups, size_t queries,
 }
 
 // Runs one configuration through both engines and checks full agreement:
-// same ok/error outcome, bitwise-equal answers, equal legacy stats fields,
-// and correct storage-engine attribution of the random accesses.
-void ExpectEnginesAgree(TopKAlgorithm algorithm,
-                        const std::vector<const InvertedIndex*>& lists,
-                        const TopKOptions& options) {
+// same ok/error outcome and message, bitwise-equal answers, equal legacy
+// stats fields, and correct storage-engine attribution of the random
+// accesses. Returns the dense run's stats.
+FaginStats ExpectEnginesAgree(TopKAlgorithm algorithm,
+                              const std::vector<const InvertedIndex*>& lists,
+                              const TopKOptions& options) {
   SCOPED_TRACE(::testing::Message()
                << "algorithm=" << TopKAlgorithmName(algorithm)
                << " k=" << options.k << " most_unfair="
@@ -75,12 +78,16 @@ void ExpectEnginesAgree(TopKAlgorithm algorithm,
   Result<std::vector<ScoredEntry>> ref =
       ReferenceRunTopK(algorithm, views, options, &ref_stats);
 
-  ASSERT_EQ(dense.ok(), ref.ok())
+  EXPECT_EQ(dense.ok(), ref.ok())
       << "dense: " << dense.status().message()
       << " / reference: " << ref.status().message();
-  if (!dense.ok()) return;
+  if (!dense.ok() || !ref.ok()) {
+    EXPECT_EQ(dense.status().message(), ref.status().message());
+    return dense_stats;
+  }
 
-  ASSERT_EQ(dense->size(), ref->size());
+  EXPECT_EQ(dense->size(), ref->size());
+  if (dense->size() != ref->size()) return dense_stats;
   for (size_t i = 0; i < dense->size(); ++i) {
     EXPECT_EQ((*dense)[i].pos, (*ref)[i].pos) << "entry " << i;
     EXPECT_EQ(BitsOf((*dense)[i].value), BitsOf((*ref)[i].value))
@@ -99,6 +106,7 @@ void ExpectEnginesAgree(TopKAlgorithm algorithm,
   EXPECT_EQ(dense_stats.hash_accesses, 0u);
   EXPECT_EQ(ref_stats.hash_accesses, ref_stats.random_accesses);
   EXPECT_EQ(ref_stats.dense_accesses, 0u);
+  return dense_stats;
 }
 
 constexpr TopKAlgorithm kAlgorithms[] = {
@@ -255,12 +263,10 @@ TEST(FaginDenseDifferential, UpsertGrowsAndRemoveClearsDenseColumn) {
   }
 }
 
-// Large selector fan-out: enough lists and a large enough universe to take
-// the parallel candidate-scoring path in ScanTopK and FA phase 2
-// (fagin_internal::kParallelScoringMinLists = 64, MinUniverse = 128). The
-// answers must still be bitwise-identical to the serial reference, and the
-// path must be TSan-clean.
-TEST(FaginDenseDifferential, ParallelScoringPathMatchesReference) {
+// Large selector fan-out: 70 dense lists over 160 positions, so ScanTopK
+// and FA's phase 2 score through the CandidateScorer's table pass. The
+// answers must still be bitwise-identical to the per-candidate reference.
+TEST(FaginDenseDifferential, WideFanOutTablePassMatchesReference) {
   Rng rng(13);
   constexpr size_t kUniverse = 160;
   constexpr size_t kLists = 70;
@@ -387,6 +393,230 @@ TEST(FaginDenseDifferential, EmptyAndSingletonListsAgree) {
   InvertedIndex single({{3, 0.75}});
   std::vector<const InvertedIndex*> lists = {&empty, &single, &empty};
   RunFullGrid(lists, 4, {3}, 2);
+}
+
+// InvertedIndex keeps one entry per position — the first in sorted order,
+// the one Find returns — so sorted access, random access and the scorer's
+// table pass all see the same value, and every algorithm, the batch path
+// and the hash reference agree.
+TEST(FaginDenseDifferential, DuplicatePositionsKeepTheFirstSortedEntry) {
+  InvertedIndex a({{3, 0.9}, {3, 0.1}, {1, 0.5}});
+  InvertedIndex b({{3, 0.2}, {1, 0.4}});
+  ASSERT_EQ(a.size(), 2u);
+  EXPECT_EQ(a.entry(0), (ScoredEntry{3, 0.9}));
+  EXPECT_EQ(a.entry(1), (ScoredEntry{1, 0.5}));
+  EXPECT_EQ(a.Find(3), std::optional<double>(0.9));
+  std::vector<const InvertedIndex*> lists = {&a, &b};
+  RunFullGrid(lists, 4, {1, 3}, 2);
+
+  // The same two lists as (query, location) columns of a cube over groups
+  // {1, 3}, answered by the single and batched solvers.
+  auto cube = UnfairnessCube::Make({0, 1, 2, 3}, {10, 11}, {20});
+  ASSERT_TRUE(cube.ok());
+  cube->Set(3, 0, 0, 0.9);
+  cube->Set(1, 0, 0, 0.5);
+  cube->Set(3, 1, 0, 0.2);
+  cube->Set(1, 1, 0, 0.4);
+  IndexSet indices = IndexSet::Build(*cube);
+  std::vector<QuantificationRequest> requests;
+  for (TopKAlgorithm algorithm : kAlgorithms) {
+    QuantificationRequest request;
+    request.target = Dimension::kGroup;
+    request.k = 2;
+    request.missing = MissingCellPolicy::kZero;
+    request.algorithm = algorithm;
+    requests.push_back(request);
+  }
+  std::vector<Result<QuantificationResult>> batched =
+      SolveQuantificationBatch(*cube, indices, requests);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    SCOPED_TRACE(TopKAlgorithmName(requests[i].algorithm));
+    Result<QuantificationResult> single =
+        SolveQuantification(*cube, indices, requests[i]);
+    ASSERT_TRUE(single.ok());
+    ASSERT_TRUE(batched[i].ok());
+    TopKOptions options;
+    options.k = 2;
+    options.missing = MissingCellPolicy::kZero;
+    Result<std::vector<ScoredEntry>> direct =
+        RunTopK(requests[i].algorithm, lists, options);
+    ASSERT_TRUE(direct.ok());
+    ASSERT_EQ(single->answers.size(), 2u);
+    ASSERT_EQ(batched[i]->answers.size(), 2u);
+    ASSERT_EQ(direct->size(), 2u);
+    for (size_t j = 0; j < 2; ++j) {
+      EXPECT_EQ(single->answers[j].id, (*direct)[j].pos);
+      EXPECT_EQ(BitsOf(single->answers[j].value), BitsOf((*direct)[j].value));
+      EXPECT_EQ(batched[i]->answers[j].id, (*direct)[j].pos);
+      EXPECT_EQ(BitsOf(batched[i]->answers[j].value),
+                BitsOf((*direct)[j].value));
+    }
+    EXPECT_EQ(single->answers[0].id, 3);
+    EXPECT_EQ(single->answers[0].value, (0.9 + 0.2) / 2.0);
+  }
+}
+
+// A cube in which at least 90% of the (query, location) columns hold no
+// cell at all: the group-target selection is mostly empty lists, which the
+// engines drop while keeping the selected count for kZero denominators,
+// FA's completeness test and the access counters.
+TEST(FaginDenseDifferential, MostlyEmptyColumnsFullGrid) {
+  Rng rng(23);
+  constexpr size_t kGroups = 12;
+  constexpr size_t kQueries = 10;
+  constexpr size_t kLocations = 6;
+  UnfairnessCube cube = MakeRandomCube(rng, kGroups, kQueries, kLocations, 0.0);
+  size_t live_columns = 0;
+  for (size_t q = 0; q < kQueries; ++q) {
+    for (size_t l = 0; l < kLocations; ++l) {
+      if (!rng.NextBernoulli(0.08) && !(q == 2 && l == 3)) continue;
+      ++live_columns;
+      for (size_t g = 0; g < kGroups; ++g) {
+        if (rng.NextBernoulli(0.7)) cube.Set(g, q, l, rng.NextDouble());
+      }
+    }
+  }
+  ASSERT_LE(live_columns * 10, kQueries * kLocations);
+  IndexSet indices = IndexSet::Build(cube);
+  for (Dimension target :
+       {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
+    SCOPED_TRACE(DimensionName(target));
+    std::vector<const InvertedIndex*> lists =
+        indices.ListsFor(target, AxisSelector::All(), AxisSelector::All());
+    size_t universe = cube.axis_size(target);
+    std::vector<int32_t> allowed;
+    for (size_t pos = 1; pos < universe; pos += 2) {
+      allowed.push_back(static_cast<int32_t>(pos));
+    }
+    for (size_t k : {size_t{1}, size_t{4}, universe + 1}) {
+      RunFullGrid(lists, universe, allowed, k);
+    }
+  }
+}
+
+// A selection whose lists are all empty still succeeds with no answers and
+// the reference's counters.
+TEST(FaginDenseDifferential, AllEmptySelectionReturnsNoAnswers) {
+  InvertedIndex empty({});
+  std::vector<const InvertedIndex*> lists = {&empty, &empty, &empty};
+  RunFullGrid(lists, 5, {0, 4}, 3);
+  for (TopKAlgorithm algorithm : kAlgorithms) {
+    TopKOptions options;
+    options.k = 3;
+    options.missing = MissingCellPolicy::kZero;
+    Result<std::vector<ScoredEntry>> top = RunTopK(algorithm, lists, options);
+    ASSERT_TRUE(top.ok()) << TopKAlgorithmName(algorithm);
+    EXPECT_TRUE(top->empty());
+  }
+}
+
+// More than 64 selected lists of which at most 64 are non-empty: NRA's
+// width limit counts the selection, so its error is unchanged, while the
+// other algorithms answer over the non-empty lists.
+TEST(FaginDenseDifferential, NraWidthLimitCountsSelectedLists) {
+  Rng rng(29);
+  std::vector<InvertedIndex> store;
+  store.reserve(70);
+  for (size_t l = 0; l < 70; ++l) {
+    std::vector<ScoredEntry> entries;
+    if (l % 7 == 0) {
+      for (int32_t pos = 0; pos < 20; ++pos) {
+        if (rng.NextBernoulli(0.6)) entries.push_back({pos, rng.NextDouble()});
+      }
+    }
+    store.emplace_back(std::move(entries));
+  }
+  std::vector<const InvertedIndex*> lists;
+  for (const InvertedIndex& list : store) lists.push_back(&list);
+  TopKOptions options;
+  options.k = 3;
+  options.missing = MissingCellPolicy::kZero;
+  Result<std::vector<ScoredEntry>> nra = FaginNRA(lists, options);
+  ASSERT_FALSE(nra.ok());
+  EXPECT_EQ(nra.status().message(), "NRA supports at most 64 lists");
+  RunFullGrid(lists, 20, {2, 5, 11, 17}, 3);
+}
+
+// TA answers random accesses per candidate until they would exceed the
+// entry count of the lists, then from the scorer's table. A skewed run
+// that stops early never switches; a run that reads everything does. Both
+// must match the reference exactly.
+TEST(FaginDenseDifferential, ThresholdRunsBeforeAndAfterTheScorerSwitch) {
+  Rng rng(31);
+  constexpr size_t kUniverse = 200;
+  std::vector<InvertedIndex> store;
+  size_t entries = 0;
+  for (size_t l = 0; l < 8; ++l) {
+    std::vector<ScoredEntry> list;
+    for (size_t pos = 0; pos < kUniverse; ++pos) {
+      // A few hot positions lead every list, so TA stops after a few rounds;
+      // the rest are present in most lists, not all.
+      if (pos >= 3 && rng.NextBernoulli(0.3)) continue;
+      double value = pos < 3 ? 10.0 + rng.NextDouble() : rng.NextDouble();
+      list.push_back({static_cast<int32_t>(pos), value});
+    }
+    entries += list.size();
+    store.emplace_back(std::move(list));
+  }
+  store.emplace_back(std::vector<ScoredEntry>{});  // one empty list
+  std::vector<const InvertedIndex*> lists;
+  for (const InvertedIndex& list : store) lists.push_back(&list);
+  const size_t width = 8;  // non-empty lists, one dense load each
+
+  TopKOptions early;
+  early.k = 2;
+  early.missing = MissingCellPolicy::kSkip;
+  early.universe_hint = kUniverse;
+  FaginStats before = ExpectEnginesAgree(TopKAlgorithm::kThresholdAlgorithm,
+                                         lists, early);
+  EXPECT_LE(before.ids_scored * width, entries);
+
+  // kZero bottom-k has no useful bound: TA reads every list to the end and
+  // scores every position, so the scorer switches to its table.
+  TopKOptions full = early;
+  full.missing = MissingCellPolicy::kZero;
+  full.direction = RankDirection::kLeastUnfair;
+  FaginStats after = ExpectEnginesAgree(TopKAlgorithm::kThresholdAlgorithm,
+                                        lists, full);
+  EXPECT_GT(after.ids_scored * width, entries);
+}
+
+// The scorer returns the same bits and counters from random access and from
+// its table, and switches exactly when the next candidate's loads would
+// exceed the entry count.
+TEST(FaginDenseDifferential, CandidateScorerSwitchesAtTheEntryCount) {
+  InvertedIndex a({{0, 0.1}, {1, 0.7}, {2, 0.3}});
+  InvertedIndex b({{1, 0.2}, {2, 0.9}});
+  InvertedIndex empty({});
+  fagin_internal::ListSet set =
+      fagin_internal::GatherNonEmpty({&a, &empty, &b});
+  ASSERT_EQ(set.lists.size(), 2u);
+  EXPECT_EQ(set.selected, 3u);
+  EXPECT_EQ(set.entries, 5u);
+
+  fagin_internal::CandidateScorer scorer(set, 3);
+  FaginStats stats;
+  std::optional<double> first =
+      scorer.Aggregate(1, MissingCellPolicy::kZero, &stats);  // 2 of 5 loads
+  EXPECT_FALSE(scorer.filled());
+  std::optional<double> second =
+      scorer.Aggregate(2, MissingCellPolicy::kSkip, &stats);  // 4 of 5 loads
+  EXPECT_FALSE(scorer.filled());
+  std::optional<double> third =
+      scorer.Aggregate(1, MissingCellPolicy::kZero, &stats);  // would be 6
+  EXPECT_TRUE(scorer.filled());
+  ASSERT_TRUE(first.has_value() && second.has_value() && third.has_value());
+  EXPECT_EQ(BitsOf(*first), BitsOf((0.7 + 0.2) / 3.0));
+  EXPECT_EQ(BitsOf(*second), BitsOf((0.3 + 0.9) / 2.0));
+  EXPECT_EQ(BitsOf(*third), BitsOf(*first));
+  EXPECT_EQ(stats.random_accesses, 9u);  // 3 selected lists per candidate
+  EXPECT_EQ(stats.dense_accesses, 9u);
+
+  fagin_internal::CandidateScorer bulk(set, 3);
+  bulk.Expect(2);  // 4 loads fit in 5 entries
+  EXPECT_FALSE(bulk.filled());
+  bulk.Expect(3);  // 6 do not
+  EXPECT_TRUE(bulk.filled());
 }
 
 }  // namespace
