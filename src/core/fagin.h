@@ -2,6 +2,7 @@
 #define FAIRJOB_CORE_FAGIN_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -43,12 +44,12 @@ struct FaginStats {
 };
 
 // Publishes one run's stats to the global MetricsRegistry under
-// "fagin.<algorithm>.*" (runs, access counts, rounds, threshold checks and a
-// latency histogram); no-op while metrics are disabled. Called by every
-// member of the family; exposed so future serving layers can attribute runs
-// to their own algorithm labels.
+// "fagin.<algorithm>.*" (runs, access counts, rounds, threshold checks and,
+// when `elapsed_us` is given, a latency sample); no-op while metrics are
+// disabled. Every lane of the engine calls it once; a lane run inside a
+// batch passes no latency, because a shared pass has none per lane.
 void RecordFaginMetrics(const char* algorithm, const FaginStats& stats,
-                        double elapsed_us);
+                        std::optional<double> elapsed_us);
 
 // Options for a top-k run.
 struct TopKOptions {

@@ -13,13 +13,16 @@
 #include "core/fagin_family.h"
 #include "core/indices.h"
 
-// Internal helpers for the dense Fagin engine, shared by fagin.cc,
-// fagin_family.cc and quantification_batch.cc. Axis positions are dense
-// 0..N-1 cube coordinates, so all per-run candidate state lives in flat
-// position-indexed arrays: the allowed filter is a byte bitmap, random
-// accesses are O(1) column loads, and candidate aggregates come from one
-// CandidateScorer that switches from per-candidate random access to a
-// single list-order pass once that pass is the cheaper of the two.
+// Internal interface of the dense Fagin engine. The engine itself — the
+// TA, FA, NRA and scan lane runners — lives in quantification_batch.cc;
+// fagin_family.cc (the public list APIs) reaches it through RunLaneGroup,
+// and tests/fagin_dense_test.cc drives the gather and the scorer directly.
+// Axis positions are dense 0..N-1 cube coordinates, so all per-run
+// candidate state lives in flat position-indexed arrays: the allowed filter
+// is a byte bitmap, random accesses are O(1) column loads, and candidate
+// aggregates come from one CandidateScorer that switches from per-candidate
+// random access to a single list-order pass once that pass is the cheaper
+// of the two.
 
 namespace fairjob {
 namespace fagin_internal {
@@ -83,37 +86,9 @@ inline void KeepTopK(std::vector<ScoredEntry>* out, size_t k,
   SortResults(out, dir);
 }
 
-// Request-shape validation shared by every engine (and replicated lane-wise
-// by the batched executor, which must reject exactly the requests the
-// per-request engines reject, with the same messages). The vector form
-// checks caller-built lists before they are gathered; the ListSet form
-// checks a gathered selection.
-inline Status ValidateTopK(const std::vector<const InvertedIndex*>& lists,
-                           size_t k) {
-  if (k == 0) return Status::InvalidArgument("k must be positive");
-  if (lists.empty()) {
-    return Status::InvalidArgument("top-k needs at least one inverted list");
-  }
-  for (const InvertedIndex* list : lists) {
-    if (list == nullptr) {
-      return Status::InvalidArgument("null inverted list");
-    }
-  }
-  return Status::OK();
-}
-
-inline Status ValidateTopK(const ListSet& set, size_t k) {
-  if (k == 0) return Status::InvalidArgument("k must be positive");
-  if (set.selected == 0) {
-    return Status::InvalidArgument("top-k needs at least one inverted list");
-  }
-  return Status::OK();
-}
-
 // Bound on the aggregate of any id never returned by sorted access so far —
 // TA's termination bound. Pure in (lists, cursors, direction, missing), so
-// the batched executor evaluates it per lane against shared cursors and
-// gets the same bound the per-request run would.
+// TA lanes evaluate it against their group's shared cursors.
 inline double ThresholdBound(const ListSet& set,
                              const std::vector<size_t>& cursors,
                              const TopKOptions& opt) {
@@ -285,11 +260,10 @@ class CandidateScorer {
   std::vector<uint32_t> counts_;
 };
 
-// FA's phase 2, shared with the batch FA lanes: scores the positions
-// sorted access has seen, in the given ascending order, and keeps the best
-// k. The candidate count is known up front, so the scorer decides once
-// whether one pass over the entries is cheaper than per-candidate random
-// access.
+// FA's phase 2, run per FA lane: scores the positions sorted access has
+// seen, in the given ascending order, and keeps the best k. The candidate
+// count is known up front, so the scorer decides once whether one pass over
+// the entries is cheaper than per-candidate random access.
 inline std::vector<ScoredEntry> ScoreSeenCandidates(
     const std::vector<int32_t>& candidates, const TopKOptions& options,
     CandidateScorer* scorer, FaginStats* stats) {
@@ -306,25 +280,28 @@ inline std::vector<ScoredEntry> ScoreSeenCandidates(
   return scored;
 }
 
-// The family's engines over a gathered selection. The public entry points
-// in fagin.h / fagin_family.h validate caller-built lists and gather them;
-// SolveQuantification gathers from the indices and calls these directly.
-Result<std::vector<ScoredEntry>> ThresholdTopK(const ListSet& set,
-                                               const TopKOptions& options,
-                                               FaginStats* stats);
-Result<std::vector<ScoredEntry>> ScanTopK(const ListSet& set,
-                                          const TopKOptions& options,
-                                          FaginStats* stats);
-Result<std::vector<ScoredEntry>> FaginFA(const ListSet& set,
-                                         const TopKOptions& options,
-                                         FaginStats* stats);
-Result<std::vector<ScoredEntry>> FaginNRA(const ListSet& set,
-                                          const TopKOptions& options,
-                                          FaginStats* stats);
-Result<std::vector<ScoredEntry>> RunTopK(TopKAlgorithm algorithm,
-                                         const ListSet& set,
-                                         const TopKOptions& options,
-                                         FaginStats* stats);
+// One top-k request over a gathered ListSet: a lane of the Problem-1
+// engine. The caller fills `algorithm`, `options` and (optionally) the
+// starting `stats`; RunLaneGroup fills the rest.
+struct Lane {
+  TopKAlgorithm algorithm = TopKAlgorithm::kThresholdAlgorithm;
+  TopKOptions options;
+  Status status;                     // engine validation; entries need ok()
+  FaginStats stats;                  // counters accumulate onto these
+  std::vector<ScoredEntry> entries;  // best-first for the direction
+  std::vector<uint8_t> allowed_scratch;
+  const uint8_t* allowed = nullptr;  // options.allowed as a bitmap
+};
+
+// The one TA / FA / NRA / scan engine (quantification_batch.cc). Validates
+// every lane against `set` (k, an empty selection, NRA's policy, direction
+// and width limits), then runs the valid ones in shared passes over the
+// lists: one CandidateScorer per call, one sorted-access pass per algorithm
+// and direction. A lane's answers and stats do not depend on the other
+// lanes. Each valid lane publishes its stats via RecordFaginMetrics under
+// fagin.<ta|fa|nra|scan>.*; a group run `alone` (a single request, not part
+// of a batch) also records the run's latency.
+void RunLaneGroup(const ListSet& set, std::vector<Lane>* lanes, bool alone);
 
 }  // namespace fagin_internal
 }  // namespace fairjob

@@ -27,7 +27,14 @@ namespace fairjob {
 //    are not monotone); requests with kSkip are rejected as
 //    InvalidArgument.
 //
-// Errors: as FaginTopK, plus the NRA restriction above.
+// Errors: as FaginTopK, plus the NRA restriction above and NRA's limit of
+// 64 lists.
+//
+// Every entry point here and in fagin.h gathers the non-empty lists and
+// runs the request as a lane group of one through the batch engine's lane
+// runners (core/quantification_batch.cc), the one TA / FA / NRA / scan
+// implementation; the hash engine in core/fagin_reference.h is the
+// independent reference.
 Result<std::vector<ScoredEntry>> FaginFA(
     const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
     FaginStats* stats = nullptr);
@@ -46,7 +53,8 @@ enum class TopKAlgorithm {
 
 const char* TopKAlgorithmName(TopKAlgorithm algorithm);
 
-// Dispatches to FaginTopK / FaginFA / FaginNRA / ScanTopK.
+// Runs `algorithm` over `lists`; FaginTopK, ScanTopK, FaginFA and FaginNRA
+// are this call with their algorithm fixed.
 Result<std::vector<ScoredEntry>> RunTopK(
     TopKAlgorithm algorithm, const std::vector<const InvertedIndex*>& lists,
     const TopKOptions& options, FaginStats* stats = nullptr);

@@ -1,16 +1,47 @@
 #include "core/fagin_reference.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <unordered_set>
 
-#include "core/fagin_run_metrics.h"
+#include "common/metrics.h"
 
 namespace fairjob {
 namespace {
 
-using fagin_internal::MeteredRun;
+// Run-scope frame of every reference engine: redirects a null caller
+// `stats` to local storage so the metrics layer always has access counts,
+// times the run, and publishes via RecordFaginMetrics on destruction. When
+// metrics are disabled the frame costs one relaxed atomic load and no clock
+// reads.
+class MeteredRun {
+ public:
+  MeteredRun(const char* algorithm, FaginStats** stats)
+      : algorithm_(algorithm), timed_(MetricsRegistry::Global().enabled()) {
+    if (*stats == nullptr) *stats = &local_;
+    stats_ = *stats;
+    if (timed_) start_ = std::chrono::steady_clock::now();
+  }
+  ~MeteredRun() {
+    if (!timed_) return;
+    RecordFaginMetrics(algorithm_, *stats_,
+                       std::chrono::duration<double, std::micro>(
+                           std::chrono::steady_clock::now() - start_)
+                           .count());
+  }
+
+  MeteredRun(const MeteredRun&) = delete;
+  MeteredRun& operator=(const MeteredRun&) = delete;
+
+ private:
+  const char* algorithm_;
+  bool timed_;
+  FaginStats local_;
+  FaginStats* stats_;
+  std::chrono::steady_clock::time_point start_;
+};
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 

@@ -1,9 +1,7 @@
 #include "core/quantification.h"
 
 #include <algorithm>
-
-#include "common/trace.h"
-#include "core/fagin_dense.h"
+#include <string>
 
 namespace fairjob {
 namespace {
@@ -62,42 +60,6 @@ Status ValidateQuantificationRequest(const UnfairnessCube& cube,
     }
   }
   return Status::OK();
-}
-
-Result<QuantificationResult> SolveQuantification(
-    const UnfairnessCube& cube, const IndexSet& indices,
-    const QuantificationRequest& request) {
-  TraceSpan span("SolveQuantification", "quantification");
-  FAIRJOB_RETURN_IF_ERROR(ValidateQuantificationRequest(cube, request));
-
-  // Gather in canonical selector order and drop the empty lists once; the
-  // engines read only the non-empty ones and keep the selected count.
-  fagin_internal::ListSet lists = fagin_internal::GatherNonEmpty(
-      indices.ListsFor(request.target, CanonicalSelector(request.agg1),
-                       CanonicalSelector(request.agg2)));
-
-  TopKOptions options;
-  options.k = request.k;
-  options.direction = request.direction;
-  options.missing = request.missing;
-  options.allowed =
-      request.allowed_targets.empty() ? nullptr : &request.allowed_targets;
-  // The target axis size bounds every list position, so the dense engine can
-  // size its flat accumulators and bitmaps without scanning the lists.
-  options.universe_hint = cube.axis_size(request.target);
-
-  QuantificationResult result;
-  Result<std::vector<ScoredEntry>> top =
-      fagin_internal::RunTopK(request.algorithm, lists, options,
-                              &result.stats);
-  if (!top.ok()) return top.status();
-
-  result.answers.reserve(top->size());
-  for (const ScoredEntry& e : *top) {
-    result.answers.push_back(QuantificationAnswer{
-        cube.axis_id(request.target, static_cast<size_t>(e.pos)), e.value});
-  }
-  return result;
 }
 
 }  // namespace fairjob

@@ -59,7 +59,8 @@ AxisSelector CanonicalSelector(const AxisSelector& selector);
 Status ValidateQuantificationRequest(const UnfairnessCube& cube,
                                      const QuantificationRequest& request);
 
-// Solves Problem 1 against a cube and its pre-built indices. Errors:
+// Solves Problem 1 against a cube and its pre-built indices: one lane of
+// the batch engine (quantification_batch.h), run alone. Errors:
 // InvalidArgument on malformed requests (k = 0, selector positions out of
 // range).
 Result<QuantificationResult> SolveQuantification(

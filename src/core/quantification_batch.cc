@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <utility>
 
+#include "common/metrics.h"
 #include "common/trace.h"
 #include "core/fagin_dense.h"
 #include "ranking/simd.h"
@@ -22,13 +23,13 @@ using fagin_internal::CandidateScorer;
 using fagin_internal::GatherNonEmpty;
 using fagin_internal::IsAllowed;
 using fagin_internal::KeepTopK;
+using fagin_internal::Lane;
 using fagin_internal::ListSet;
 using fagin_internal::PositionSum;
 using fagin_internal::ScoreSeenCandidates;
 using fagin_internal::SortResults;
 using fagin_internal::ThresholdBound;
 using fagin_internal::UniverseOf;
-using fagin_internal::ValidateTopK;
 
 // A request's selector group: its target and canonical selectors.
 struct SelectorKey {
@@ -58,23 +59,14 @@ uint64_t SelectorHash(const SelectorKey& key) {
   return h;
 }
 
-// One valid request inside a selector group: its engine options, the output
-// slots, and the lane-local allowed bitmap.
-struct Lane {
-  size_t request_index = 0;
-  TopKOptions options;
-  FaginStats stats;
-  std::vector<ScoredEntry> entries;  // engine output, pre-axis-id mapping
-  std::vector<uint8_t> allowed_scratch;
-  const uint8_t* allowed = nullptr;
-};
-
-// Engine-eligibility checks with exactly the per-request precedence and
-// messages: ValidateTopK first (all engines), then NRA's policy, direction
-// and width restrictions in FaginNRA's order.
+// Engine-eligibility checks of a lane over a gathered selection: k, an
+// empty selection, then NRA's policy, direction and width restrictions.
 Status ValidateForEngine(TopKAlgorithm algorithm, const ListSet& set,
                          const TopKOptions& options) {
-  FAIRJOB_RETURN_IF_ERROR(ValidateTopK(set, options.k));
+  if (options.k == 0) return Status::InvalidArgument("k must be positive");
+  if (set.selected == 0) {
+    return Status::InvalidArgument("top-k needs at least one inverted list");
+  }
   if (algorithm == TopKAlgorithm::kNRA) {
     if (options.missing != MissingCellPolicy::kZero) {
       return Status::InvalidArgument(
@@ -90,6 +82,21 @@ Status ValidateForEngine(TopKAlgorithm algorithm, const ListSet& set,
     }
   }
   return Status::OK();
+}
+
+// The label of a lane's fagin.<label>.* metrics.
+const char* MetricLabel(TopKAlgorithm algorithm) {
+  switch (algorithm) {
+    case TopKAlgorithm::kThresholdAlgorithm:
+      return "ta";
+    case TopKAlgorithm::kFA:
+      return "fa";
+    case TopKAlgorithm::kNRA:
+      return "nra";
+    case TopKAlgorithm::kScan:
+      return "scan";
+  }
+  return "?";
 }
 
 // --- Scan lanes ----------------------------------------------------------
@@ -160,8 +167,11 @@ void RunScanLanes(const ListSet& set, size_t universe,
 }
 
 // --- TA lanes ------------------------------------------------------------
-// In per-request TA the cursors advance identically every round regardless
-// of k / allowed / missing — only the direction changes the access pattern.
+// Fagin's Threshold Algorithm (the paper's Algorithm 1): round-robin sorted
+// access, random access to complete each newly seen id's aggregate, and a
+// per-policy bound on unseen ids for early termination (ThresholdBound).
+// The cursors advance identically every round regardless of k / allowed /
+// missing — only the direction changes the access pattern.
 // So all TA lanes of one direction share the round-robin sorted access, and
 // with it the seen set: a lane is active from the first round until it
 // stops, so while active it has read every entry read so far, and a
@@ -245,14 +255,16 @@ void RunTaLanes(const ListSet& set, size_t universe, RankDirection direction,
 }
 
 // --- FA lanes ------------------------------------------------------------
-// Phase 1 (round-robin sorted access) is shared per direction exactly like
-// TA, and so are the seen counts: an active lane's count of a position is
+// Fagin's original algorithm: round-robin sorted access until k ids are
+// complete (seen on every selected list), then random access to score every
+// id seen. Early stopping is only sound under kZero; kSkip lanes read every
+// list. Phase 1 is shared per direction exactly like TA, and so are the
+// seen counts: an active lane's count of a position is
 // the group's count when the lane allows it and 0 otherwise. Each lane
 // stops when k of its allowed ids are complete on every selected list
 // (kZero only); its phase-2 candidates are the allowed positions first read
 // no later than its last round. Phase 2 scores them in ascending position
-// order against the group CandidateScorer, as per-request FA's phase 2
-// does.
+// order against the group CandidateScorer.
 void RunFaLanes(const ListSet& set, size_t universe, RankDirection direction,
                 const std::vector<Lane*>& lanes, CandidateScorer* scorer) {
   const std::vector<const InvertedIndex*>& lists = set.lists;
@@ -322,11 +334,22 @@ void RunFaLanes(const ListSet& set, size_t universe, RankDirection direction,
 }
 
 // --- NRA lanes -----------------------------------------------------------
-// Direct multi-lane transcription of FaginNRA: the sorted access (always
-// from the top — NRA is kMostUnfair + kZero only) and the per-round
-// frontier bounds are shared, the bound bookkeeping is per lane. The
-// `monotone` fast path depends only on the lists, so it is decided once for
-// the whole group.
+// No random access: each lane keeps [lower, upper] bounds per seen id from
+// sorted access alone — the partial sum of known entries over the selected
+// count (unknown entries are 0 under kZero) and that plus the frontiers of
+// the lists that have not shown the id — and stops once its k-th best lower
+// bound reaches every other id's upper bound. The returned ids then get
+// exact aggregates from the scorer (a k·L random-access epilogue; classic
+// NRA would return bounds). The sorted access (always from the top — NRA is
+// kMostUnfair + kZero only) and the per-round frontier bounds are shared,
+// the bound bookkeeping is per lane.
+//
+// Lower bounds are compared under the total order (value desc, pos asc),
+// which makes a lane's current top-k unique. When every list value is
+// non-negative the bounds never decrease, so the top-k is kept
+// incrementally from the positions touched per round; negative values fall
+// back to an nth_element per check. That `monotone` choice depends only on
+// the lists, so it is made once for the whole group.
 void RunNraLanes(const ListSet& set, size_t universe,
                  const std::vector<Lane*>& lanes, CandidateScorer* scorer) {
   struct NraState {
@@ -374,7 +397,7 @@ void RunNraLanes(const ListSet& set, size_t universe,
   std::vector<size_t> cursors(num_lists, 0);
   std::vector<double> frontiers(num_lists, 0.0);
   // The entries read this round: every active lane replays them in list
-  // order, exactly the order its per-request run would have seen.
+  // order.
   std::vector<std::pair<size_t, const ScoredEntry*>> reads;
   size_t active = states.size();
   while (active > 0) {
@@ -476,7 +499,10 @@ void RunNraLanes(const ListSet& set, size_t universe,
         }
       }
 
-      double outside_upper_raw = frontier_sum;
+      // Upper bound of any id outside the top-k (seen or unseen), maxed over
+      // raw sums and divided once: correctly rounded division by a positive
+      // constant is monotone, so the quotient equals dividing each term.
+      double outside_upper_raw = frontier_sum;  // a fully unseen id
       for (int32_t pos : s.seen_positions) {
         const size_t p = static_cast<size_t>(pos);
         if (s.in_top[p] != 0) continue;
@@ -527,7 +553,126 @@ void RunNraLanes(const ListSet& set, size_t universe,
   }
 }
 
+// The lane of one valid request. Its universe hint is the target axis
+// size, which bounds every list position.
+Lane LaneFor(const UnfairnessCube& cube, const QuantificationRequest& request) {
+  Lane lane;
+  lane.algorithm = request.algorithm;
+  lane.options.k = request.k;
+  lane.options.direction = request.direction;
+  lane.options.missing = request.missing;
+  lane.options.allowed =
+      request.allowed_targets.empty() ? nullptr : &request.allowed_targets;
+  lane.options.universe_hint = cube.axis_size(request.target);
+  return lane;
+}
+
+// A finished valid lane as a result: positions mapped to target axis ids.
+QuantificationResult ResultOf(const UnfairnessCube& cube, Dimension target,
+                              const Lane& lane) {
+  QuantificationResult result;
+  result.stats = lane.stats;
+  result.answers.reserve(lane.entries.size());
+  for (const ScoredEntry& e : lane.entries) {
+    result.answers.push_back(QuantificationAnswer{
+        cube.axis_id(target, static_cast<size_t>(e.pos)), e.value});
+  }
+  return result;
+}
+
 }  // namespace
+
+namespace fagin_internal {
+
+void RunLaneGroup(const ListSet& set, std::vector<Lane>* lanes, bool alone) {
+  using Clock = std::chrono::steady_clock;
+  TraceSpan span("RunLaneGroup", "fagin");
+  const bool timed = alone && MetricsRegistry::Global().enabled();
+  const Clock::time_point start = timed ? Clock::now() : Clock::time_point{};
+
+  size_t hint = 0;
+  for (const Lane& lane : *lanes) {
+    hint = std::max(hint, lane.options.universe_hint);
+  }
+  const size_t universe = UniverseOf(set, hint);
+
+  std::vector<Lane*> scan_lanes;
+  std::vector<Lane*> ta_most;
+  std::vector<Lane*> ta_least;
+  std::vector<Lane*> fa_most;
+  std::vector<Lane*> fa_least;
+  std::vector<Lane*> nra_lanes;
+  for (Lane& lane : *lanes) {
+    lane.status = ValidateForEngine(lane.algorithm, set, lane.options);
+    if (!lane.status.ok()) continue;
+    lane.allowed = BuildAllowedBitmap(lane.options.allowed, universe,
+                                      &lane.allowed_scratch);
+    const bool most = lane.options.direction == RankDirection::kMostUnfair;
+    switch (lane.algorithm) {
+      case TopKAlgorithm::kScan:
+        scan_lanes.push_back(&lane);
+        break;
+      case TopKAlgorithm::kThresholdAlgorithm:
+        (most ? ta_most : ta_least).push_back(&lane);
+        break;
+      case TopKAlgorithm::kFA:
+        (most ? fa_most : fa_least).push_back(&lane);
+        break;
+      case TopKAlgorithm::kNRA:
+        nra_lanes.push_back(&lane);
+        break;
+    }
+  }
+
+  // One scorer per group: scan passes, TA random accesses, FA phase-2
+  // sweeps and NRA epilogues all aggregate the same lists, so they share
+  // one random-access budget and at most one table pass.
+  CandidateScorer scorer(set, universe);
+  if (!scan_lanes.empty()) RunScanLanes(set, universe, scan_lanes, &scorer);
+  if (!ta_most.empty()) {
+    RunTaLanes(set, universe, RankDirection::kMostUnfair, ta_most, &scorer);
+  }
+  if (!ta_least.empty()) {
+    RunTaLanes(set, universe, RankDirection::kLeastUnfair, ta_least, &scorer);
+  }
+  if (!fa_most.empty()) {
+    RunFaLanes(set, universe, RankDirection::kMostUnfair, fa_most, &scorer);
+  }
+  if (!fa_least.empty()) {
+    RunFaLanes(set, universe, RankDirection::kLeastUnfair, fa_least, &scorer);
+  }
+  if (!nra_lanes.empty()) RunNraLanes(set, universe, nra_lanes, &scorer);
+
+  std::optional<double> elapsed_us;
+  if (timed) {
+    elapsed_us =
+        std::chrono::duration<double, std::micro>(Clock::now() - start).count();
+  }
+  for (const Lane& lane : *lanes) {
+    if (lane.status.ok()) {
+      RecordFaginMetrics(MetricLabel(lane.algorithm), lane.stats, elapsed_us);
+    }
+  }
+}
+
+}  // namespace fagin_internal
+
+Result<QuantificationResult> SolveQuantification(
+    const UnfairnessCube& cube, const IndexSet& indices,
+    const QuantificationRequest& request) {
+  TraceSpan span("SolveQuantification", "quantification");
+  FAIRJOB_RETURN_IF_ERROR(ValidateQuantificationRequest(cube, request));
+  // A lane group of one, without the batch's grouping. Lists are gathered
+  // in canonical selector order, as the batch gathers each group's.
+  const ListSet lists = GatherNonEmpty(
+      indices.ListsFor(request.target, CanonicalSelector(request.agg1),
+                       CanonicalSelector(request.agg2)));
+  std::vector<Lane> lanes;
+  lanes.push_back(LaneFor(cube, request));
+  fagin_internal::RunLaneGroup(lists, &lanes, /*alone=*/true);
+  if (!lanes[0].status.ok()) return lanes[0].status;
+  return ResultOf(cube, request.target, lanes[0]);
+}
 
 std::vector<Result<QuantificationResult>> SolveQuantificationBatch(
     const UnfairnessCube& cube, const IndexSet& indices,
@@ -579,113 +724,43 @@ std::vector<Result<QuantificationResult>> SolveQuantificationBatch(
         indices.ListsFor(key.target, key.agg1, key.agg2));
     ++exec_stats->groups;
     exec_stats->lists_gathered += lists.selected;
-    const size_t universe = UniverseOf(lists, cube.axis_size(key.target));
+    // Every member demands the lists, including the ones the engine then
+    // rejects: a single run of those gathers the lists too.
+    exec_stats->lists_demanded += group.members.size() * lists.selected;
 
-    // Build the group's lanes; engine-invalid requests error out here with
-    // exactly the per-request status (their per-request run would have
-    // gathered the lists too, so they still count as demand).
     std::vector<Lane> lanes;
     lanes.reserve(group.members.size());
-    for (size_t i : group.members) {
-      const QuantificationRequest& request = requests[i];
-      exec_stats->lists_demanded += lists.selected;
-      TopKOptions options;
-      options.k = request.k;
-      options.direction = request.direction;
-      options.missing = request.missing;
-      options.allowed = request.allowed_targets.empty()
-                            ? nullptr
-                            : &request.allowed_targets;
-      options.universe_hint = cube.axis_size(request.target);
-      Status valid = ValidateForEngine(request.algorithm, lists, options);
-      if (!valid.ok()) {
-        errors[i] = std::move(valid);
+    for (size_t i : group.members) lanes.push_back(LaneFor(cube, requests[i]));
+    fagin_internal::RunLaneGroup(lists, &lanes, /*alone=*/false);
+
+    bool scanned = false;
+    for (size_t j = 0; j < lanes.size(); ++j) {
+      const size_t i = group.members[j];
+      const Lane& lane = lanes[j];
+      if (!lane.status.ok()) {
+        errors[i] = lane.status;
         ++exec_stats->invalid;
         continue;
       }
-      Lane lane;
-      lane.request_index = i;
-      lane.options = options;
-      lanes.push_back(std::move(lane));
-    }
-    // Materialize filters after the lanes vector is final (Lane::allowed
-    // points into the lane's own scratch).
-    for (Lane& lane : lanes) {
-      lane.allowed =
-          BuildAllowedBitmap(lane.options.allowed, universe,
-                             &lane.allowed_scratch);
-    }
-
-    std::vector<Lane*> scan_lanes;
-    std::vector<Lane*> ta_most;
-    std::vector<Lane*> ta_least;
-    std::vector<Lane*> fa_most;
-    std::vector<Lane*> fa_least;
-    std::vector<Lane*> nra_lanes;
-    for (Lane& lane : lanes) {
-      const bool most =
-          lane.options.direction == RankDirection::kMostUnfair;
-      switch (requests[lane.request_index].algorithm) {
+      switch (lane.algorithm) {
         case TopKAlgorithm::kScan:
-          scan_lanes.push_back(&lane);
+          ++exec_stats->scan_lanes;
+          scanned = true;
           break;
         case TopKAlgorithm::kThresholdAlgorithm:
-          (most ? ta_most : ta_least).push_back(&lane);
+          ++exec_stats->ta_lanes;
           break;
         case TopKAlgorithm::kFA:
-          (most ? fa_most : fa_least).push_back(&lane);
+          ++exec_stats->fa_lanes;
           break;
         case TopKAlgorithm::kNRA:
-          nra_lanes.push_back(&lane);
+          ++exec_stats->nra_lanes;
           break;
       }
-    }
-    exec_stats->scan_lanes += scan_lanes.size();
-    exec_stats->ta_lanes += ta_most.size() + ta_least.size();
-    exec_stats->fa_lanes += fa_most.size() + fa_least.size();
-    exec_stats->nra_lanes += nra_lanes.size();
-
-    // One scorer per group: scan passes, TA random accesses, FA phase-2
-    // sweeps and NRA epilogues all aggregate the same lists, so they share
-    // one random-access budget and at most one table pass.
-    CandidateScorer scorer(lists, universe);
-    if (!scan_lanes.empty()) {
-      ++exec_stats->shared_scan_passes;
-      RunScanLanes(lists, universe, scan_lanes, &scorer);
-    }
-    if (!ta_most.empty()) {
-      RunTaLanes(lists, universe, RankDirection::kMostUnfair, ta_most,
-                 &scorer);
-    }
-    if (!ta_least.empty()) {
-      RunTaLanes(lists, universe, RankDirection::kLeastUnfair, ta_least,
-                 &scorer);
-    }
-    if (!fa_most.empty()) {
-      RunFaLanes(lists, universe, RankDirection::kMostUnfair, fa_most,
-                 &scorer);
-    }
-    if (!fa_least.empty()) {
-      RunFaLanes(lists, universe, RankDirection::kLeastUnfair, fa_least,
-                 &scorer);
-    }
-    if (!nra_lanes.empty()) {
-      RunNraLanes(lists, universe, nra_lanes, &scorer);
-    }
-
-    for (Lane& lane : lanes) {
-      const QuantificationRequest& request = requests[lane.request_index];
-      QuantificationResult result;
-      result.stats = lane.stats;
-      result.answers.reserve(lane.entries.size());
-      for (const ScoredEntry& e : lane.entries) {
-        result.answers.push_back(QuantificationAnswer{
-            cube.axis_id(request.target, static_cast<size_t>(e.pos)),
-            e.value});
-      }
-      values[lane.request_index] = std::move(result);
+      values[i] = ResultOf(cube, requests[i].target, lane);
       ++exec_stats->requests;
     }
+    if (scanned) ++exec_stats->shared_scan_passes;
   }
 
   std::vector<Result<QuantificationResult>> results;

@@ -42,25 +42,32 @@ struct BatchExecStats {
 //    entries (a position's sum is independent of every other position, so
 //    lane filters only select which positions are emitted);
 //  * TA / FA lanes of the same direction share the round-robin sorted
-//    access — cursors advance identically in the per-request engines, so
-//    each entry is read once per round — and with it the seen set (TA) or
-//    seen counts (FA): a lane's view is the group's, filtered by the lane's
-//    allowed targets;
+//    access — cursors advance identically whatever a lane's k, filter or
+//    policy, so each entry is read once per round — and with it the seen
+//    set (TA) or seen counts (FA): a lane's view is the group's, filtered
+//    by the lane's allowed targets;
 //  * NRA lanes share the sorted access and the per-round frontier bounds,
 //    keeping per-lane bound state;
 //  * every lane takes its candidates' (sum, count) from one group
 //    CandidateScorer, so random-access work is paid once per group.
 //
+// These lane runners are the only TA / FA / NRA / scan implementation:
+// SolveQuantification runs a single request as a lane group of one, and
+// the list APIs of fagin.h / fagin_family.h do the same over caller-built
+// lists.
+//
 // Contract: results[i] is bitwise-identical to
 // SolveQuantification(cube, indices, requests[i]) — same answers (bit-equal
 // values, same order), same FaginStats, same error codes and messages, for
-// every request independently of what else is in the batch. The per-request
-// path stays the differential reference (tests/batch_exec_test.cc,
-// bench_batch_exec's identity gate).
+// every request independently of what else is in the batch. The hash engine
+// of fagin_reference.h is the independent differential reference for both
+// (tests/batch_exec_test.cc, tests/fagin_dense_test.cc and
+// bench_fagin_perf --dense_compare).
 //
-// Unlike the per-request engines, batch lanes do not publish
-// fagin.<algorithm>.* metrics (a shared pass has no meaningful per-lane
-// latency); the serving layer publishes serve.batch.* from `stats` instead.
+// Every lane publishes its FaginStats under fagin.<algorithm>.*, so those
+// counters are sums over lanes. A batched lane records no latency sample (a
+// shared pass has no per-lane latency); the serving layer publishes
+// serve.batch.* from `stats` instead.
 std::vector<Result<QuantificationResult>> SolveQuantificationBatch(
     const UnfairnessCube& cube, const IndexSet& indices,
     const std::vector<QuantificationRequest>& requests,

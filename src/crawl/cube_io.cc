@@ -4,9 +4,11 @@
 #include <atomic>
 #include <bit>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 
 #include "common/metrics.h"
@@ -44,11 +46,17 @@ std::string FormatRoundTripDouble(double value) {
   return std::string(buf, ptr);
 }
 
+// A cell value: a finite double. strtod also reads "nan" and "inf" (and
+// overflows to inf), which no measure produces and which break the engines'
+// orderings.
 Result<double> ParseDouble(const std::string& s) {
   char* end = nullptr;
   double v = std::strtod(s.c_str(), &end);
   if (end == s.c_str() || *end != '\0') {
     return Status::InvalidArgument("bad numeric field '" + s + "'");
+  }
+  if (!std::isfinite(v)) {
+    return Status::InvalidArgument("non-finite cell value '" + s + "'");
   }
   return v;
 }
@@ -60,6 +68,16 @@ Result<long> ParseLong(const std::string& s) {
     return Status::InvalidArgument("bad integer field '" + s + "'");
   }
   return v;
+}
+
+// An axis id: an integer that fits int32_t, the cube's id type.
+Result<int32_t> ParseAxisId(const std::string& s) {
+  FAIRJOB_ASSIGN_OR_RETURN(long v, ParseLong(s));
+  if (v < std::numeric_limits<int32_t>::min() ||
+      v > std::numeric_limits<int32_t>::max()) {
+    return Status::InvalidArgument("axis id '" + s + "' out of int32 range");
+  }
+  return static_cast<int32_t>(v);
 }
 
 }  // namespace
@@ -116,8 +134,8 @@ Result<UnfairnessCube> CubeFromCsvRows(
         return Status::InvalidArgument("axis row needs 4 fields");
       }
       FAIRJOB_ASSIGN_OR_RETURN(Dimension d, DimensionFromTag(row[1]));
-      FAIRJOB_ASSIGN_OR_RETURN(long id, ParseLong(row[2]));
-      axes[static_cast<size_t>(d)].push_back(static_cast<int32_t>(id));
+      FAIRJOB_ASSIGN_OR_RETURN(int32_t id, ParseAxisId(row[2]));
+      axes[static_cast<size_t>(d)].push_back(id);
     } else if (row[0] != "cell") {
       return Status::InvalidArgument("unknown cube CSV row kind '" + row[0] +
                                      "'");

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "core/fagin_reference.h"
 #include "core/indices.h"
@@ -55,21 +56,6 @@ void ExpectIdentical(const Result<QuantificationResult>& batched,
   EXPECT_EQ(bs.hash_accesses, rs.hash_accesses) << label;
 }
 
-// Batch ≡ N independent per-request runs, bitwise (answers, stats, errors).
-void ExpectBatchMatchesReference(
-    const UnfairnessCube& cube, const IndexSet& indices,
-    const std::vector<QuantificationRequest>& requests,
-    BatchExecStats* stats = nullptr) {
-  std::vector<Result<QuantificationResult>> batched =
-      SolveQuantificationBatch(cube, indices, requests, stats);
-  ASSERT_EQ(batched.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    Result<QuantificationResult> reference =
-        SolveQuantification(cube, indices, requests[i]);
-    ExpectIdentical(batched[i], reference, "request " + std::to_string(i));
-  }
-}
-
 // The per-request answer against the hash reference engine run over the
 // same canonical list view: bitwise answers, equal counters, and each
 // engine's random accesses attributed to its own storage counter.
@@ -112,6 +98,30 @@ void ExpectMatchesHashReference(const UnfairnessCube& cube,
   EXPECT_EQ(ss.rounds, ref_stats.rounds) << label;
   EXPECT_EQ(ss.threshold_checks, ref_stats.threshold_checks) << label;
   EXPECT_EQ(ss.dense_accesses, ref_stats.hash_accesses) << label;
+}
+
+// Batch ≡ N independent single-request runs, bitwise (answers, stats,
+// errors), and each single run ≡ the hash reference engine. Both solvers
+// run the same lane runners, so the first comparison checks lane isolation
+// and the second keeps the test independent of that code. Requests the
+// shape validation rejects never reach an engine, so only their errors are
+// compared.
+void ExpectBatchMatchesReference(
+    const UnfairnessCube& cube, const IndexSet& indices,
+    const std::vector<QuantificationRequest>& requests,
+    BatchExecStats* stats = nullptr) {
+  std::vector<Result<QuantificationResult>> batched =
+      SolveQuantificationBatch(cube, indices, requests, stats);
+  ASSERT_EQ(batched.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    Result<QuantificationResult> reference =
+        SolveQuantification(cube, indices, requests[i]);
+    ExpectIdentical(batched[i], reference, "request " + std::to_string(i));
+    if (ValidateQuantificationRequest(cube, requests[i]).ok()) {
+      ExpectMatchesHashReference(cube, indices, requests[i],
+                                 "hash request " + std::to_string(i));
+    }
+  }
 }
 
 // A cube with missing cells, negative values and duplicate aggregates so
@@ -683,6 +693,151 @@ TEST(BatchExecTest, SelectorPermutationsGiveEqualBits) {
       ExpectIdentical(SolveQuantification(cube, indices, spellings[i]), want,
                       label);
       ExpectIdentical(batched[i], want, label + " batched");
+    }
+  }
+}
+
+// The fagin.<alg>.* values the metrics tests read, per algorithm label.
+struct FaginCounters {
+  uint64_t runs = 0;
+  uint64_t sorted = 0;
+  uint64_t random = 0;
+  uint64_t latency_samples = 0;
+};
+
+const char* const kMetricLabels[] = {"ta", "fa", "nra", "scan"};
+
+size_t LabelIndex(TopKAlgorithm algorithm) {
+  switch (algorithm) {
+    case TopKAlgorithm::kThresholdAlgorithm:
+      return 0;
+    case TopKAlgorithm::kFA:
+      return 1;
+    case TopKAlgorithm::kNRA:
+      return 2;
+    case TopKAlgorithm::kScan:
+      return 3;
+  }
+  return 0;
+}
+
+std::vector<FaginCounters> ReadFaginCounters() {
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  std::vector<FaginCounters> out;
+  for (const char* label : kMetricLabels) {
+    const std::string prefix = std::string("fagin.") + label;
+    FaginCounters c;
+    c.runs = metrics.counter(prefix + ".runs")->Value();
+    c.sorted = metrics.counter(prefix + ".sorted_accesses")->Value();
+    c.random = metrics.counter(prefix + ".random_accesses")->Value();
+    c.latency_samples =
+        metrics.histogram(prefix + ".latency_us")->Aggregate().count;
+    out.push_back(c);
+  }
+  return out;
+}
+
+// Counter deltas between two reads, per label.
+std::vector<FaginCounters> Delta(const std::vector<FaginCounters>& before,
+                                 const std::vector<FaginCounters>& after) {
+  std::vector<FaginCounters> out(before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    out[i].runs = after[i].runs - before[i].runs;
+    out[i].sorted = after[i].sorted - before[i].sorted;
+    out[i].random = after[i].random - before[i].random;
+    out[i].latency_samples =
+        after[i].latency_samples - before[i].latency_samples;
+  }
+  return out;
+}
+
+// Turns the global registry on for one test and restores it after.
+class FaginMetricsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!kObservabilityCompiledIn) GTEST_SKIP() << "observability compiled out";
+    was_enabled_ = MetricsRegistry::Global().enabled();
+    MetricsRegistry::Global().SetEnabled(true);
+  }
+  void TearDown() override {
+    if (kObservabilityCompiledIn) {
+      MetricsRegistry::Global().SetEnabled(was_enabled_);
+    }
+  }
+
+ private:
+  bool was_enabled_ = false;
+};
+
+// A mixed batch publishes fagin.<alg>.* as sums over its valid lanes, and
+// no latency: a shared pass has none per lane.
+TEST_F(FaginMetricsTest, BatchCountersAreSumsOverLanes) {
+  Rng rng(27);
+  UnfairnessCube cube = MakeRandomCube(&rng, 12, 5, 4);
+  IndexSet indices = IndexSet::Build(cube);
+  std::vector<QuantificationRequest> requests;
+  for (size_t i = 0; i < 40; ++i) {
+    requests.push_back(MakeRandomRequest(&rng, cube));
+  }
+
+  const std::vector<FaginCounters> before = ReadFaginCounters();
+  std::vector<Result<QuantificationResult>> results =
+      SolveQuantificationBatch(cube, indices, requests);
+  const std::vector<FaginCounters> delta = Delta(before, ReadFaginCounters());
+
+  std::vector<FaginCounters> want(4);
+  size_t valid = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (!results[i].ok()) continue;
+    ++valid;
+    FaginCounters& c = want[LabelIndex(requests[i].algorithm)];
+    ++c.runs;
+    c.sorted += results[i]->stats.sorted_accesses;
+    c.random += results[i]->stats.random_accesses;
+  }
+  ASSERT_GT(valid, 0u);
+  ASSERT_LT(valid, requests.size());  // the batch holds rejected lanes too
+  for (size_t a = 0; a < 4; ++a) {
+    SCOPED_TRACE(kMetricLabels[a]);
+    EXPECT_EQ(delta[a].runs, want[a].runs);
+    EXPECT_EQ(delta[a].sorted, want[a].sorted);
+    EXPECT_EQ(delta[a].random, want[a].random);
+    EXPECT_EQ(delta[a].latency_samples, 0u);
+  }
+}
+
+// A single request publishes the same counters as a batch holding only it,
+// plus its one latency sample.
+TEST_F(FaginMetricsTest, SingleRunCountsLikeABatchOfOne) {
+  Rng rng(28);
+  UnfairnessCube cube = MakeRandomCube(&rng, 10, 4, 3);
+  IndexSet indices = IndexSet::Build(cube);
+  for (TopKAlgorithm algorithm : kAllAlgorithms) {
+    SCOPED_TRACE(TopKAlgorithmName(algorithm));
+    QuantificationRequest request;
+    request.target = Dimension::kGroup;
+    request.k = 3;
+    request.missing = MissingCellPolicy::kZero;
+    request.algorithm = algorithm;
+
+    std::vector<FaginCounters> before = ReadFaginCounters();
+    ASSERT_TRUE(SolveQuantification(cube, indices, request).ok());
+    const std::vector<FaginCounters> single =
+        Delta(before, ReadFaginCounters());
+    before = ReadFaginCounters();
+    ASSERT_TRUE(SolveQuantificationBatch(cube, indices, {request})[0].ok());
+    const std::vector<FaginCounters> batched =
+        Delta(before, ReadFaginCounters());
+
+    const size_t a = LabelIndex(algorithm);
+    EXPECT_EQ(single[a].runs, 1u);
+    for (size_t i = 0; i < 4; ++i) {
+      SCOPED_TRACE(kMetricLabels[i]);
+      EXPECT_EQ(single[i].runs, batched[i].runs);
+      EXPECT_EQ(single[i].sorted, batched[i].sorted);
+      EXPECT_EQ(single[i].random, batched[i].random);
+      EXPECT_EQ(single[i].latency_samples, i == a ? 1u : 0u);
+      EXPECT_EQ(batched[i].latency_samples, 0u);
     }
   }
 }

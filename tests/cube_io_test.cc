@@ -132,6 +132,47 @@ TEST(CubeIoTest, RejectsBadCellValue) {
   EXPECT_FALSE(CubeFromCsvRows(rows).ok());
 }
 
+// strtod reads these; a NaN cell would reach the engines' comparators.
+TEST(CubeIoTest, RejectsNanCellValue) {
+  auto rows = CubeToCsvRows(SampleCube());
+  rows.push_back({"cell", "0", "0", "0", "nan"});
+  Result<UnfairnessCube> cube = CubeFromCsvRows(rows);
+  ASSERT_FALSE(cube.ok());
+  EXPECT_EQ(cube.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(CubeIoTest, RejectsInfiniteCellValues) {
+  for (const char* value : {"inf", "-inf", "1e999"}) {
+    auto rows = CubeToCsvRows(SampleCube());
+    rows.push_back({"cell", "0", "0", "0", value});
+    Result<UnfairnessCube> cube = CubeFromCsvRows(rows);
+    ASSERT_FALSE(cube.ok()) << value;
+    EXPECT_EQ(cube.status().code(), StatusCode::kInvalidArgument) << value;
+  }
+}
+
+// Axis rows for a one-cell cube whose group id is `group_id`.
+std::vector<std::vector<std::string>> OneCellAxes(const char* group_id) {
+  return {{"axis", "group", group_id, ""},
+          {"axis", "query", "0", ""},
+          {"axis", "location", "0", ""}};
+}
+
+// 4294967297 = 2^32 + 1 would wrap to id 1 under a plain int32 cast.
+TEST(CubeIoTest, RejectsAxisIdsOutsideInt32) {
+  for (const char* id : {"4294967297", "2147483648", "-2147483649"}) {
+    Result<UnfairnessCube> cube = CubeFromCsvRows(OneCellAxes(id));
+    ASSERT_FALSE(cube.ok()) << id;
+    EXPECT_EQ(cube.status().code(), StatusCode::kInvalidArgument) << id;
+  }
+  // The int32 extremes still load.
+  for (const char* id : {"2147483647", "-2147483648"}) {
+    Result<UnfairnessCube> cube = CubeFromCsvRows(OneCellAxes(id));
+    ASSERT_TRUE(cube.ok()) << id << ": " << cube.status().message();
+    EXPECT_EQ(cube->axis_id(Dimension::kGroup, 0), std::stoll(id));
+  }
+}
+
 TEST(CubeIoTest, RejectsDuplicateAxisIds) {
   std::vector<std::vector<std::string>> rows = {
       {"axis", "group", "1", ""}, {"axis", "group", "1", ""},
