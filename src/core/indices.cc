@@ -123,51 +123,67 @@ IndexSet IndexSet::Build(const UnfairnessCube& cube) {
   query_lists.assign(num_groups * num_locations, empty);
   location_lists.assign(num_groups * num_queries, empty);
 
+  // The cube's stored columns in (q, l) order; columns without a slot hold
+  // no cell and feed no list.
+  struct StoredColumn {
+    size_t q;
+    size_t l;
+    UnfairnessCube::Column cells;
+  };
+  std::vector<StoredColumn> stored;
+  for (size_t q = 0; q < num_queries; ++q) {
+    for (size_t l = 0; l < num_locations; ++l) {
+      UnfairnessCube::Column cells = cube.column(q, l);
+      if (cells.stored()) stored.push_back(StoredColumn{q, l, cells});
+    }
+  }
+
   // Every list is fed its entries in ascending target position, and the
   // InvertedIndex sort is a total order on distinct positions, so the lists
   // are the ones a per-list scan of the cube would build. Each task writes
-  // only the lists of its own g (first sweep) or q (second sweep).
+  // only the lists of its own g (first sweep) or column (second sweep).
   ThreadPool& pool = ThreadPool::Shared();
   const size_t parallelism = pool.num_threads() + 1;
-  // Sweep 1, one task per group: walk g's contiguous Q×L slab once. Each row
-  // is the location list (g, q); bucketing the row by l builds the query
-  // lists (g, l).
+  // Sweep 1, one task per group: walk the stored columns once. The run of
+  // columns with one q is the location list (g, q); bucketing it by l
+  // builds the query lists (g, l).
   Status status = pool.ParallelFor(num_groups, parallelism, [&](size_t g) {
     std::vector<std::vector<ScoredEntry>> by_location(num_locations);
-    for (size_t q = 0; q < num_queries; ++q) {
+    for (size_t i = 0; i < stored.size();) {
+      const size_t q = stored[i].q;
       std::vector<ScoredEntry> row;
-      for (size_t l = 0; l < num_locations; ++l) {
-        std::optional<double> v = cube.Get(g, q, l);
-        if (!v.has_value()) continue;
-        row.push_back(ScoredEntry{static_cast<int32_t>(l), *v});
-        by_location[l].push_back(ScoredEntry{static_cast<int32_t>(q), *v});
+      for (; i < stored.size() && stored[i].q == q; ++i) {
+        const StoredColumn& c = stored[i];
+        if (!c.cells.present(g)) continue;
+        double v = c.cells.value(g);
+        row.push_back(ScoredEntry{static_cast<int32_t>(c.l), v});
+        by_location[c.l].push_back(ScoredEntry{static_cast<int32_t>(q), v});
       }
-      location_lists[g * num_queries + q] = InvertedIndex(std::move(row));
+      if (!row.empty()) {
+        location_lists[g * num_queries + q] = InvertedIndex(std::move(row));
+      }
     }
     for (size_t l = 0; l < num_locations; ++l) {
+      if (by_location[l].empty()) continue;
       query_lists[g * num_locations + l] =
           InvertedIndex(std::move(by_location[l]));
     }
     return Status::OK();
   });
-  // Sweep 2, one task per query: read q's contiguous L-cell row of every
-  // group, bucketed by l into the group lists (q, l).
+  // Sweep 2, one task per stored column: its present cells, by ascending g,
+  // are the group list (q, l).
   if (status.ok()) {
-    status = pool.ParallelFor(num_queries, parallelism, [&](size_t q) {
-      std::vector<std::vector<ScoredEntry>> by_location(num_locations);
+    status = pool.ParallelFor(stored.size(), parallelism, [&](size_t i) {
+      const StoredColumn& c = stored[i];
+      std::vector<ScoredEntry> entries;
       for (size_t g = 0; g < num_groups; ++g) {
-        for (size_t l = 0; l < num_locations; ++l) {
-          std::optional<double> v = cube.Get(g, q, l);
-          if (v.has_value()) {
-            by_location[l].push_back(
-                ScoredEntry{static_cast<int32_t>(g), *v});
-          }
+        if (c.cells.present(g)) {
+          entries.push_back(
+              ScoredEntry{static_cast<int32_t>(g), c.cells.value(g)});
         }
       }
-      for (size_t l = 0; l < num_locations; ++l) {
-        group_lists[q * num_locations + l] =
-            InvertedIndex(std::move(by_location[l]));
-      }
+      group_lists[c.q * num_locations + c.l] =
+          InvertedIndex(std::move(entries));
       return Status::OK();
     });
   }

@@ -69,8 +69,9 @@ class InvertedIndex {
 //  * group-based:    one list per (query, location) pair, over groups;
 //  * query-based:    one list per (group, location) pair, over queries;
 //  * location-based: one list per (group, query) pair, over locations.
-// Missing cube cells simply do not appear in the lists. Build reads the cube
-// in two parallel slab sweeps on ThreadPool::Shared() (docs/performance.md).
+// Missing cube cells simply do not appear in the lists. Build reads the
+// cube's stored columns in two parallel sweeps on ThreadPool::Shared()
+// (docs/performance.md).
 class IndexSet {
  public:
   static IndexSet Build(const UnfairnessCube& cube);

@@ -1,6 +1,8 @@
 #include "core/unfairness_cube.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <chrono>
 #include <functional>
 #include <optional>
@@ -30,6 +32,10 @@ Status ValidateAxis(const std::vector<int32_t>& ids, const char* name) {
   }
   return Status::OK();
 }
+
+// Slot ids are 32-bit with one value reserved for "no slot".
+constexpr size_t kMaxColumns = UINT32_MAX;
+constexpr size_t kChunkBytes = size_t{64} << 10;
 
 std::vector<int32_t> DefaultIds(size_t n) {
   std::vector<int32_t> ids(n);
@@ -65,6 +71,11 @@ Result<UnfairnessCube> UnfairnessCube::Make(std::vector<GroupId> groups,
   FAIRJOB_RETURN_IF_ERROR(ValidateAxis(groups, "group"));
   FAIRJOB_RETURN_IF_ERROR(ValidateAxis(queries, "query"));
   FAIRJOB_RETURN_IF_ERROR(ValidateAxis(locations, "location"));
+  if (queries.size() > kMaxColumns / locations.size()) {
+    return Status::InvalidArgument(
+        "cube has more (query, location) columns than a 32-bit slot table "
+        "can address");
+  }
   UnfairnessCube cube;
   cube.ids_[0] = std::move(groups);
   cube.ids_[1] = std::move(queries);
@@ -75,11 +86,73 @@ Result<UnfairnessCube> UnfairnessCube::Make(std::vector<GroupId> groups,
       cube.pos_of_[axis].emplace(cube.ids_[axis][i], i);
     }
   }
-  cube.values_.assign(
-      cube.ids_[0].size() * cube.ids_[1].size() * cube.ids_[2].size(),
-      std::nullopt);
-  cube.epochs_.assign(cube.ids_[1].size() * cube.ids_[2].size(), 0);
+  size_t num_columns = cube.ids_[1].size() * cube.ids_[2].size();
+  cube.store_ = ColumnStore(cube.ids_[0].size(), num_columns);
+  cube.epochs_.assign(num_columns, 0);
   return cube;
+}
+
+UnfairnessCube::ColumnStore::ColumnStore(size_t num_groups,
+                                         size_t num_columns)
+    : words_((num_groups + 63) / 64),
+      block_words_(words_ + num_groups),
+      slot_of_(num_columns, kNoSlot),
+      alloc_mutex_(std::make_unique<std::mutex>()) {
+  // Chunks of about 64 KiB: a power-of-two slot count, so a slot id splits
+  // into chunk and offset by shift and mask, and no more slots than the
+  // cube has columns.
+  size_t slots_per_chunk = std::bit_floor(
+      std::max<size_t>(1, kChunkBytes / (8 * block_words_)));
+  slots_per_chunk = std::min(slots_per_chunk, std::bit_ceil(num_columns));
+  chunk_shift_ = static_cast<size_t>(std::countr_zero(slots_per_chunk));
+  chunks_.resize((num_columns + slots_per_chunk - 1) / slots_per_chunk);
+}
+
+UnfairnessCube::ColumnStore::ColumnStore(const ColumnStore& other)
+    : words_(other.words_),
+      block_words_(other.block_words_),
+      chunk_shift_(other.chunk_shift_),
+      num_slots_(other.num_slots_),
+      slot_of_(other.slot_of_),
+      chunks_(other.chunks_.size()),
+      alloc_mutex_(std::make_unique<std::mutex>()) {
+  size_t chunk_words = block_words_ << chunk_shift_;
+  for (size_t c = 0; c < chunks_.size(); ++c) {
+    if (other.chunks_[c] == nullptr) continue;
+    chunks_[c] = std::make_unique_for_overwrite<uint64_t[]>(chunk_words);
+    std::copy_n(other.chunks_[c].get(), chunk_words, chunks_[c].get());
+  }
+}
+
+UnfairnessCube::ColumnStore& UnfairnessCube::ColumnStore::operator=(
+    const ColumnStore& other) {
+  if (this != &other) *this = ColumnStore(other);
+  return *this;
+}
+
+uint64_t* UnfairnessCube::ColumnStore::BlockOrAllocate(size_t column) {
+  // Only the caller writes this column's table entry, so reading it
+  // without the lock is safe; the lock orders slot and chunk allocation.
+  if (uint64_t* block = Block(column)) return block;
+  std::lock_guard<std::mutex> lock(*alloc_mutex_);
+  uint32_t slot = static_cast<uint32_t>(num_slots_++);
+  std::unique_ptr<uint64_t[]>& chunk = chunks_[slot >> chunk_shift_];
+  if (chunk == nullptr) {
+    chunk = std::make_unique<uint64_t[]>(block_words_ << chunk_shift_);
+  }
+  slot_of_[column] = slot;
+  return BlockAt(slot);
+}
+
+size_t UnfairnessCube::ColumnStore::num_present() const {
+  size_t n = 0;
+  for (size_t slot = 0; slot < num_slots_; ++slot) {
+    const uint64_t* block = BlockAt(slot);
+    for (size_t w = 0; w < words_; ++w) {
+      n += static_cast<size_t>(std::popcount(block[w]));
+    }
+  }
+  return n;
 }
 
 Result<size_t> UnfairnessCube::PosOf(Dimension d, int32_t id) const {
@@ -90,12 +163,30 @@ Result<size_t> UnfairnessCube::PosOf(Dimension d, int32_t id) const {
                           " not on cube axis '" + DimensionName(d) + "'");
 }
 
-size_t UnfairnessCube::num_present() const {
-  size_t n = 0;
-  for (const auto& v : values_) {
-    if (v.has_value()) ++n;
+size_t UnfairnessCube::num_present() const { return store_.num_present(); }
+
+void UnfairnessCube::SetColumn(size_t q, size_t l,
+                               const std::optional<double>* values,
+                               size_t n) {
+  assert(n == ids_[0].size());
+  size_t column = ColumnOffset(q, l);
+  uint64_t* block = store_.Block(column);
+  if (block == nullptr) {
+    bool any = false;
+    for (size_t g = 0; g < n && !any; ++g) any = values[g].has_value();
+    if (!any) return;
+    block = store_.BlockOrAllocate(column);
   }
-  return n;
+  size_t words = store_.words();
+  std::fill_n(block, words, uint64_t{0});
+  for (size_t g = 0; g < n; ++g) {
+    if (values[g].has_value()) {
+      block[g >> 6] |= uint64_t{1} << (g & 63);
+      block[words + g] = std::bit_cast<uint64_t>(*values[g]);
+    } else {
+      block[words + g] = 0;
+    }
+  }
 }
 
 std::optional<double> UnfairnessCube::Average(
@@ -104,16 +195,23 @@ std::optional<double> UnfairnessCube::Average(
   std::vector<size_t> gs = ResolvePositions(groups, ids_[0].size());
   std::vector<size_t> qs = ResolvePositions(queries, ids_[1].size());
   std::vector<size_t> ls = ResolvePositions(locations, ids_[2].size());
+  // The selected columns that have a slot, in (q, l) selection order. The
+  // sum still runs g, then q, then l, and a column without a slot adds no
+  // cell, so every average keeps its bits.
+  std::vector<Column> columns;
+  for (size_t q : qs) {
+    for (size_t l : ls) {
+      Column c = column(q, l);
+      if (c.stored()) columns.push_back(c);
+    }
+  }
   double sum = 0.0;
   size_t count = 0;
   for (size_t g : gs) {
-    for (size_t q : qs) {
-      for (size_t l : ls) {
-        std::optional<double> v = Get(g, q, l);
-        if (v.has_value()) {
-          sum += *v;
-          ++count;
-        }
+    for (const Column& c : columns) {
+      if (c.present(g)) {
+        sum += c.value(g);
+        ++count;
       }
     }
   }
@@ -140,7 +238,8 @@ namespace {
 // Runs fn(i) for every i in [0, n) on up to `parallelism` threads of the
 // process-wide pool; serial calls never touch (or create) the pool. The
 // first non-OK status wins and stops remaining work; fn must only touch
-// disjoint state per index (the cube builders write disjoint cells).
+// disjoint state per index (the cube builders write disjoint columns
+// through UnfairnessCube::SetColumn).
 Status ParallelFor(size_t n, size_t parallelism,
                    const std::function<Status(size_t)>& fn) {
   if (parallelism <= 1 || n <= 1) {
@@ -508,9 +607,7 @@ Result<UnfairnessCube> BuildMarketplaceCube(const MarketplaceDataset& data,
             data, space, membership, measure, options, resolved.queries[q],
             resolved.locations[l], resolved.groups, &column,
             /*parallelism=*/1));
-        for (size_t g = 0; g < column.size(); ++g) {
-          if (column[g].has_value()) cube.Set(g, q, l, *column[g]);
-        }
+        cube.SetColumn(q, l, column.data(), column.size());
         return Status::OK();
       });
   FAIRJOB_RETURN_IF_ERROR(built);
@@ -525,7 +622,7 @@ Result<UnfairnessCube> BuildMarketplaceCube(const MarketplaceDataset& data,
 namespace {
 
 // Shared frame of the two column-refresh entry points: validates positions,
-// evaluates the column via `eval`, then applies set/clear to the cube.
+// evaluates the column via `eval`, then writes it into the cube.
 Status RefreshColumn(
     UnfairnessCube* cube, size_t query_pos, size_t location_pos,
     const std::function<Status(QueryId, LocationId,
@@ -544,13 +641,7 @@ Status RefreshColumn(
   }
   std::vector<std::optional<double>> column(groups.size());
   FAIRJOB_RETURN_IF_ERROR(eval(q, l, groups, &column));
-  for (size_t g = 0; g < column.size(); ++g) {
-    if (column[g].has_value()) {
-      cube->Set(g, query_pos, location_pos, *column[g]);
-    } else {
-      cube->Clear(g, query_pos, location_pos);
-    }
-  }
+  cube->SetColumn(query_pos, location_pos, column.data(), column.size());
   return Status::OK();
 }
 
@@ -613,13 +704,7 @@ Status CubeMaterializeSink::Consume(size_t query_pos, size_t location_pos,
     return Status::InvalidArgument(
         "streamed column does not match the sink cube's axes");
   }
-  for (size_t g = 0; g < num_groups; ++g) {
-    if (values[g].has_value()) {
-      cube_->Set(g, query_pos, location_pos, *values[g]);
-    } else {
-      cube_->Clear(g, query_pos, location_pos);
-    }
-  }
+  cube_->SetColumn(query_pos, location_pos, values, num_groups);
   return Status::OK();
 }
 
@@ -843,9 +928,7 @@ Result<UnfairnessCube> BuildSearchCube(const SearchDataset& data,
         FAIRJOB_RETURN_IF_ERROR(EvaluateSearchColumn(
             data, space, membership, measure, options, resolved.queries[q],
             resolved.locations[l], resolved.groups, &column, parallelism));
-        for (size_t g = 0; g < column.size(); ++g) {
-          if (column[g].has_value()) cube.Set(g, q, l, *column[g]);
-        }
+        cube.SetColumn(q, l, column.data(), column.size());
         return Status::OK();
       });
   FAIRJOB_RETURN_IF_ERROR(built);

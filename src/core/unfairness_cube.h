@@ -1,9 +1,13 @@
 #ifndef FAIRJOB_CORE_UNFAIRNESS_CUBE_H_
 #define FAIRJOB_CORE_UNFAIRNESS_CUBE_H_
 
+#include <bit>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -29,13 +33,23 @@ struct AxisSelector {
   bool all() const { return positions.empty(); }
 };
 
-// Dense group × query × location tensor of unfairness values d<g,q,l>, with
+// Group × query × location tensor of unfairness values d<g,q,l>, with
 // missing cells (triples the measure is undefined for: unobserved (q,l)
 // pairs, groups without members, ...). Axis positions are indices into the
 // id lists the cube was built over.
+//
+// Storage is sized by the columns that hold values, not by the grid: a
+// (query, location) column table maps each column to a slot id, or to "no
+// slot" for a column that never held a value. A slot is one block of
+// ⌈G/64⌉ presence words followed by G values (absent cells store 0.0), the
+// same block the binary cube file holds (crawl/cube_io.h). Slots live in
+// fixed-size chunks that never move, so a slot's address is stable once
+// allocated. An all-absent column costs one table entry; num_cells() still
+// reports the grid size G·Q·L.
 class UnfairnessCube {
  public:
-  // Errors: InvalidArgument on an empty axis or duplicate ids within an axis.
+  // Errors: InvalidArgument on an empty axis, duplicate ids within an axis,
+  // or more than 2^32 - 1 (query, location) columns.
   static Result<UnfairnessCube> Make(std::vector<GroupId> groups,
                                      std::vector<QueryId> queries,
                                      std::vector<LocationId> locations);
@@ -48,17 +62,63 @@ class UnfairnessCube {
   // `id` is not on axis `d`.
   Result<size_t> PosOf(Dimension d, int32_t id) const;
 
+  // Single-cell access. Set and Clear are not safe to call concurrently
+  // with any other write; use SetColumn for that.
   void Set(size_t g, size_t q, size_t l, double value) {
-    values_[Offset(g, q, l)] = value;
+    uint64_t* block = store_.BlockOrAllocate(ColumnOffset(q, l));
+    block[g >> 6] |= uint64_t{1} << (g & 63);
+    block[store_.words() + g] = std::bit_cast<uint64_t>(value);
   }
   void Clear(size_t g, size_t q, size_t l) {
-    values_[Offset(g, q, l)].reset();
+    uint64_t* block = store_.Block(ColumnOffset(q, l));
+    if (block == nullptr) return;
+    block[g >> 6] &= ~(uint64_t{1} << (g & 63));
+    block[store_.words() + g] = 0;
   }
   std::optional<double> Get(size_t g, size_t q, size_t l) const {
-    return values_[Offset(g, q, l)];
+    return column(q, l).Get(g);
   }
 
-  size_t num_cells() const { return values_.size(); }
+  // Writes every group cell of column (q, l): values[g] set, nullopt
+  // cleared. `n` must equal axis_size(kGroup). An all-absent column that
+  // has no slot stays without one. The one write that is safe to call
+  // concurrently for distinct columns (the parallel builders and column
+  // sinks use it).
+  void SetColumn(size_t q, size_t l, const std::optional<double>* values,
+                 size_t n);
+
+  // Read-only view of one (query, location) column, valid until the cube is
+  // next written, moved or destroyed.
+  class Column {
+   public:
+    // False for a column without a slot; every cell of it is absent.
+    bool stored() const { return block_ != nullptr; }
+    bool present(size_t g) const {
+      return block_ != nullptr && (block_[g >> 6] >> (g & 63) & 1) != 0;
+    }
+    // The value of a present cell.
+    double value(size_t g) const {
+      return std::bit_cast<double>(block_[words_ + g]);
+    }
+    std::optional<double> Get(size_t g) const {
+      if (!present(g)) return std::nullopt;
+      return value(g);
+    }
+
+   private:
+    friend class UnfairnessCube;
+    Column(const uint64_t* block, size_t words)
+        : block_(block), words_(words) {}
+    const uint64_t* block_;
+    size_t words_;
+  };
+  Column column(size_t q, size_t l) const {
+    return Column(store_.Block(ColumnOffset(q, l)), store_.words());
+  }
+
+  size_t num_cells() const {
+    return ids_[0].size() * ids_[1].size() * ids_[2].size();
+  }
   size_t num_present() const;
 
   // Per-(query, location) column epochs for incremental maintenance
@@ -84,19 +144,60 @@ class UnfairnessCube {
   std::optional<double> AxisAverage(Dimension d, size_t pos) const;
 
  private:
+  // The column table and the slot chunks. Copies are deep; slot allocation
+  // is serialized by a mutex, so distinct columns may allocate concurrently.
+  class ColumnStore {
+   public:
+    ColumnStore() = default;
+    ColumnStore(size_t num_groups, size_t num_columns);
+    ColumnStore(const ColumnStore& other);
+    ColumnStore& operator=(const ColumnStore& other);
+    ColumnStore(ColumnStore&&) noexcept = default;
+    ColumnStore& operator=(ColumnStore&&) noexcept = default;
+
+    // Presence words per block.
+    size_t words() const { return words_; }
+    // The column's block, or nullptr when it has no slot.
+    const uint64_t* Block(size_t column) const {
+      uint32_t slot = slot_of_[column];
+      return slot == kNoSlot ? nullptr : BlockAt(slot);
+    }
+    uint64_t* Block(size_t column) {
+      return const_cast<uint64_t*>(std::as_const(*this).Block(column));
+    }
+    // The column's block, allocating a zeroed slot when it has none.
+    uint64_t* BlockOrAllocate(size_t column);
+    size_t num_present() const;
+
+   private:
+    static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+    uint64_t* BlockAt(size_t slot) const {
+      return chunks_[slot >> chunk_shift_].get() +
+             (slot & ((size_t{1} << chunk_shift_) - 1)) * block_words_;
+    }
+
+    size_t words_ = 0;        // ⌈G/64⌉
+    size_t block_words_ = 0;  // words_ + G
+    size_t chunk_shift_ = 0;  // log2(slots per chunk)
+    size_t num_slots_ = 0;
+    std::vector<uint32_t> slot_of_;  // per (q, l) column
+    // Fixed-length directory, sized in the constructor so that allocating
+    // a chunk never moves another chunk's pointer.
+    std::vector<std::unique_ptr<uint64_t[]>> chunks_;
+    std::unique_ptr<std::mutex> alloc_mutex_;
+  };
+
   UnfairnessCube() = default;
 
   static size_t AxisIndex(Dimension d) { return static_cast<size_t>(d); }
-  size_t Offset(size_t g, size_t q, size_t l) const {
-    return (g * ids_[1].size() + q) * ids_[2].size() + l;
-  }
   size_t ColumnOffset(size_t q, size_t l) const {
     return q * ids_[2].size() + l;
   }
 
   std::vector<int32_t> ids_[3];  // group / query / location ids per axis
   std::unordered_map<int32_t, size_t> pos_of_[3];  // id -> axis position
-  std::vector<std::optional<double>> values_;
+  ColumnStore store_;
   std::vector<uint64_t> epochs_;  // per-(query, location) column epochs
 };
 
@@ -133,9 +234,10 @@ class CubeColumnSink {
 };
 
 // Sink that materializes the streamed columns into a pre-made cube (the
-// cube's axes must equal the build's resolved axes). Lock-free: concurrent
-// columns write disjoint cells. Used for differential testing and for small
-// builds where bounded memory is not a concern.
+// cube's axes must equal the build's resolved axes) through
+// UnfairnessCube::SetColumn, so concurrent distinct columns are safe. Used
+// for differential testing and for small builds where bounded memory is not
+// a concern.
 class CubeMaterializeSink final : public CubeColumnSink {
  public:
   explicit CubeMaterializeSink(UnfairnessCube* cube) : cube_(cube) {}

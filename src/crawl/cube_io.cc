@@ -217,18 +217,26 @@ namespace {
 //             axis ids        i32 × (G + Q + L), group/query/location order
 //             name table      (len:u32 bytes[len]) × (G + Q + L)
 //             zero padding    to the next 8-byte file offset
-//             cell section:
-//               dense:  value:f64 × G·Q·L in (q·L + l)·G + g order, then
-//                       presence bitmap u64 × ⌈cells/64⌉ (bit c of word
-//                       c/64 set iff cell c present)
-//               sparse: per present cell, ascending index: varint delta
-//                       from the previous index (previous starts at −1,
-//                       so deltas are ≥ 1) followed by value:f64
+//             cell section, one of:
+//               column blocks (flag bit 0 clear):
+//                 slot table  u32 × Q·L in q·L + l order: the column's
+//                             block number, or 0xFFFFFFFF for a column
+//                             without a present cell
+//                 zero padding to the next 8-byte file offset
+//                 blocks      one per column with a present cell, in
+//                             column order (block k is the k-th such
+//                             column): presence u64 × ⌈G/64⌉ (bit g set
+//                             iff cell g present), then value:f64 × G
+//                             (0.0 for absent cells)
+//               sparse (flag bit 0 set): per present cell, ascending index
+//                       (q·L + l)·G + g: varint delta from the previous
+//                       index (previous starts at −1, so deltas are ≥ 1)
+//                       followed by value:f64
 // header_crc covers header bytes [0, 60); payload_crc covers [64, EOF).
 constexpr char kBinaryCubeMagic[8] = {'F', 'J', 'C', 'U', 'B', 'E', '0', '1'};
 constexpr size_t kBinaryCubeHeaderBytes = 64;
 constexpr uint32_t kBinaryCubeFlagSparse = 1u << 0;
-constexpr double kAutoDenseThreshold = 0.25;
+constexpr uint32_t kNoBlock = 0xFFFFFFFFu;
 
 // `cube.io.*` observability (docs/observability.md).
 LatencyHistogram* BinarySaveLatency() {
@@ -444,6 +452,81 @@ void AppendNames(std::string* out, const std::vector<std::string>* names,
   }
 }
 
+// Sizes of the column-block cell section for G groups and Q·L columns.
+struct BlockLayout {
+  size_t words = 0;        // presence words per block: ⌈G/64⌉
+  size_t block_bytes = 0;  // 8 · (words + G)
+  size_t table_bytes = 0;  // the slot table plus its padding to 8 bytes
+
+  BlockLayout(size_t num_groups, size_t num_columns)
+      : words((num_groups + 63) / 64),
+        block_bytes(8 * (words + num_groups)),
+        table_bytes(4 * num_columns + PadTo8(4 * num_columns)) {}
+};
+
+// A column's cells must be finite: no measure produces NaN or infinity, and
+// either would break the engines' orderings.
+Status CheckFiniteColumn(const std::optional<double>* values, size_t n) {
+  for (size_t g = 0; g < n; ++g) {
+    if (values[g].has_value() && !std::isfinite(*values[g])) {
+      return Status::InvalidArgument("non-finite cell value in column");
+    }
+  }
+  return Status::OK();
+}
+
+// Writes one column block (presence words, then values) to `out`, which
+// holds layout.block_bytes bytes.
+void EncodeBlock(const std::optional<double>* values, size_t num_groups,
+                 const BlockLayout& layout, unsigned char* out) {
+  for (size_t w = 0; w < layout.words; ++w) {
+    uint64_t word = 0;
+    for (size_t g = 64 * w; g < std::min(num_groups, 64 * (w + 1)); ++g) {
+      if (values[g].has_value()) word |= uint64_t{1} << (g % 64);
+    }
+    StoreU64(out + 8 * w, word);
+  }
+  unsigned char* cells = out + 8 * layout.words;
+  for (size_t g = 0; g < num_groups; ++g) {
+    StoreF64(cells + 8 * g, values[g].value_or(0.0));
+  }
+}
+
+// Decodes one column block into values[0, G). Errors: InvalidArgument on
+// presence bits past G, a block without a present cell (writers never emit
+// one), or a non-finite present value. Returns the present count.
+Result<size_t> DecodeBlock(const unsigned char* block, size_t num_groups,
+                           const BlockLayout& layout,
+                           std::optional<double>* values) {
+  size_t present = 0;
+  const unsigned char* cells = block + 8 * layout.words;
+  for (size_t w = 0; w < layout.words; ++w) {
+    uint64_t word = LoadU64(block + 8 * w);
+    size_t end = std::min(num_groups, 64 * (w + 1));
+    if (end - 64 * w < 64 && (word >> (end - 64 * w)) != 0) {
+      return Status::InvalidArgument(
+          "binary cube column block has presence bits past the group axis");
+    }
+    for (size_t g = 64 * w; g < end; ++g) {
+      if ((word >> (g % 64) & 1) == 0) {
+        values[g].reset();
+        continue;
+      }
+      double v = LoadF64(cells + 8 * g);
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument("binary cube holds a non-finite cell");
+      }
+      values[g] = v;
+      ++present;
+    }
+  }
+  if (present == 0) {
+    return Status::InvalidArgument(
+        "binary cube column block has no present cell");
+  }
+  return present;
+}
+
 std::vector<int32_t> AxisIdsOf(const UnfairnessCube& cube, Dimension d) {
   std::vector<int32_t> ids(cube.axis_size(d));
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = cube.axis_id(d, i);
@@ -497,8 +580,51 @@ Status SaveCubeBinary(const std::string& path, const UnfairnessCube& cube,
           "cube names axis lengths do not match the cube");
     }
   }
-  size_t cells = cube.num_cells();
-  size_t present = cube.num_present();
+  size_t num_columns = q_size * l_size;
+  BlockLayout layout(g_size, num_columns);
+
+  std::vector<std::optional<double>> cells(g_size);
+  auto load_cells = [&](size_t c) {
+    UnfairnessCube::Column column = cube.column(c / l_size, c % l_size);
+    for (size_t g = 0; g < g_size; ++g) cells[g] = column.Get(g);
+  };
+  // The columns with a present cell, in column order.
+  std::vector<size_t> block_columns;
+  size_t present = 0;
+  for (size_t c = 0; c < num_columns; ++c) {
+    if (!cube.column(c / l_size, c % l_size).stored()) continue;
+    load_cells(c);
+    FAIRJOB_RETURN_IF_ERROR(CheckFiniteColumn(cells.data(), g_size));
+    size_t n = static_cast<size_t>(
+        std::count_if(cells.begin(), cells.end(),
+                      [](const std::optional<double>& v) {
+                        return v.has_value();
+                      }));
+    if (n == 0) continue;
+    present += n;
+    block_columns.push_back(c);
+  }
+
+  // Sparse cells in ascending (q·L + l)·G + g order.
+  std::string sparse_cells;
+  if (options.layout != BinaryCubeWriteOptions::Layout::kDense) {
+    uint64_t prev = uint64_t(-1);
+    unsigned char buf[8];
+    for (size_t c : block_columns) {
+      load_cells(c);
+      for (size_t g = 0; g < g_size; ++g) {
+        const std::optional<double>& v = cells[g];
+        if (!v.has_value()) continue;
+        uint64_t index = c * g_size + g;
+        AppendVarint(&sparse_cells, index - prev);
+        prev = index;
+        StoreF64(buf, *v);
+        sparse_cells.append(reinterpret_cast<const char*>(buf), 8);
+      }
+    }
+  }
+  size_t block_cells_bytes =
+      layout.table_bytes + block_columns.size() * layout.block_bytes;
   bool sparse;
   switch (options.layout) {
     case BinaryCubeWriteOptions::Layout::kDense:
@@ -509,17 +635,11 @@ Status SaveCubeBinary(const std::string& path, const UnfairnessCube& cube,
       break;
     case BinaryCubeWriteOptions::Layout::kAuto:
     default:
-      sparse = cells == 0 || static_cast<double>(present) <
-                                 kAutoDenseThreshold *
-                                     static_cast<double>(cells);
+      sparse = sparse_cells.size() < block_cells_bytes;
       break;
   }
 
   std::string payload;
-  if (!sparse) {
-    payload.reserve(4 * (g_size + q_size + l_size) + 8 * cells +
-                    8 * ((cells + 63) / 64) + 64);
-  }
   AppendAxisIds(&payload, AxisIdsOf(cube, Dimension::kGroup));
   AppendAxisIds(&payload, AxisIdsOf(cube, Dimension::kQuery));
   AppendAxisIds(&payload, AxisIdsOf(cube, Dimension::kLocation));
@@ -528,43 +648,19 @@ Status SaveCubeBinary(const std::string& path, const UnfairnessCube& cube,
   AppendNames(&payload, names != nullptr ? &names->locations : nullptr,
               l_size);
   payload.append(PadTo8(kBinaryCubeHeaderBytes + payload.size()), '\0');
-
-  // Cells in ascending (q·L + l)·G + g order for both layouts.
-  if (!sparse) {
-    std::vector<uint64_t> presence((cells + 63) / 64, 0);
-    size_t index = 0;
-    unsigned char buf[8];
-    for (size_t q = 0; q < q_size; ++q) {
-      for (size_t l = 0; l < l_size; ++l) {
-        for (size_t g = 0; g < g_size; ++g, ++index) {
-          std::optional<double> v = cube.Get(g, q, l);
-          StoreF64(buf, v.value_or(0.0));
-          payload.append(reinterpret_cast<const char*>(buf), 8);
-          if (v.has_value()) {
-            presence[index / 64] |= uint64_t{1} << (index % 64);
-          }
-        }
-      }
-    }
-    for (uint64_t word : presence) {
-      StoreU64(buf, word);
-      payload.append(reinterpret_cast<const char*>(buf), 8);
-    }
+  if (sparse) {
+    payload += sparse_cells;
   } else {
-    uint64_t prev = uint64_t(-1);
-    size_t index = 0;
-    unsigned char buf[8];
-    for (size_t q = 0; q < q_size; ++q) {
-      for (size_t l = 0; l < l_size; ++l) {
-        for (size_t g = 0; g < g_size; ++g, ++index) {
-          std::optional<double> v = cube.Get(g, q, l);
-          if (!v.has_value()) continue;
-          AppendVarint(&payload, index - prev);
-          prev = index;
-          StoreF64(buf, *v);
-          payload.append(reinterpret_cast<const char*>(buf), 8);
-        }
-      }
+    size_t table_at = payload.size();
+    payload.resize(table_at + block_cells_bytes, '\0');
+    unsigned char* table =
+        reinterpret_cast<unsigned char*>(payload.data()) + table_at;
+    for (size_t c = 0; c < num_columns; ++c) StoreU32(table + 4 * c, kNoBlock);
+    for (size_t b = 0; b < block_columns.size(); ++b) {
+      StoreU32(table + 4 * block_columns[b], static_cast<uint32_t>(b));
+      load_cells(block_columns[b]);
+      EncodeBlock(cells.data(), g_size, layout,
+                  table + layout.table_bytes + b * layout.block_bytes);
     }
   }
 
@@ -606,8 +702,9 @@ MappedCube& MappedCube::operator=(MappedCube&& other) noexcept {
   axis_ids_ = other.axis_ids_;
   names_ = other.names_;
   cells_ = other.cells_;
-  presence_ = other.presence_;
   cells_bytes_ = other.cells_bytes_;
+  blocks_ = other.blocks_;
+  num_blocks_ = other.num_blocks_;
   other.data_ = nullptr;
   other.bytes_ = 0;
   other.mapped_ = false;
@@ -713,22 +810,26 @@ Result<MappedCube> MappedCube::Open(const std::string& path,
   cube.dense_ = (header.flags & kBinaryCubeFlagSparse) == 0;
   cube.present_ = header.present;
   for (size_t i = 0; i < 3; ++i) {
-    if (header.dims[i] > (uint64_t{1} << 31)) {
+    if (header.dims[i] == 0 || header.dims[i] > (uint64_t{1} << 31)) {
       return Status::InvalidArgument(
           "binary cube axis size " + std::to_string(header.dims[i]) +
-          " is implausibly large (corrupt header?)");
+          " is empty or implausibly large (corrupt header?)");
     }
     cube.axis_sizes_[i] = static_cast<size_t>(header.dims[i]);
   }
   size_t cells = cube.num_cells();
-  if (cube.axis_sizes_[0] != 0 && cube.axis_sizes_[1] != 0 &&
-      cells / cube.axis_sizes_[0] / cube.axis_sizes_[1] !=
-          cube.axis_sizes_[2]) {
+  if (cells / cube.axis_sizes_[0] / cube.axis_sizes_[1] !=
+      cube.axis_sizes_[2]) {
     return Status::InvalidArgument("binary cube axis sizes overflow");
   }
   if (cube.present_ > cells) {
     return Status::InvalidArgument(
         "binary cube header claims more present cells than exist");
+  }
+  size_t num_columns = cube.axis_sizes_[1] * cube.axis_sizes_[2];
+  if (num_columns >= kNoBlock) {
+    return Status::InvalidArgument(
+        "binary cube has more columns than its slot table can address");
   }
 
   // Walk the variable-length sections with bounds checks.
@@ -766,13 +867,22 @@ Result<MappedCube> MappedCube::Open(const std::string& path,
   cube.cells_ = p;
   cube.cells_bytes_ = remaining;
   if (cube.dense_) {
-    size_t expected = 8 * cells + 8 * ((cells + 63) / 64);
-    if (remaining != expected) {
+    BlockLayout layout(cube.axis_sizes_[0], num_columns);
+    if (remaining < layout.table_bytes ||
+        (remaining - layout.table_bytes) % layout.block_bytes != 0 ||
+        (remaining - layout.table_bytes) / layout.block_bytes > num_columns) {
       return Status::InvalidArgument(
-          "binary cube dense cell section has " + std::to_string(remaining) +
-          " bytes, expected " + std::to_string(expected));
+          "binary cube column-block section has " +
+          std::to_string(remaining) + " bytes, not a slot table plus " +
+          std::to_string(layout.block_bytes) + "-byte blocks");
     }
-    cube.presence_ = cube.cells_ + 8 * cells;
+    cube.blocks_ = cube.cells_ + layout.table_bytes;
+    cube.num_blocks_ = (remaining - layout.table_bytes) / layout.block_bytes;
+    if (cube.present_ > cube.num_blocks_ * cube.axis_sizes_[0]) {
+      return Status::InvalidArgument(
+          "binary cube header claims more present cells than its blocks "
+          "hold");
+    }
   }
   return cube;
 }
@@ -789,10 +899,14 @@ size_t MappedCube::num_cells() const {
 
 std::optional<double> MappedCube::Get(size_t g, size_t q, size_t l) const {
   if (!dense_) return std::nullopt;
-  size_t index = (q * axis_sizes_[2] + l) * axis_sizes_[0] + g;
-  uint64_t word = LoadU64(presence_ + 8 * (index / 64));
-  if ((word >> (index % 64) & 1) == 0) return std::nullopt;
-  return LoadF64(cells_ + 8 * index);
+  uint32_t slot = LoadU32(cells_ + 4 * (q * axis_sizes_[2] + l));
+  // kNoBlock, or a slot past the blocks in a file opened without its CRC.
+  if (slot >= num_blocks_) return std::nullopt;
+  BlockLayout layout(axis_sizes_[0], 0);
+  const unsigned char* block = blocks_ + slot * layout.block_bytes;
+  uint64_t word = LoadU64(block + 8 * (g / 64));
+  if ((word >> (g % 64) & 1) == 0) return std::nullopt;
+  return LoadF64(block + 8 * (layout.words + g));
 }
 
 Result<CubeNames> MappedCube::Names() const {
@@ -833,24 +947,38 @@ Result<UnfairnessCube> MappedCube::Materialize() const {
   size_t l_size = axis_sizes_[2];
   size_t cells = num_cells();
   if (dense_) {
-    // Walk the presence bitmap a word at a time, decoding only set bits: a
-    // sparse-but-dense-layout file (the sharded writer always writes dense)
-    // costs O(present) instead of O(cells), and absent pages of the mmap'd
-    // value section are never touched.
-    size_t num_words = (cells + 63) / 64;
-    for (size_t w = 0; w < num_words; ++w) {
-      uint64_t word = LoadU64(presence_ + 8 * w);
-      while (word != 0) {
-        size_t index = w * 64 + static_cast<size_t>(std::countr_zero(word));
-        word &= word - 1;
-        if (index >= cells) {
-          return Status::InvalidArgument(
-              "binary cube presence bitmap has bits beyond the cell count");
-        }
-        size_t g = index % g_size;
-        size_t rest = index / g_size;
-        cube.Set(g, rest / l_size, rest % l_size, LoadF64(cells_ + 8 * index));
+    // Blocks are numbered in column order, so the slot table must name
+    // 0, 1, 2, ... as it is walked; that also bounds every slot. Columns
+    // without a block are never touched.
+    size_t num_columns = axis_sizes_[1] * l_size;
+    BlockLayout layout(g_size, num_columns);
+    std::vector<std::optional<double>> column(g_size);
+    uint64_t next_block = 0;
+    uint64_t decoded = 0;
+    for (size_t c = 0; c < num_columns; ++c) {
+      uint32_t slot = LoadU32(cells_ + 4 * c);
+      if (slot == kNoBlock) continue;
+      if (slot != next_block || next_block == num_blocks_) {
+        return Status::InvalidArgument(
+            "binary cube slot table does not number its blocks in column "
+            "order");
       }
+      FAIRJOB_ASSIGN_OR_RETURN(
+          size_t present,
+          DecodeBlock(blocks_ + slot * layout.block_bytes, g_size, layout,
+                      column.data()));
+      decoded += present;
+      ++next_block;
+      cube.SetColumn(c / l_size, c % l_size, column.data(), g_size);
+    }
+    if (next_block != num_blocks_) {
+      return Status::InvalidArgument(
+          "binary cube holds blocks that no column names");
+    }
+    if (decoded != present_) {
+      return Status::InvalidArgument(
+          "binary cube decodes " + std::to_string(decoded) +
+          " present cells, but its header says " + std::to_string(present_));
     }
   } else {
     const unsigned char* p = cells_;
@@ -869,9 +997,13 @@ Result<UnfairnessCube> MappedCube::Materialize() const {
         return Status::InvalidArgument(
             "binary cube sparse cell index out of range");
       }
+      double v = LoadF64(p);
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument("binary cube holds a non-finite cell");
+      }
       size_t g = static_cast<size_t>(index) % g_size;
       size_t rest = static_cast<size_t>(index) / g_size;
-      cube.Set(g, rest / l_size, rest % l_size, LoadF64(p));
+      cube.Set(g, rest / l_size, rest % l_size, v);
       p += 8;
     }
     if (p != end) {
@@ -925,12 +1057,17 @@ class BinaryCubeColumnWriter::Impl {
     g_size_ = axes.groups.size();
     q_size_ = axes.queries.size();
     l_size_ = axes.locations.size();
-    cells_ = g_size_ * q_size_ * l_size_;
-    presence_.assign((cells_ + 63) / 64, 0);
-    streamed_.assign((q_size_ * l_size_ + 63) / 64, 0);
+    num_columns_ = q_size_ * l_size_;
+    if (num_columns_ >= kNoBlock) {
+      return Status::InvalidArgument(
+          "binary cube writer axes have more columns than a slot table can "
+          "address");
+    }
+    layout_ = BlockLayout(g_size_, num_columns_);
+    streamed_.assign((num_columns_ + 63) / 64, 0);
 
-    // Header placeholder + axis/name tables + padding; cell values land at
-    // values_offset_ via per-column pwrite, the bitmap after them.
+    // Header placeholder + axis/name tables + padding, then the slot table
+    // (written by Finish) and the blocks, appended as columns arrive.
     std::string prefix(kBinaryCubeHeaderBytes, '\0');
     AppendAxisIds(&prefix, axes.groups);
     AppendAxisIds(&prefix, axes.queries);
@@ -942,22 +1079,14 @@ class BinaryCubeColumnWriter::Impl {
     AppendNames(&prefix, names != nullptr ? &names->locations : nullptr,
                 l_size_);
     prefix.append(PadTo8(prefix.size()), '\0');
-    values_offset_ = prefix.size();
-    presence_offset_ = values_offset_ + 8 * cells_;
-    file_bytes_ = presence_offset_ + 8 * presence_.size();
+    table_offset_ = prefix.size();
+    blocks_offset_ = table_offset_ + layout_.table_bytes;
 
     fd_ = ::open(path.c_str(), O_CREAT | O_TRUNC | O_RDWR, 0644);
     if (fd_ < 0) {
       return Status::IOError("cannot open '" + path + "' for writing");
     }
-    FAIRJOB_RETURN_IF_ERROR(WriteAt(prefix.data(), prefix.size(), 0));
-    // Unstreamed columns must read as value 0.0 / absent: extending the file
-    // to full size makes every unwritten byte a zero.
-    if (::ftruncate(fd_, static_cast<off_t>(file_bytes_)) != 0) {
-      return Status::IOError("cannot size '" + path + "' to " +
-                             std::to_string(file_bytes_) + " bytes");
-    }
-    return Status::OK();
+    return WriteAt(prefix.data(), prefix.size(), 0);
 #endif
   }
 
@@ -979,11 +1108,13 @@ class BinaryCubeColumnWriter::Impl {
       return Status::InvalidArgument(
           "streamed column does not match the writer's axes");
     }
+    FAIRJOB_RETURN_IF_ERROR(CheckFiniteColumn(values, num_groups));
     size_t column = query_pos * l_size_ + location_pos;
-    size_t base = column * g_size_;
     size_t present = 0;
+    for (size_t g = 0; g < g_size_; ++g) present += values[g].has_value();
+    size_t block = 0;
     {
-      std::lock_guard<std::mutex> lock(presence_mutex_);
+      std::lock_guard<std::mutex> lock(mutex_);
       uint64_t& streamed = streamed_[column / 64];
       const uint64_t bit = uint64_t{1} << (column % 64);
       if ((streamed & bit) != 0) {
@@ -992,23 +1123,18 @@ class BinaryCubeColumnWriter::Impl {
             std::to_string(location_pos) + ") was already streamed");
       }
       streamed |= bit;
-      for (size_t g = 0; g < g_size_; ++g) {
-        if (values[g].has_value()) {
-          size_t index = base + g;
-          presence_[index / 64] |= uint64_t{1} << (index % 64);
-          ++present;
-        }
+      // An all-absent column gets no block.
+      if (present > 0) {
+        block = block_columns_.size();
+        block_columns_.push_back(column);
       }
     }
-    // An all-absent column is all zeros on disk, which the ftruncate in Init
-    // already wrote.
     if (present > 0) {
-      std::vector<unsigned char> buf(8 * g_size_);
-      for (size_t g = 0; g < g_size_; ++g) {
-        StoreF64(buf.data() + 8 * g, values[g].value_or(0.0));
-      }
+      std::vector<unsigned char> buf(layout_.block_bytes);
+      EncodeBlock(values, g_size_, layout_, buf.data());
       FAIRJOB_RETURN_IF_ERROR(
-          WriteAt(buf.data(), buf.size(), values_offset_ + 8 * base));
+          WriteAt(buf.data(), buf.size(),
+                  blocks_offset_ + block * layout_.block_bytes));
       present_count_.fetch_add(present, std::memory_order_relaxed);
     }
     ColumnsStreamed()->Add(1);
@@ -1025,21 +1151,26 @@ class BinaryCubeColumnWriter::Impl {
           "binary cube writer already finished");
     }
     finished_ = true;
-    std::string bitmap(8 * presence_.size(), '\0');
-    for (size_t w = 0; w < presence_.size(); ++w) {
-      StoreU64(reinterpret_cast<unsigned char*>(bitmap.data()) + 8 * w,
-               presence_[w]);
+    FAIRJOB_RETURN_IF_ERROR(SortBlocksByColumn());
+    std::string table(layout_.table_bytes, '\0');
+    unsigned char* entries = reinterpret_cast<unsigned char*>(table.data());
+    for (size_t c = 0; c < num_columns_; ++c) {
+      StoreU32(entries + 4 * c, kNoBlock);
     }
-    FAIRJOB_RETURN_IF_ERROR(
-        WriteAt(bitmap.data(), bitmap.size(), presence_offset_));
+    for (size_t b = 0; b < block_columns_.size(); ++b) {
+      StoreU32(entries + 4 * block_columns_[b], static_cast<uint32_t>(b));
+    }
+    FAIRJOB_RETURN_IF_ERROR(WriteAt(table.data(), table.size(), table_offset_));
+    size_t file_bytes =
+        blocks_offset_ + block_columns_.size() * layout_.block_bytes;
 
     // One sequential read-back pass checksums the payload exactly as a
-    // reader will see it (including ftruncate zeros for missing columns).
+    // reader will see it.
     uint32_t crc = 0;
     std::vector<unsigned char> chunk(1 << 20);
     size_t offset = kBinaryCubeHeaderBytes;
-    while (offset < file_bytes_) {
-      size_t want = std::min(chunk.size(), file_bytes_ - offset);
+    while (offset < file_bytes) {
+      size_t want = std::min(chunk.size(), file_bytes - offset);
       ssize_t n = ::pread(fd_, chunk.data(), want,
                           static_cast<off_t>(offset));
       if (n <= 0) {
@@ -1056,12 +1187,12 @@ class BinaryCubeColumnWriter::Impl {
     header.dims[1] = q_size_;
     header.dims[2] = l_size_;
     header.present = present_count_.load(std::memory_order_relaxed);
-    header.payload_bytes = file_bytes_ - kBinaryCubeHeaderBytes;
+    header.payload_bytes = file_bytes - kBinaryCubeHeaderBytes;
     header.payload_crc = crc;
     unsigned char header_bytes[kBinaryCubeHeaderBytes];
     SerializeHeader(header, header_bytes);
     FAIRJOB_RETURN_IF_ERROR(WriteAt(header_bytes, sizeof(header_bytes), 0));
-    BinaryBytesWritten()->Add(file_bytes_);
+    BinaryBytesWritten()->Add(file_bytes);
     int fd = fd_;
     fd_ = -1;
     if (::close(fd) != 0) {
@@ -1087,20 +1218,72 @@ class BinaryCubeColumnWriter::Impl {
     return Status::OK();
   }
 
+  Status ReadAt(void* data, size_t bytes, size_t offset) {
+    char* p = static_cast<char*>(data);
+    size_t done = 0;
+    while (done < bytes) {
+      ssize_t n = ::pread(fd_, p + done, bytes - done,
+                          static_cast<off_t>(offset + done));
+      if (n <= 0) {
+        return Status::IOError("short read from '" + path_ + "'");
+      }
+      done += static_cast<size_t>(n);
+    }
+    return Status::OK();
+  }
+
+  // Blocks land in arrival order, which depends on thread timing. Permutes
+  // them in place into column order, one cycle of the permutation at a
+  // time, so the file's bytes depend only on the cube.
+  Status SortBlocksByColumn() {
+    size_t n = block_columns_.size();
+    std::vector<size_t> by_column(n);
+    for (size_t i = 0; i < n; ++i) by_column[i] = i;
+    std::sort(by_column.begin(), by_column.end(), [&](size_t a, size_t b) {
+      return block_columns_[a] < block_columns_[b];
+    });
+    std::vector<size_t> target(n);  // arrival block -> sorted block
+    for (size_t k = 0; k < n; ++k) target[by_column[k]] = k;
+    std::vector<unsigned char> moving(layout_.block_bytes);
+    std::vector<unsigned char> displaced(layout_.block_bytes);
+    auto at = [&](size_t block) {
+      return blocks_offset_ + block * layout_.block_bytes;
+    };
+    for (size_t start = 0; start < n; ++start) {
+      if (target[start] == start) continue;
+      FAIRJOB_RETURN_IF_ERROR(ReadAt(moving.data(), moving.size(), at(start)));
+      size_t from = start;
+      while (target[from] != from) {
+        size_t to = target[from];
+        if (to != start) {
+          FAIRJOB_RETURN_IF_ERROR(
+              ReadAt(displaced.data(), displaced.size(), at(to)));
+        }
+        FAIRJOB_RETURN_IF_ERROR(WriteAt(moving.data(), moving.size(), at(to)));
+        target[from] = from;  // settled
+        std::swap(moving, displaced);
+        from = to;
+        if (from == start) break;
+      }
+    }
+    std::sort(block_columns_.begin(), block_columns_.end());
+    return Status::OK();
+  }
+
   int fd_ = -1;
 #endif
   std::string path_;
   size_t g_size_ = 0;
   size_t q_size_ = 0;
   size_t l_size_ = 0;
-  size_t cells_ = 0;
-  size_t values_offset_ = 0;
-  size_t presence_offset_ = 0;
-  size_t file_bytes_ = 0;
+  size_t num_columns_ = 0;
+  BlockLayout layout_{0, 0};
+  size_t table_offset_ = 0;
+  size_t blocks_offset_ = 0;
   bool finished_ = false;
-  std::mutex presence_mutex_;  // guards presence_ and streamed_
-  std::vector<uint64_t> presence_;
+  std::mutex mutex_;  // guards streamed_ and block_columns_
   std::vector<uint64_t> streamed_;  // bit per (query, location) column
+  std::vector<size_t> block_columns_;  // column of each written block
   std::atomic<uint64_t> present_count_{0};
 };
 

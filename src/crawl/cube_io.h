@@ -23,12 +23,17 @@ namespace fairjob {
 //  * CSV — human-readable interop format and the differential reference.
 //  * Binary — versioned little-endian format for scale: a fixed header
 //    (magic, version, layout flag, axis sizes, present count, payload CRC32)
-//    followed by axis-id tables, a name table, and either a dense cell
-//    section (f64 values in (query · L + location) · G + group order plus a
-//    presence bitmap — the order a sharded build streams columns in) or a
-//    sparse section (delta-encoded varint cell indices interleaved with f64
-//    values). Dense files open O(ms) via mmap (MappedCube) with random-access
-//    Get; both layouts materialize back into an UnfairnessCube.
+//    followed by axis-id tables, a name table, and one of two cell sections.
+//    The column-block section ("dense") is the in-memory cube's layout
+//    (core/unfairness_cube.h): a Q×L table of u32 block numbers
+//    (0xFFFFFFFF for a column without a present cell), then one block per
+//    column with a present cell, in column order: ⌈G/64⌉ presence words
+//    and G f64 values. The sparse section holds delta-encoded varint cell
+//    indices interleaved with f64 values. Both are sized by the present
+//    cells, not by the G·Q·L grid. Column-block files open O(ms) via mmap
+//    (MappedCube) with O(1) random-access Get; both layouts materialize
+//    back into an UnfairnessCube. The exact byte layout is documented next
+//    to the codec in crawl/cube_io.cc.
 //
 // CSV format: rows
 //   axis,<group|query|location>,<id>,<name>      one per axis entry
@@ -68,33 +73,38 @@ Result<UnfairnessCube> LoadCube(const std::string& path);
 // ---------------------------------------------------------------------------
 
 // Bumped on any incompatible layout change; readers reject other versions.
-inline constexpr uint32_t kBinaryCubeVersion = 1;
+// Version 2 replaced the grid-sized dense section (G·Q·L values plus a
+// presence bitmap) with column blocks.
+inline constexpr uint32_t kBinaryCubeVersion = 2;
 
 struct BinaryCubeWriteOptions {
+  // kDense is the column-block layout, the one MappedCube::Get reads.
   enum class Layout { kAuto, kDense, kSparse };
-  // kAuto picks dense when at least a quarter of the cells are present
-  // (a sparse cell costs ~9–13 bytes against dense's 8 + 1 bit, and only
-  // dense supports mmap random access).
+  // kAuto picks whichever layout makes the smaller file, column blocks on a
+  // tie. A sparse cell costs ~9 bytes; a column block costs 8 bytes per
+  // group plus its presence words, and every column costs a 4-byte table
+  // entry.
   Layout layout = Layout::kAuto;
 };
 
 // Writes `cube` (and optional axis names, parallel to the cube axes) as one
 // binary file. Errors: IOError on filesystem failure, InvalidArgument when
-// `names` axis lengths do not match the cube.
+// `names` axis lengths do not match the cube or a cell is not finite.
 Status SaveCubeBinary(const std::string& path, const UnfairnessCube& cube,
                       const CubeNames* names = nullptr,
                       const BinaryCubeWriteOptions& options = {});
 
 // Reads a binary cube file back into memory (either layout). Errors:
 // IOError on filesystem failure; InvalidArgument on bad magic, unsupported
-// version, truncation, or CRC mismatch.
+// version, truncation, CRC mismatch, or a body Materialize rejects.
 Result<UnfairnessCube> LoadCubeBinary(const std::string& path);
 
 // mmap-backed random-access view of a binary cube file: Open maps the file
-// and validates the header (plus the payload CRC unless disabled), so a
-// multi-GB cube is servable in milliseconds without copying cell data.
-// Get is O(1) on dense files; sparse files support Materialize/Names only.
-// The mapping is read-only and safely shared across threads.
+// and validates the header and section sizes (plus the payload CRC unless
+// disabled), so a large cube is servable in milliseconds without copying
+// cell data. Get is O(1) on column-block files (one table load, one block
+// load); sparse files support Materialize/Names only. The mapping is
+// read-only and safely shared across threads.
 class MappedCube {
  public:
   struct Options {
@@ -122,11 +132,15 @@ class MappedCube {
   uint64_t num_present() const { return present_; }
   size_t file_bytes() const { return bytes_; }
 
-  // Dense files only (returns nullopt unconditionally on sparse files, like
-  // an all-missing cube); positions must be in range.
+  // Column-block files only (returns nullopt unconditionally on sparse
+  // files, like an all-missing cube); positions must be in range.
   std::optional<double> Get(size_t g, size_t q, size_t l) const;
 
-  // Decodes the full file into an UnfairnessCube / CubeNames (both layouts).
+  // Decodes the full file into an UnfairnessCube / CubeNames (both layouts),
+  // copying only the column blocks. Errors: InvalidArgument on a non-finite
+  // cell, a malformed slot table or block, or a decoded present count that
+  // differs from the header's (the check that catches a flipped presence
+  // bit when the CRC was not verified).
   Result<UnfairnessCube> Materialize() const;
   Result<CubeNames> Names() const;
 
@@ -143,22 +157,26 @@ class MappedCube {
   bool dense_ = false;
   uint64_t present_ = 0;
   size_t axis_sizes_[3] = {0, 0, 0};
-  const unsigned char* axis_ids_ = nullptr;   // 3 consecutive i32 tables
-  const unsigned char* names_ = nullptr;      // length-prefixed name table
-  const unsigned char* cells_ = nullptr;      // dense values / sparse stream
-  const unsigned char* presence_ = nullptr;   // dense bitmap (dense only)
+  const unsigned char* axis_ids_ = nullptr;  // 3 consecutive i32 tables
+  const unsigned char* names_ = nullptr;     // length-prefixed name table
+  const unsigned char* cells_ = nullptr;     // slot table / sparse stream
   size_t cells_bytes_ = 0;
+  const unsigned char* blocks_ = nullptr;    // column blocks (dense only)
+  size_t num_blocks_ = 0;
 };
 
-// Streams a dense binary cube file column-by-column: the CubeColumnSink fed
-// to BuildMarketplaceCubeSharded / BuildSearchCubeSharded when the cube
-// should land on disk instead of in memory. Create sizes the file from the
-// resolved axes (unstreamed columns stay all-missing); Consume accepts
-// columns from any thread in any order (writes to disjoint offsets; an
-// all-absent column writes nothing) and rejects a column streamed twice with
-// FailedPrecondition; Finish seals the file — presence bitmap, CRC, header —
-// and must be called exactly once before destruction for the file to be
-// readable.
+// Streams a column-block binary cube file column-by-column: the
+// CubeColumnSink fed to BuildMarketplaceCubeSharded / BuildSearchCubeSharded
+// when the cube should land on disk instead of in memory. Create writes the
+// axis tables (unstreamed columns stay all-missing); Consume accepts columns
+// from any thread in any order and appends one block per column with a
+// present cell (an all-absent column writes nothing). It rejects a column
+// streamed twice with FailedPrecondition and a non-finite cell with
+// InvalidArgument. Finish seals the file: it puts the blocks in column
+// order, writes the slot table, the CRC and the header, so the file's bytes
+// do not depend on arrival order and equal SaveCubeBinary's kDense file of
+// the same cube. It must be called exactly once before destruction for the
+// file to be readable.
 class BinaryCubeColumnWriter final : public CubeColumnSink {
  public:
   static Result<std::unique_ptr<BinaryCubeColumnWriter>> Create(

@@ -49,9 +49,9 @@ bool BitwiseEqual(const std::optional<double>& a,
 
 // Sink for the delta rebuild: patches the cube copy in place and records,
 // per column, whether any cell actually changed. Consume runs on pool
-// threads, but distinct columns write disjoint cube cells and disjoint
-// changed_ slots (the slot map is built up front and read-only after), so
-// no synchronization is needed.
+// threads: distinct columns write through UnfairnessCube::SetColumn, which
+// is safe for concurrent distinct columns, and into disjoint changed_ slots
+// (the slot map is built up front and read-only after).
 class DeltaSink final : public CubeColumnSink {
  public:
   DeltaSink(UnfairnessCube* cube, const std::vector<CubeColumnRef>& columns)
@@ -72,16 +72,12 @@ class DeltaSink final : public CubeColumnSink {
     if (it == slot_.end()) {
       return Status::Internal("delta build produced an unrequested column");
     }
+    UnfairnessCube::Column old = cube_->column(query_pos, location_pos);
     bool changed = false;
-    for (size_t g = 0; g < num_groups; ++g) {
-      std::optional<double> old = cube_->Get(g, query_pos, location_pos);
-      if (!BitwiseEqual(old, values[g])) changed = true;
-      if (values[g].has_value()) {
-        cube_->Set(g, query_pos, location_pos, *values[g]);
-      } else {
-        cube_->Clear(g, query_pos, location_pos);
-      }
+    for (size_t g = 0; g < num_groups && !changed; ++g) {
+      changed = !BitwiseEqual(old.Get(g), values[g]);
     }
+    cube_->SetColumn(query_pos, location_pos, values, num_groups);
     changed_[it->second] = changed ? 1 : 0;
     return Status::OK();
   }

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -12,6 +16,7 @@
 #include "common/rng.h"
 #include "crawl/csv.h"
 #include "serve/cache_key.h"
+#include "serve/incremental.h"
 
 namespace fairjob {
 namespace {
@@ -267,11 +272,26 @@ TEST(BinaryCubeIoTest, CsvAndBinaryLoadsAreBitwiseIdentical) {
   std::remove(csv_path.c_str());
 }
 
+// kAuto writes whichever layout is smaller: full columns of 32 groups cost
+// 8 bytes a cell as blocks against ~9 sparse, so they go dense; a lone
+// cell goes sparse.
 TEST(BinaryCubeIoTest, AutoLayoutTracksDensity) {
   std::string path = TempPath("auto.fjcube");
-  // 6 of 24 cells present = 25%: at the threshold, dense.
-  ASSERT_TRUE(SaveCubeBinary(path, AwkwardCube()).ok());
+  std::vector<int32_t> groups(32);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    groups[g] = static_cast<int32_t>(g);
+  }
+  UnfairnessCube full = *UnfairnessCube::Make(groups, {20, 21}, {30, 31});
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (size_t q = 0; q < 2; ++q) {
+      for (size_t l = 0; l < 2; ++l) {
+        full.Set(g, q, l, 0.01 * static_cast<double>(g + 7 * q + 3 * l));
+      }
+    }
+  }
+  ASSERT_TRUE(SaveCubeBinary(path, full).ok());
   EXPECT_TRUE(MappedCube::Open(path)->dense());
+  ExpectCubesIdentical(full, *LoadCubeBinary(path));
   // 1 of 24 present: sparse.
   UnfairnessCube sparse =
       *UnfairnessCube::Make({10, 11, 12}, {20, 21, 22, 23}, {30, 31});
@@ -504,10 +524,10 @@ TEST(BinaryCubeIoTest, RejectsColumnStreamedTwice) {
   std::remove(path.c_str());
 }
 
-// All-absent columns are not written: the zeros Create sized the file with
-// stand in for them, so a cube whose columns are mostly empty still passes
-// the verified open, reads back equal to the in-memory cube, and is
-// byte-identical to SaveCubeBinary's dense file.
+// All-absent columns are not written: each costs one slot-table entry, so a
+// cube whose columns are mostly empty still passes the verified open, reads
+// back equal to the in-memory cube, and is byte-identical to
+// SaveCubeBinary's dense file.
 TEST(BinaryCubeIoTest, MostlyAbsentColumnsRoundTrip) {
   std::string streamed_path = TempPath("mostly_absent.fjcube");
   std::string direct_path = TempPath("mostly_absent_direct.fjcube");
@@ -622,6 +642,422 @@ TEST(BinaryCubeIoTest, ShardedBuildToFileMatchesInMemoryBuild) {
       *BuildMarketplaceCube(market, space, MarketMeasure::kEmd);
   ExpectCubesIdentical(in_memory, from_file);
   std::remove(path.c_str());
+}
+
+// --- binary boundary checks --------------------------------------------------
+
+CubeAxes AxesOf(const UnfairnessCube& cube) {
+  CubeAxes axes;
+  for (size_t g = 0; g < cube.axis_size(Dimension::kGroup); ++g) {
+    axes.groups.push_back(cube.axis_id(Dimension::kGroup, g));
+  }
+  for (size_t q = 0; q < cube.axis_size(Dimension::kQuery); ++q) {
+    axes.queries.push_back(cube.axis_id(Dimension::kQuery, q));
+  }
+  for (size_t l = 0; l < cube.axis_size(Dimension::kLocation); ++l) {
+    axes.locations.push_back(cube.axis_id(Dimension::kLocation, l));
+  }
+  return axes;
+}
+
+// Streams every column of `cube` into a column writer at `path`, in the
+// column order given by `order` (indices q·L + l).
+void StreamCube(const UnfairnessCube& cube, const std::vector<size_t>& order,
+                const std::string& path) {
+  size_t num_groups = cube.axis_size(Dimension::kGroup);
+  size_t num_locations = cube.axis_size(Dimension::kLocation);
+  auto writer = BinaryCubeColumnWriter::Create(path, AxesOf(cube));
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  std::vector<std::optional<double>> column(num_groups);
+  for (size_t c : order) {
+    size_t q = c / num_locations;
+    size_t l = c % num_locations;
+    for (size_t g = 0; g < num_groups; ++g) column[g] = cube.Get(g, q, l);
+    ASSERT_TRUE((*writer)->Consume(q, l, column.data(), num_groups).ok());
+  }
+  ASSERT_TRUE((*writer)->Finish().ok());
+}
+
+TEST(BinaryCubeIoTest, ColumnWriterRejectsNonFiniteValues) {
+  std::string path = TempPath("nonfinite_writer.fjcube");
+  CubeAxes axes;
+  axes.groups = {1, 2};
+  axes.queries = {3};
+  axes.locations = {4, 5};
+  auto writer = BinaryCubeColumnWriter::Create(path, axes);
+  ASSERT_TRUE(writer.ok());
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    std::optional<double> column[2] = {0.5, bad};
+    EXPECT_EQ((*writer)->Consume(0, 0, column, 2).code(),
+              StatusCode::kInvalidArgument);
+  }
+  // A rejected column was not marked streamed.
+  std::optional<double> good[2] = {0.5, 0.25};
+  ASSERT_TRUE((*writer)->Consume(0, 0, good, 2).ok());
+  ASSERT_TRUE((*writer)->Finish().ok());
+  UnfairnessCube restored = *LoadCubeBinary(path);
+  EXPECT_EQ(restored.num_present(), 2u);
+  EXPECT_EQ(restored.Get(1, 0, 0), std::optional<double>(0.25));
+  std::remove(path.c_str());
+}
+
+// Byte offset of column block `block` in a column-block file holding
+// `num_blocks` blocks of `num_groups` groups: the blocks end the file.
+size_t BlockOffset(const std::string& bytes, size_t num_groups,
+                   size_t num_blocks, size_t block) {
+  size_t block_bytes = 8 * ((num_groups + 63) / 64 + num_groups);
+  return bytes.size() - (num_blocks - block) * block_bytes;
+}
+
+void PatchU64(std::string* bytes, size_t offset, uint64_t value) {
+  for (size_t i = 0; i < 8; ++i) {
+    (*bytes)[offset + i] = static_cast<char>(value >> (8 * i));
+  }
+}
+
+uint64_t ReadU64(const std::string& bytes, size_t offset) {
+  uint64_t value = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    value |= uint64_t{static_cast<unsigned char>(bytes[offset + i])}
+             << (8 * i);
+  }
+  return value;
+}
+
+Result<UnfairnessCube> MaterializeTrusted(const std::string& path) {
+  MappedCube::Options trusting;
+  trusting.verify_checksum = false;
+  FAIRJOB_ASSIGN_OR_RETURN(MappedCube mapped, MappedCube::Open(path, trusting));
+  return mapped.Materialize();
+}
+
+// AwkwardCube's first block is column (0, 0), where only group 0 is present.
+TEST(BinaryCubeIoTest, MaterializeRejectsNonFiniteValues) {
+  std::string path = TempPath("nonfinite_file.fjcube");
+  BinaryCubeWriteOptions options;
+  options.layout = BinaryCubeWriteOptions::Layout::kDense;
+  ASSERT_TRUE(SaveCubeBinary(path, AwkwardCube(), nullptr, options).ok());
+  std::string good = ReadFileBytes(path);
+  size_t block = BlockOffset(good, 3, 6, 0);
+  ASSERT_EQ(ReadU64(good, block), 1u);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    std::string mangled = good;
+    PatchU64(&mangled, block + 8, std::bit_cast<uint64_t>(bad));
+    WriteFileBytes(path, mangled);
+    Result<UnfairnessCube> r = MaterializeTrusted(path);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+
+  // The sparse stream's first value follows its one-byte first delta.
+  options.layout = BinaryCubeWriteOptions::Layout::kSparse;
+  ASSERT_TRUE(SaveCubeBinary(path, AwkwardCube(), nullptr, options).ok());
+  std::string sparse = ReadFileBytes(path);
+  size_t value_at = sparse.size() - 6 * 9 + 1;
+  ASSERT_EQ(ReadU64(sparse, value_at), std::bit_cast<uint64_t>(1.0 / 3.0));
+  PatchU64(&sparse, value_at,
+           std::bit_cast<uint64_t>(std::numeric_limits<double>::infinity()));
+  WriteFileBytes(path, sparse);
+  Result<UnfairnessCube> r = MaterializeTrusted(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+// A flipped presence bit changes the decoded present count, which must
+// match the header's, so an unverified open cannot silently change a cube.
+TEST(BinaryCubeIoTest, MaterializeRejectsPresentCountMismatch) {
+  std::string path = TempPath("presence_flip.fjcube");
+  BinaryCubeWriteOptions options;
+  options.layout = BinaryCubeWriteOptions::Layout::kDense;
+  ASSERT_TRUE(SaveCubeBinary(path, AwkwardCube(), nullptr, options).ok());
+  std::string good = ReadFileBytes(path);
+  ASSERT_TRUE(MaterializeTrusted(path).ok());
+  size_t block = BlockOffset(good, 3, 6, 0);
+  for (uint64_t presence : {uint64_t{0b011}, uint64_t{0b101}}) {
+    std::string mangled = good;
+    PatchU64(&mangled, block, presence);  // one absent cell turned present
+    WriteFileBytes(path, mangled);
+    ASSERT_TRUE(MappedCube::Open(path, {.verify_checksum = false}).ok());
+    Result<UnfairnessCube> r = MaterializeTrusted(path);
+    ASSERT_FALSE(r.ok()) << presence;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().ToString().find("present"), std::string::npos);
+  }
+  // A bit past the group axis, and a block emptied of its only cell.
+  for (uint64_t presence : {uint64_t{0b1001}, uint64_t{0}}) {
+    std::string mangled = good;
+    PatchU64(&mangled, block, presence);
+    WriteFileBytes(path, mangled);
+    Result<UnfairnessCube> r = MaterializeTrusted(path);
+    ASSERT_FALSE(r.ok()) << presence;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+  std::remove(path.c_str());
+}
+
+// Opened without its CRC, a file with any one byte flipped either fails
+// with a Status or reads back: no read leaves the mapping. Each present
+// cell that survives keeps a finite value.
+TEST(BinaryCubeIoTest, TrustedOpenSurvivesEveryByteFlip) {
+  std::string path = TempPath("flip.fjcube");
+  UnfairnessCube cube = AwkwardCube();
+  for (auto layout : {BinaryCubeWriteOptions::Layout::kDense,
+                      BinaryCubeWriteOptions::Layout::kSparse}) {
+    BinaryCubeWriteOptions options;
+    options.layout = layout;
+    ASSERT_TRUE(SaveCubeBinary(path, cube, nullptr, options).ok());
+    std::string good = ReadFileBytes(path);
+    for (size_t i = 0; i < good.size(); ++i) {
+      for (unsigned char mask : {0x01, 0x80}) {
+        std::string mangled = good;
+        mangled[i] = static_cast<char>(mangled[i] ^ mask);
+        WriteFileBytes(path, mangled);
+        Result<MappedCube> mapped =
+            MappedCube::Open(path, {.verify_checksum = false});
+        if (!mapped.ok()) continue;
+        for (size_t g = 0; g < 3; ++g) {
+          for (size_t q = 0; q < 4; ++q) {
+            for (size_t l = 0; l < 2; ++l) (void)mapped->Get(g, q, l);
+          }
+        }
+        Result<UnfairnessCube> restored = mapped->Materialize();
+        if (!restored.ok()) continue;
+        for (size_t g = 0; g < 3; ++g) {
+          for (size_t q = 0; q < 4; ++q) {
+            for (size_t l = 0; l < 2; ++l) {
+              std::optional<double> v = restored->Get(g, q, l);
+              EXPECT_TRUE(!v.has_value() || std::isfinite(*v))
+                  << "byte " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// The file's bytes depend only on the cube: columns streamed in reverse or
+// shuffled order, and sharded builds at parallelism 1 and 4, all equal
+// SaveCubeBinary's column-block file.
+TEST(BinaryCubeIoTest, ColumnWriterFilesIgnoreArrivalOrder) {
+  UnfairnessCube cube = AwkwardCube();
+  std::string direct_path = TempPath("order_direct.fjcube");
+  std::string streamed_path = TempPath("order_streamed.fjcube");
+  BinaryCubeWriteOptions options;
+  options.layout = BinaryCubeWriteOptions::Layout::kDense;
+  ASSERT_TRUE(SaveCubeBinary(direct_path, cube, nullptr, options).ok());
+  std::string direct = ReadFileBytes(direct_path);
+
+  std::vector<size_t> order(cube.num_columns());
+  for (size_t c = 0; c < order.size(); ++c) order[c] = c;
+  std::reverse(order.begin(), order.end());
+  StreamCube(cube, order, streamed_path);
+  EXPECT_EQ(ReadFileBytes(streamed_path), direct);
+  Rng rng(31);
+  for (int round = 0; round < 8; ++round) {
+    rng.Shuffle(order);
+    StreamCube(cube, order, streamed_path);
+    EXPECT_EQ(ReadFileBytes(streamed_path), direct) << "round " << round;
+  }
+  std::remove(direct_path.c_str());
+  std::remove(streamed_path.c_str());
+}
+
+// A marketplace over a three-attribute schema: 99 intersectional groups,
+// so presence spans two words, and some (query, location) cells unranked.
+MarketplaceDataset PropertyMarket(uint64_t seed) {
+  AttributeSchema schema;
+  EXPECT_TRUE(schema.AddAttribute("a", {"a0", "a1", "a2"}).ok());
+  EXPECT_TRUE(schema.AddAttribute("b", {"b0", "b1", "b2", "b3"}).ok());
+  EXPECT_TRUE(schema.AddAttribute("c", {"c0", "c1", "c2", "c3"}).ok());
+  MarketplaceDataset market(schema);
+  Rng rng(seed);
+  std::vector<WorkerId> workers;
+  for (int i = 0; i < 60; ++i) {
+    Demographics d = {static_cast<ValueId>(rng.NextBelow(3)),
+                      static_cast<ValueId>(rng.NextBelow(4)),
+                      static_cast<ValueId>(rng.NextBelow(4))};
+    workers.push_back(*market.AddWorker("w" + std::to_string(i), d));
+  }
+  for (QueryId q = 0; q < 9; ++q) {
+    market.queries().GetOrAdd("q" + std::to_string(q));
+  }
+  for (LocationId l = 0; l < 5; ++l) {
+    market.locations().GetOrAdd("l" + std::to_string(l));
+  }
+  for (QueryId q = 0; q < 9; ++q) {
+    for (LocationId l = 0; l < 5; ++l) {
+      if (rng.NextBelow(3) == 0) continue;  // unranked: an all-absent column
+      MarketRanking r;
+      r.workers = workers;
+      rng.Shuffle(r.workers);
+      r.workers.resize(8 + rng.NextBelow(40));
+      EXPECT_TRUE(market.SetRanking(q, l, std::move(r)).ok());
+    }
+  }
+  return market;
+}
+
+void ExpectSameFileAndFingerprint(const UnfairnessCube& expected,
+                                  const UnfairnessCube& actual,
+                                  const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(FingerprintCube(actual), FingerprintCube(expected));
+  ExpectCubesIdentical(expected, actual);
+}
+
+TEST(BinaryCubeIoTest, ShardedFilesAreByteIdenticalAcrossParallelism) {
+  MarketplaceDataset market = PropertyMarket(5);
+  GroupSpace space = *GroupSpace::Enumerate(market.schema());
+  CubeAxes axes = *ResolveMarketplaceCubeAxes(market, space);
+  UnfairnessCube in_memory =
+      *BuildMarketplaceCube(market, space, MarketMeasure::kEmd);
+  std::string direct_path = TempPath("parallel_direct.fjcube");
+  BinaryCubeWriteOptions options;
+  options.layout = BinaryCubeWriteOptions::Layout::kDense;
+  ASSERT_TRUE(SaveCubeBinary(direct_path, in_memory, nullptr, options).ok());
+  std::string direct = ReadFileBytes(direct_path);
+  for (size_t parallelism : {1, 4, 4, 4}) {
+    std::string path = TempPath("parallel_sharded.fjcube");
+    auto writer = BinaryCubeColumnWriter::Create(path, axes);
+    ASSERT_TRUE(writer.ok());
+    ShardedBuildOptions sharded;
+    sharded.shard_columns = 16;
+    sharded.parallelism = parallelism;
+    ASSERT_TRUE(BuildMarketplaceCubeSharded(market, space, MarketMeasure::kEmd,
+                                            {}, axes, sharded, writer->get())
+                    .ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+    EXPECT_EQ(ReadFileBytes(path), direct) << "parallelism " << parallelism;
+    std::remove(path.c_str());
+  }
+  std::remove(direct_path.c_str());
+}
+
+// Every way to construct a cube yields the same cells: the in-memory build,
+// the sharded build through a file, both binary layouts, the CSV round trip
+// and a maintainer's deltas against a cold rebuild of the same data.
+TEST(FingerprintCubeTest, EveryConstructionPathAgrees) {
+  for (uint64_t seed : {11, 12, 13}) {
+    SCOPED_TRACE(seed);
+    MarketplaceDataset market = PropertyMarket(seed);
+    GroupSpace space = *GroupSpace::Enumerate(market.schema());
+    ASSERT_GT(space.num_groups(), 64u);
+    UnfairnessCube in_memory = *BuildMarketplaceCube(
+        market, space, MarketMeasure::kEmd, {}, {}, /*parallelism=*/3);
+    ASSERT_GT(in_memory.num_present(), 0u);
+
+    CubeAxes axes = *ResolveMarketplaceCubeAxes(market, space);
+    std::string path = TempPath("paths.fjcube");
+    auto writer = BinaryCubeColumnWriter::Create(path, axes);
+    ASSERT_TRUE(writer.ok());
+    ShardedBuildOptions sharded;
+    sharded.shard_columns = 7;
+    sharded.parallelism = 3;
+    ASSERT_TRUE(BuildMarketplaceCubeSharded(market, space, MarketMeasure::kEmd,
+                                            {}, axes, sharded, writer->get())
+                    .ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+    ExpectSameFileAndFingerprint(
+        in_memory, *MappedCube::Open(path)->Materialize(), "sharded file");
+
+    for (auto layout : {BinaryCubeWriteOptions::Layout::kDense,
+                        BinaryCubeWriteOptions::Layout::kSparse}) {
+      BinaryCubeWriteOptions options;
+      options.layout = layout;
+      ASSERT_TRUE(SaveCubeBinary(path, in_memory, nullptr, options).ok());
+      ExpectSameFileAndFingerprint(in_memory, *LoadCubeBinary(path),
+                                   "binary layout");
+    }
+    std::remove(path.c_str());
+
+    ExpectSameFileAndFingerprint(
+        in_memory, *CubeFromCsvRows(CubeToCsvRows(in_memory)), "csv");
+
+    // Deltas: re-crawl half the ranked columns with fresh rankings.
+    MarketplaceCubeMaintainer maintainer = *MarketplaceCubeMaintainer::Make(
+        market, space, MarketMeasure::kEmd, {}, {}, /*parallelism=*/3);
+    MarketplaceDataset updated = market;
+    Rng rng(seed * 7);
+    CrawlBatch batch;
+    for (QueryId q = 0; q < 9; ++q) {
+      for (LocationId l = 0; l < 5; ++l) {
+        if (rng.NextBelow(2) == 0) continue;
+        MarketRanking r;
+        for (WorkerId w = 0; w < 60; ++w) {
+          if (rng.NextBelow(3) == 0) r.workers.push_back(w);
+        }
+        rng.Shuffle(r.workers);
+        ASSERT_TRUE(updated.SetRanking(q, l, r).ok());
+        batch.rows.push_back(CrawlBatchRow{q, l, std::move(r)});
+      }
+    }
+    ASSERT_TRUE(maintainer.UpsertCrawlBatch(batch).ok());
+    UnfairnessCube cold = *BuildMarketplaceCube(updated, space,
+                                                MarketMeasure::kEmd);
+    ExpectSameFileAndFingerprint(cold, maintainer.snapshot()->cube(),
+                                 "maintainer deltas");
+  }
+}
+
+// A search column that loses its observations keeps its slot with every
+// cell absent; the cube still equals a cold rebuild, and its file equals
+// the cold cube's byte for byte.
+TEST(FingerprintCubeTest, EmptiedColumnMatchesColdRebuild) {
+  AttributeSchema schema;
+  ASSERT_TRUE(schema.AddAttribute("gender", {"Male", "Female"}).ok());
+  SearchDataset data(schema);
+  for (int u = 0; u < 6; ++u) {
+    ASSERT_TRUE(
+        data.AddUser("u" + std::to_string(u), {static_cast<ValueId>(u % 2)})
+            .ok());
+  }
+  data.queries().GetOrAdd("term");
+  data.locations().GetOrAdd("here");
+  data.locations().GetOrAdd("there");
+  for (LocationId l = 0; l < 2; ++l) {
+    for (UserId u = 0; u < 6; ++u) {
+      SearchObservation obs;
+      obs.user = u;
+      obs.results = {1, 2, 3, static_cast<int32_t>(4 + u % 3)};
+      ASSERT_TRUE(data.AddObservation(0, l, std::move(obs)).ok());
+    }
+  }
+  GroupSpace space = *GroupSpace::Enumerate(data.schema());
+  SearchCubeMaintainer maintainer = *SearchCubeMaintainer::Make(
+      data, space, SearchMeasure::kJaccard);
+  ASSERT_GT(maintainer.snapshot()->cube().num_present(), 0u);
+  StudySnapshot emptied;
+  emptied.cells.push_back(StudySnapshotCell{0, 1, {}});
+  ASSERT_TRUE(maintainer.UpsertStudySnapshot(emptied).ok());
+  ASSERT_TRUE(data.SetObservations(0, 1, {}).ok());
+  UnfairnessCube cold = *BuildSearchCube(data, space, SearchMeasure::kJaccard);
+  const UnfairnessCube& patched = maintainer.snapshot()->cube();
+  // The emptied column keeps its slot, every cell of it absent.
+  ASSERT_TRUE(patched.column(0, 1).stored());
+  for (size_t g = 0; g < patched.axis_size(Dimension::kGroup); ++g) {
+    EXPECT_FALSE(patched.column(0, 1).present(g)) << "g=" << g;
+  }
+  EXPECT_EQ(patched.num_present(), cold.num_present());
+  ExpectSameFileAndFingerprint(cold, patched, "emptied column");
+
+  std::string cold_path = TempPath("emptied_cold.fjcube");
+  std::string patched_path = TempPath("emptied_patched.fjcube");
+  for (auto layout : {BinaryCubeWriteOptions::Layout::kDense,
+                      BinaryCubeWriteOptions::Layout::kSparse}) {
+    BinaryCubeWriteOptions options;
+    options.layout = layout;
+    ASSERT_TRUE(SaveCubeBinary(cold_path, cold, nullptr, options).ok());
+    ASSERT_TRUE(SaveCubeBinary(patched_path, patched, nullptr, options).ok());
+    EXPECT_EQ(ReadFileBytes(patched_path), ReadFileBytes(cold_path));
+  }
+  std::remove(cold_path.c_str());
+  std::remove(patched_path.c_str());
 }
 
 TEST(BinaryCubeIoTest, Crc32MatchesKnownCheckValue) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
+#include <string>
 
 #include "common/rng.h"
 
@@ -86,6 +88,67 @@ TEST(CubeTest, AxisAverageMatchesManualAverage) {
   EXPECT_DOUBLE_EQ(*cube.AxisAverage(Dimension::kQuery, 1), 0.3);
   EXPECT_DOUBLE_EQ(*cube.AxisAverage(Dimension::kLocation, 0),
                    (0.1 + 0.3 + 0.9) / 3.0);
+}
+
+// Resident set in MB from /proc/self/status; 0 off Linux and under a
+// sanitizer, whose shadow memory would swamp the program's own.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define FAIRJOB_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define FAIRJOB_TEST_SANITIZED 1
+#endif
+#endif
+
+double ResidentMb() {
+#if defined(__linux__) && !defined(FAIRJOB_TEST_SANITIZED)
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;
+  }
+#endif
+  return 0.0;
+}
+
+// Storage follows the present columns, not the grid: an all-absent
+// 64 × 10,000 × 100 cube (64M cells, 1 GB as 16-byte optionals) is made,
+// copied and read in full for a small fraction of that. Only the column
+// table and the epochs, 12 bytes per (query, location) column, scale with
+// the grid.
+TEST(CubeTest, AllAbsentGridCostsOnlyItsColumnTable) {
+  const double before = ResidentMb();
+  std::vector<int32_t> groups(64);
+  std::vector<int32_t> queries(10'000);
+  std::vector<int32_t> locations(100);
+  for (size_t i = 0; i < groups.size(); ++i) {
+    groups[i] = static_cast<int32_t>(i);
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    queries[i] = static_cast<int32_t>(i);
+  }
+  for (size_t i = 0; i < locations.size(); ++i) {
+    locations[i] = static_cast<int32_t>(i);
+  }
+  UnfairnessCube cube = *UnfairnessCube::Make(groups, queries, locations);
+  UnfairnessCube copy = cube;
+  EXPECT_EQ(copy.num_cells(), size_t{64'000'000});
+  EXPECT_EQ(copy.num_present(), 0u);
+  EXPECT_FALSE(copy.Average(AxisSelector::All(), AxisSelector::All(),
+                            AxisSelector::All())
+                   .has_value());
+  size_t present = 0;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    for (size_t l = 0; l < locations.size(); ++l) {
+      for (size_t g = 0; g < groups.size(); ++g) {
+        present += copy.Get(g, q, l).has_value();
+      }
+    }
+  }
+  EXPECT_EQ(present, 0u);
+  if (before > 0.0) {
+    EXPECT_LT(ResidentMb() - before, 64.0);
+  }
 }
 
 TEST(CubeTest, DimensionNames) {
