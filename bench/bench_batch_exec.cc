@@ -1,4 +1,4 @@
-// Vectorized micro-batched query execution: one cube scan answers many
+// Vectorized batched query execution: one cube scan answers many
 // requests. Times the same Zipf-skewed request trace answered sequentially
 // (one SolveQuantification per request) vs. through
 // SolveQuantificationBatch in chunks, enforces the batched throughput
@@ -23,7 +23,6 @@
 #include "core/quantification_batch.h"
 #include "core/unfairness_cube.h"
 #include "market/scale_gen.h"
-#include "serve/quantification_service.h"
 
 namespace fairjob {
 namespace bench {
@@ -164,28 +163,20 @@ bool BitwiseIdentical(const Result<QuantificationResult>& a,
          s.hash_accesses == t.hash_accesses;
 }
 
-// One metrics-on pass through a window-enabled QuantificationService so the
-// serve.batch.* family has data in the JSON artifact.
-std::string InstrumentedWindowPassJson(
+// One metrics-on SolveQuantificationBatch pass over the head of the trace,
+// so the fagin.<alg>.* lane sums have data in the JSON artifact.
+std::string InstrumentedBatchPassJson(
     const UnfairnessCube& cube, const IndexSet& indices,
     const std::vector<QuantificationRequest>& trace) {
   MetricsRegistry& metrics = MetricsRegistry::Global();
   metrics.Reset();
   metrics.SetEnabled(true);
 
-  QuantificationService::Options options;
-  options.cache_capacity = 0;  // every request exercises the window
-  options.batch_window_micros = 200;
-  options.max_batch_size = 64;
-  QuantificationService service(&cube, &indices, options);
-  const size_t chunk = 64;
-  const size_t limit = std::min<size_t>(trace.size(), 512);
-  for (size_t i = 0; i < limit; i += chunk) {
-    std::vector<QuantificationRequest> slice(
-        trace.begin() + i, trace.begin() + std::min(limit, i + chunk));
-    for (Result<QuantificationResult>& result : service.AnswerBatch(slice)) {
-      OrDie(std::move(result), "instrumented window answer");
-    }
+  std::vector<QuantificationRequest> head(
+      trace.begin(), trace.begin() + std::min<size_t>(trace.size(), 512));
+  for (Result<QuantificationResult>& result :
+       SolveQuantificationBatch(cube, indices, head)) {
+    OrDie(std::move(result), "instrumented batch answer");
   }
 
   metrics.SetEnabled(false);
@@ -308,7 +299,7 @@ int Main(int argc, char** argv) {
   std::printf("answers identical to per-request solve: %s\n",
               all_identical ? "yes" : "NO");
 
-  std::string metrics_json = InstrumentedWindowPassJson(cube, indices, trace);
+  std::string metrics_json = InstrumentedBatchPassJson(cube, indices, trace);
   std::string json =
       "{\n  \"bench\": \"batch_exec\",\n  \"hardware_concurrency\": " +
       std::to_string(hardware) +

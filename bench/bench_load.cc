@@ -11,9 +11,9 @@
 //   D  overload: offered ≈ 2x cold capacity with the cache off — the
 //      service must shed (typed kUnavailable/kDeadlineExceeded) instead of
 //      stalling, and the admission accounting must stay exact;
-//   E  batched: open-loop with the micro-batch window on and the cache off
-//      — every request rides SolveQuantificationBatch through the window
-//      collector, which must hold the QPS/p99 SLO with exact accounting.
+//   E  miss path at the SLO: open-loop over the dashboard-hot trace with the
+//      cache off — every request computes (or coalesces in single flight),
+//      and the miss path must hold the QPS/p99 SLO with exact accounting.
 // Writes BENCH_load.json.
 
 #include <algorithm>
@@ -480,26 +480,18 @@ int Main(int argc, char** argv) {
               "overload: run stalled instead of shedding");
   gates.Check(overload_accounting, "overload: admission accounting broken");
 
-  // --- Phase E: micro-batched serving at the SLO -----------------------------
-  // The window collector pays off when concurrent misses share cube
-  // slices, so this phase serves the dashboard-hot subset of the trace
-  // (its most frequent selector groups — where one gather answers many
-  // lanes), cache off so every request exercises the window → batched
-  // executor path. Two measurements, two window shapes:
-  //   * capacity probe (closed loop): max_batch_size is dropped to half
-  //     the worker count so windows drain the moment enough in-flight
-  //     misses have parked — the wide window is only a backstop, the
-  //     leader never idles, and the probe measures what shared-pass
-  //     drains can do on this box. Reported as the uplift column.
-  //   * SLO run (open loop): the window is half a measured solve cost
-  //     (bounded to [0.5ms, 5ms]) — a latency budget, not a throughput
-  //     device — and the run must sustain 0.35x the sequential capacity
-  //     inside a deadline/SLO scaled in solve costs, shedding typed and
-  //     the accounting identity exact.
-  // Throughput uplift is *gated* in bench_batch_exec, which drives the
-  // executor at full occupancy; an open loop held below capacity cannot
-  // and should not reproduce that number, so here it is report-only. On
-  // fast boxes (smoke tier: tens of microseconds per solve) the scaled
+  // --- Phase E: the miss path at the SLO ------------------------------------
+  // Serves the dashboard-hot subset of the trace (its most frequent selector
+  // groups) with the cache off, so every request takes the miss path:
+  // admission, single flight and one SolveQuantification per distinct key
+  // in flight. Two measurements:
+  //   * capacity probe (closed loop): what the service's miss path sustains
+  //     on this box, reported against the single-threaded solve cost scaled
+  //     to all cores (the capacity ratio column, report-only);
+  //   * SLO run (open loop): the run must sustain 0.35x the sequential
+  //     capacity inside a deadline/SLO scaled in solve costs, shedding typed
+  //     and the accounting identity exact.
+  // On fast boxes (smoke tier: tens of microseconds per solve) the scaled
   // knobs all reduce to the declared constants.
   const size_t kHotGroups = 4;
   std::vector<QuantificationRequest> hot_trace;
@@ -532,17 +524,16 @@ int Main(int argc, char** argv) {
       if (hot_keys.count(selector_key(r)) != 0) hot_trace.push_back(r);
     }
   }
-  // More workers than the general phases: windows coalesce concurrent
-  // parkers, so the capacity probe needs enough of them in flight to fill
-  // one.
-  const size_t batch_workers = std::max<size_t>(load_workers, 16);
+  // More workers than the general phases, so the closed-loop probe keeps
+  // every admission permit busy.
+  const size_t miss_workers = std::max<size_t>(load_workers, 16);
   LoadGenOptions calib_options;
-  calib_options.num_workers = batch_workers;
+  calib_options.num_workers = miss_workers;
   // True per-solve cost, measured single-threaded with no service in the
   // way. The hot trace has few distinct keys, so a closed-loop probe
   // through the service would coalesce duplicates in single flight and
   // overstate capacity — noisily, run to run — and every knob derived from
-  // it (window, target, deadline, SLO) would inherit the error.
+  // it (target, deadline, SLO) would inherit the error.
   double solve_cost_us = 0.0;
   {
     const std::shared_ptr<const CubeSnapshot> snap = maintainer.snapshot();
@@ -556,123 +547,94 @@ int Main(int argc, char** argv) {
     solve_cost_us = std::chrono::duration<double, std::micro>(t1 - t0).count() /
                     static_cast<double>(std::max<size_t>(1, samples));
   }
-  const double batched_seq_qps =
+  const double miss_seq_qps =
       1e6 * static_cast<double>(std::max<size_t>(1, hardware)) /
       std::max(1.0, solve_cost_us);
-  // Capacity probe: drain-on-full windows. Pending entries are unique keys
-  // (duplicates coalesce as followers), so requiring every worker to park a
-  // distinct key could stall a window — half the workers is usually
-  // reachable, and a backstop of a few solve costs bounds the stall when
-  // the hot trace has fewer distinct keys than that.
-  QuantificationService::Options probe_options;
-  probe_options.cache_capacity = 0;
-  probe_options.max_inflight = std::max<size_t>(4, hardware);
-  probe_options.max_queue_depth = 256;
-  probe_options.batch_window_micros = std::clamp<int64_t>(
-      static_cast<int64_t>(8.0 * solve_cost_us), 1000, 250'000);
-  probe_options.max_batch_size = std::max<size_t>(2, batch_workers / 2);
-  double batched_capacity_qps = 0.0;
+  QuantificationService::Options miss_options;
+  miss_options.cache_capacity = 0;
+  miss_options.max_inflight = std::max<size_t>(4, hardware);
+  miss_options.max_queue_depth = 256;
+  double miss_capacity_qps = 0.0;
   {
-    QuantificationService win(maintainer.snapshot(), probe_options);
-    batched_capacity_qps =
-        RunClosedLoopLoad(win, hot_trace, calib_s, calib_options).achieved_qps;
+    QuantificationService probe(maintainer.snapshot(), miss_options);
+    miss_capacity_qps =
+        RunClosedLoopLoad(probe, hot_trace, calib_s, calib_options)
+            .achieved_qps;
   }
-  // SLO run: the window is a latency budget of half a solve cost, so parked
-  // time can never dominate service time, and the target sits at 0.4x the
-  // sequential capacity — comfortably stable, the gate is the tail.
-  const int64_t batched_window_us = std::clamp<int64_t>(
-      static_cast<int64_t>(0.5 * solve_cost_us), 500, 5'000);
-  QuantificationService::Options batched_options;
-  batched_options.cache_capacity = 0;
-  batched_options.max_inflight = std::max<size_t>(4, hardware);
-  batched_options.max_queue_depth = 256;
-  batched_options.batch_window_micros = batched_window_us;
-  batched_options.max_batch_size = 64;
-  const double batched_target_qps =
-      std::min(0.35 * batched_seq_qps, target_cap);
+  // SLO run: the target sits at 0.35x the sequential capacity — comfortably
+  // stable, the gate is the tail.
+  const double miss_target_qps = std::min(0.35 * miss_seq_qps, target_cap);
   // A Poisson burst of k arrivals time-slices k solves on a saturated core,
   // so the tail is inherently a multiple of the solve cost: the SLO allows
   // 20 of them, the deadline 40 (shedding is the failure mode, not the
   // budget).
-  const int64_t batched_deadline_us =
+  const int64_t miss_deadline_us =
       deadline_budget_us > 0
           ? std::max(deadline_budget_us,
                      static_cast<int64_t>(40.0 * solve_cost_us))
           : 0;
-  const double batched_slo_p99_us =
+  const double miss_slo_p99_us =
       std::max(static_cast<double>(deadline_budget_us > 0 ? deadline_budget_us
                                                           : 1'000'000),
                20.0 * solve_cost_us);
   // Enough arrivals for a meaningful p99 even when heavy solves cap the
   // target at tens of qps.
-  const double batched_duration_s = std::min(
-      30.0, std::max(duration_s, 120.0 / std::max(1.0, batched_target_qps)));
-  LoadReport batched;
-  bool batched_accounting = false;
-  uint64_t batched_windows = 0;
-  uint64_t batched_parked = 0;
-  uint64_t batched_window_shed = 0;
+  const double miss_duration_s = std::min(
+      30.0, std::max(duration_s, 120.0 / std::max(1.0, miss_target_qps)));
+  LoadReport miss;
+  bool miss_accounting = false;
   {
-    QuantificationService service(maintainer.snapshot(), batched_options);
+    QuantificationService service(maintainer.snapshot(), miss_options);
 
     ArrivalSpec arrival_spec;
     arrival_spec.seed = 41;
-    arrival_spec.target_qps = batched_target_qps;
-    arrival_spec.duration_seconds = batched_duration_s;
+    arrival_spec.target_qps = miss_target_qps;
+    arrival_spec.duration_seconds = miss_duration_s;
     std::vector<int64_t> arrivals = GenerateArrivalTimesMicros(arrival_spec);
 
     LoadGenOptions load_options;
-    load_options.num_workers = batch_workers;
-    load_options.deadline_budget_micros = batched_deadline_us;
-    batched = RunOpenLoopLoad(service, hot_trace, arrivals, load_options);
+    load_options.num_workers = miss_workers;
+    load_options.deadline_budget_micros = miss_deadline_us;
+    miss = RunOpenLoopLoad(service, hot_trace, arrivals, load_options);
 
-    QuantificationService::Stats stats = service.stats();
-    batched_accounting = AccountingExact(stats);
-    batched_windows = stats.batch_windows;
-    batched_parked = stats.batch_parked;
-    batched_window_shed = stats.batch_window_shed;
+    miss_accounting = AccountingExact(service.stats());
   }
-  const double batched_shed_fraction =
-      batched.counts.offered > 0
-          ? static_cast<double>(batched.counts.deadline_exceeded +
-                                batched.counts.unavailable) /
-                static_cast<double>(batched.counts.offered)
+  const double miss_shed_fraction =
+      miss.counts.offered > 0
+          ? static_cast<double>(miss.counts.deadline_exceeded +
+                                miss.counts.unavailable) /
+                static_cast<double>(miss.counts.offered)
           : 1.0;
-  const double batched_uplift =
-      batched_seq_qps > 0 ? batched_capacity_qps / batched_seq_qps : 0.0;
+  const double miss_capacity_ratio =
+      miss_seq_qps > 0 ? miss_capacity_qps / miss_seq_qps : 0.0;
   PrintTable(
-      {"phase E (batched)", "value"},
+      {"phase E (miss path)", "value"},
       {{"hot trace", std::to_string(hot_trace.size()) + " reqs / " +
                          std::to_string(kHotGroups) + " groups"},
        {"solve cost us", Fmt(solve_cost_us, 0)},
-       {"window us", std::to_string(batched_window_us)},
-       {"sequential capacity qps", Fmt(batched_seq_qps, 0)},
-       {"batched capacity qps", Fmt(batched_capacity_qps, 0)},
-       {"uplift", Fmt(batched_uplift, 2) + "x"},
-       {"target qps", Fmt(batched_target_qps, 0)},
-       {"offered", std::to_string(batched.counts.offered)},
-       {"ok", std::to_string(batched.counts.ok)},
-       {"shed (deadline)", std::to_string(batched.counts.deadline_exceeded)},
-       {"achieved qps", Fmt(batched.achieved_qps, 0)},
-       {"p50 us", Fmt(batched.p50_us, 0)},
-       {"p99 us", Fmt(batched.p99_us, 0)},
-       {"p99 slo us", Fmt(batched_slo_p99_us, 0)},
-       {"windows", std::to_string(batched_windows)},
-       {"parked", std::to_string(batched_parked)},
-       {"window shed", std::to_string(batched_window_shed)}});
-  gates.Check(batched.counts.other_errors == 0, "batched: untyped errors");
-  gates.Check(batched_windows > 0, "batched: no window ever drained");
-  gates.Check(batched.achieved_qps >=
-                  min_achieved_ratio * batched_target_qps,
-              "batched: achieved qps below " + Fmt(min_achieved_ratio, 2) +
+       {"sequential capacity qps", Fmt(miss_seq_qps, 0)},
+       {"service capacity qps", Fmt(miss_capacity_qps, 0)},
+       {"capacity ratio", Fmt(miss_capacity_ratio, 2) + "x"},
+       {"target qps", Fmt(miss_target_qps, 0)},
+       {"offered", std::to_string(miss.counts.offered)},
+       {"ok", std::to_string(miss.counts.ok)},
+       {"shed (deadline)", std::to_string(miss.counts.deadline_exceeded)},
+       {"achieved qps", Fmt(miss.achieved_qps, 0)},
+       {"p50 us", Fmt(miss.p50_us, 0)},
+       {"p99 us", Fmt(miss.p99_us, 0)},
+       {"p99 slo us", Fmt(miss_slo_p99_us, 0)}});
+  gates.Check(miss.counts.other_errors == 0, "miss path: untyped errors");
+  gates.Check(miss.achieved_qps >=
+                  min_achieved_ratio * miss_target_qps,
+              "miss path: achieved qps below " + Fmt(min_achieved_ratio, 2) +
                   "x target");
-  gates.Check(batched.p99_us <= batched_slo_p99_us,
-              "batched: p99 " + Fmt(batched.p99_us, 0) + "us above the " +
-                  Fmt(batched_slo_p99_us, 0) + "us SLO");
-  gates.Check(batched_shed_fraction <= max_shed_fraction,
-              "batched: shed fraction " + Fmt(batched_shed_fraction, 4) +
+  gates.Check(miss.p99_us <= miss_slo_p99_us,
+              "miss path: p99 " + Fmt(miss.p99_us, 0) + "us above the " +
+                  Fmt(miss_slo_p99_us, 0) + "us SLO");
+  gates.Check(miss_shed_fraction <= max_shed_fraction,
+              "miss path: shed fraction " + Fmt(miss_shed_fraction, 4) +
                   " above " + Fmt(max_shed_fraction, 2));
-  gates.Check(batched_accounting, "batched: admission accounting broken");
+  gates.Check(miss_accounting, "miss path: admission accounting broken");
 
   metrics.SetEnabled(false);
   std::string metrics_json = metrics.ToJson();
@@ -714,25 +676,21 @@ int Main(int argc, char** argv) {
       ", \"wall_seconds\": " + Fmt(overload.wall_seconds, 2) +
       ", \"counts\": " + counts_json(overload.counts) +
       ", \"accounting_exact\": " + (overload_accounting ? "true" : "false") +
-      "},\n  \"batched\": {\"hot_trace_len\": " +
+      "},\n  \"miss_path\": {\"hot_trace_len\": " +
       std::to_string(hot_trace.size()) +
       ", \"hot_groups\": " + std::to_string(kHotGroups) +
       ", \"solve_cost_us\": " + Fmt(solve_cost_us, 0) +
-      ", \"window_us\": " + std::to_string(batched_window_us) +
-      ", \"sequential_capacity_qps\": " + Fmt(batched_seq_qps, 0) +
-      ", \"capacity_qps\": " + Fmt(batched_capacity_qps, 0) +
-      ", \"uplift\": " + Fmt(batched_uplift, 2) +
-      ", \"slo_p99_us\": " + Fmt(batched_slo_p99_us, 0) +
-      ", \"target_qps\": " + Fmt(batched_target_qps, 0) +
-      ", \"achieved_qps\": " + Fmt(batched.achieved_qps, 0) +
-      ", \"p50_us\": " + Fmt(batched.p50_us, 0) +
-      ", \"p99_us\": " + Fmt(batched.p99_us, 0) +
-      ", \"shed_fraction\": " + Fmt(batched_shed_fraction, 4) +
-      ", \"windows\": " + std::to_string(batched_windows) +
-      ", \"parked\": " + std::to_string(batched_parked) +
-      ", \"window_shed\": " + std::to_string(batched_window_shed) +
-      ", \"counts\": " + counts_json(batched.counts) +
-      ", \"accounting_exact\": " + (batched_accounting ? "true" : "false") +
+      ", \"sequential_capacity_qps\": " + Fmt(miss_seq_qps, 0) +
+      ", \"capacity_qps\": " + Fmt(miss_capacity_qps, 0) +
+      ", \"capacity_ratio\": " + Fmt(miss_capacity_ratio, 2) +
+      ", \"slo_p99_us\": " + Fmt(miss_slo_p99_us, 0) +
+      ", \"target_qps\": " + Fmt(miss_target_qps, 0) +
+      ", \"achieved_qps\": " + Fmt(miss.achieved_qps, 0) +
+      ", \"p50_us\": " + Fmt(miss.p50_us, 0) +
+      ", \"p99_us\": " + Fmt(miss.p99_us, 0) +
+      ", \"shed_fraction\": " + Fmt(miss_shed_fraction, 4) +
+      ", \"counts\": " + counts_json(miss.counts) +
+      ", \"accounting_exact\": " + (miss_accounting ? "true" : "false") +
       "},\n  \"gates_failed\": " + std::to_string(gates.failures.size()) +
       ",\n  \"metrics\": " + metrics_json + "\n}\n";
   Status written = WriteTextFile("BENCH_load.json", json);

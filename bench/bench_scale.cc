@@ -355,7 +355,8 @@ int Main(int argc, char** argv) {
   double index_s = NowS() - t0;
   QuantificationService::Options service_options;
   service_options.cache_capacity = 4096;
-  QuantificationService service(&from_binary, &indices, service_options);
+  QuantificationService service(CubeSnapshot::Borrow(&from_binary, &indices),
+                                service_options);
   ServeLoadSpec load;
   load.seed = spec.seed + 1;
   load.num_requests = smoke ? 2'000 : 10'000;

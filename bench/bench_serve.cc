@@ -115,7 +115,7 @@ std::string InstrumentedPassJson(const UnfairnessCube& cube,
   metrics.SetEnabled(true);
   Tracer::Global().SetEnabled(true);
 
-  QuantificationService service(&cube, &indices);
+  QuantificationService service(CubeSnapshot::Borrow(&cube, &indices));
   for (const QuantificationRequest& request : trace) {
     OrDie(service.Answer(request), "instrumented answer");
   }
@@ -174,7 +174,7 @@ int Main(int argc, char** argv) {
   // to direct SolveQuantification for every key in the space.
   bool all_identical = true;
   {
-    QuantificationService service(&cube, &indices);
+    QuantificationService service(CubeSnapshot::Borrow(&cube, &indices));
     std::vector<Result<QuantificationResult>> batched =
         service.AnswerBatch(request_space);
     for (size_t i = 0; i < request_space.size(); ++i) {
@@ -194,7 +194,8 @@ int Main(int argc, char** argv) {
   double cold_ms = TimeMs(kReps, [&] {
     QuantificationService::Options options;
     options.cache_capacity = 0;
-    QuantificationService service(&cube, &indices, options);
+    QuantificationService service(CubeSnapshot::Borrow(&cube, &indices),
+                                  options);
     for (const QuantificationRequest& request : trace) {
       OrDie(service.Answer(request), "cold answer");
     }
@@ -205,7 +206,7 @@ int Main(int argc, char** argv) {
   // hide (lazily faulted pages, cold branch predictors, allocator growth),
   // so it is timed separately as hot_first_ms; the gated hot_ms is steady
   // state — best of kReps replays taken only after that first one.
-  QuantificationService hot(&cube, &indices);
+  QuantificationService hot(CubeSnapshot::Borrow(&cube, &indices));
   for (const QuantificationRequest& request : request_space) {
     OrDie(hot.Answer(request), "warmup answer");
   }
@@ -244,7 +245,7 @@ int Main(int argc, char** argv) {
   // Batched: fresh service per rep, trace chunked through AnswerBatch —
   // dedup plus pool fan-out, no pre-warming.
   double batched_ms = TimeMs(kReps, [&] {
-    QuantificationService service(&cube, &indices);
+    QuantificationService service(CubeSnapshot::Borrow(&cube, &indices));
     for (size_t i = 0; i < trace.size(); i += kBatchSize) {
       size_t end = std::min(trace.size(), i + kBatchSize);
       std::vector<QuantificationRequest> chunk(trace.begin() + i,

@@ -9,8 +9,7 @@
 
 namespace fairjob {
 
-// Execution counters for one SolveQuantificationBatch call, exported by the
-// serving layer as serve.batch.* (docs/observability.md). The amortization
+// Execution counters for one SolveQuantificationBatch call. The amortization
 // the batch engine buys is lists_demanded / lists_gathered: what N
 // per-request executions would have materialized vs. what the grouped pass
 // actually touched.
@@ -66,8 +65,7 @@ struct BatchExecStats {
 //
 // Every lane publishes its FaginStats under fagin.<algorithm>.*, so those
 // counters are sums over lanes. A batched lane records no latency sample (a
-// shared pass has no per-lane latency); the serving layer publishes
-// serve.batch.* from `stats` instead.
+// shared pass has no per-lane latency); callers read `stats` instead.
 std::vector<Result<QuantificationResult>> SolveQuantificationBatch(
     const UnfairnessCube& cube, const IndexSet& indices,
     const std::vector<QuantificationRequest>& requests,

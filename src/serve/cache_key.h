@@ -40,12 +40,12 @@ class CubeSnapshot;
 // therefore every digest — unless the rebuilt cube is bitwise identical, in
 // which case the whole cache stays warm on purpose.
 //
-// operator== and RequestCacheKeyHash cover the digest (single-flight and the
-// micro-batch window must not coalesce across data versions). The answer
-// cache stores entries under the same key through RequestShapeHash /
-// RequestShapeEqual, which ignore it: the digest an answer was computed
-// against lives in the cached value, so an upsert turns an entry stale in
-// place instead of stranding it under a dead key.
+// operator== and RequestCacheKeyHash cover the digest (single flight must
+// not coalesce across data versions). The answer cache stores entries under
+// the same key through RequestShapeHash / RequestShapeEqual, which ignore
+// it: the digest an answer was computed against lives in the cached value,
+// so an upsert turns an entry stale in place instead of stranding it under
+// a dead key.
 struct RequestCacheKey {
   uint64_t epoch_digest = 0;
   Dimension target = Dimension::kGroup;

@@ -4,12 +4,9 @@
 #include <limits>
 #include <utility>
 
-#include <algorithm>
-
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "core/quantification_batch.h"
 
 namespace fairjob {
 namespace {
@@ -38,20 +35,11 @@ struct ServeMetrics {
   Counter* stale_hits;
   Counter* stale_refreshes;
   Counter* stale_ttl_expired;
-  Counter* batch_windows;
-  Counter* batch_parked;
-  Counter* batch_window_shed;
-  Counter* batch_exec_groups;
-  Counter* batch_exec_lanes;
-  Counter* batch_lists_gathered;
-  Counter* batch_lists_demanded;
   Gauge* snapshot_version;
   Gauge* admission_queue_depth;
   LatencyHistogram* answer_us;
   LatencyHistogram* batch_us;
   LatencyHistogram* admission_wait_us;
-  LatencyHistogram* batch_occupancy;
-  LatencyHistogram* batch_window_wait_us;
 };
 
 // Shared across all services (metric objects are process-wide anyway);
@@ -75,20 +63,11 @@ const ServeMetrics& Metrics() {
     m.stale_hits = registry.counter("serve.stale.hits");
     m.stale_refreshes = registry.counter("serve.stale.refreshes");
     m.stale_ttl_expired = registry.counter("serve.stale.ttl_expired");
-    m.batch_windows = registry.counter("serve.batch.windows");
-    m.batch_parked = registry.counter("serve.batch.parked");
-    m.batch_window_shed = registry.counter("serve.batch.window_shed");
-    m.batch_exec_groups = registry.counter("serve.batch.exec_groups");
-    m.batch_exec_lanes = registry.counter("serve.batch.exec_lanes");
-    m.batch_lists_gathered = registry.counter("serve.batch.lists_gathered");
-    m.batch_lists_demanded = registry.counter("serve.batch.lists_demanded");
     m.snapshot_version = registry.gauge("serve.snapshot.version");
     m.admission_queue_depth = registry.gauge("serve.admission.queue_depth");
     m.answer_us = registry.histogram("serve.answer_us");
     m.batch_us = registry.histogram("serve.batch_us");
     m.admission_wait_us = registry.histogram("serve.admission.wait_us");
-    m.batch_occupancy = registry.histogram("serve.batch.occupancy");
-    m.batch_window_wait_us = registry.histogram("serve.batch.window_wait_us");
     return m;
   }();
   return metrics;
@@ -107,29 +86,12 @@ QuantificationService::QuantificationService(
       snapshot_(std::move(snapshot)),
       cache_(options_.cache_capacity, options_.cache_shards, "serve.cache") {}
 
-QuantificationService::QuantificationService(const UnfairnessCube* cube,
-                                             const IndexSet* indices)
-    : QuantificationService(CubeSnapshot::Borrow(cube, indices), Options()) {}
-
-QuantificationService::QuantificationService(const UnfairnessCube* cube,
-                                             const IndexSet* indices,
-                                             Options options)
-    : QuantificationService(CubeSnapshot::Borrow(cube, indices),
-                            std::move(options)) {}
-
 void QuantificationService::SetSnapshot(
     std::shared_ptr<const CubeSnapshot> snapshot) {
   Metrics().snapshot_version->Set(static_cast<double>(snapshot->version()));
   snapshot_.Publish(std::move(snapshot));
   snapshot_flips_.fetch_add(1, std::memory_order_relaxed);
   Metrics().snapshot_flips->Add(1);
-}
-
-void QuantificationService::SetBackend(const UnfairnessCube* cube,
-                                       const IndexSet* indices) {
-  // Borrow re-fingerprints (O(cells)) before publishing, so requests are
-  // never paused behind the hash — the flip itself is one pointer swap.
-  SetSnapshot(CubeSnapshot::Borrow(cube, indices));
 }
 
 std::shared_ptr<const CubeSnapshot> QuantificationService::snapshot() const {
@@ -254,8 +216,8 @@ Result<QuantificationResult> QuantificationService::AnswerInternal(
 
   // `snapshot` was pinned once by the caller; everything below — key,
   // cache probe, computation — sees that one immutable state. The one key
-  // serves every layer: the cache looks it up by shape (digest ignored),
-  // single flight and the window by its full identity.
+  // serves both layers: the cache looks it up by shape (digest ignored),
+  // single flight by its full identity.
   RequestCacheKey key(request, *snapshot);
 
   // Cache probe runs before the admission gate: hits (fresh or bounded
@@ -323,14 +285,6 @@ Result<QuantificationResult> QuantificationService::AnswerInternal(
         return *cached_answer;
       }
     }
-  }
-
-  // Micro-batched execution: park the miss in the window collector instead
-  // of the single-flight layer — the window both coalesces duplicate keys
-  // (same role as a flight) and lets distinct keys share one batched pass.
-  if (options_.batch_window_micros > 0) {
-    return AnswerViaWindow(key, request, snapshot, refreshing, deadline_abs,
-                           admission_on);
   }
 
   // Single flight: the first thread to claim `key` computes; every thread
@@ -428,214 +382,6 @@ Result<QuantificationResult> QuantificationService::AnswerInternal(
   return *outcome.result;
 }
 
-Result<QuantificationResult> QuantificationService::AnswerViaWindow(
-    const RequestCacheKey& key, const QuantificationRequest& request,
-    const std::shared_ptr<const CubeSnapshot>& snapshot, bool refreshing,
-    int64_t deadline_abs, bool admission_on) {
-  std::shared_future<BatchOutcome> future;
-  bool leader = false;
-  std::vector<BatchEntry> drained;
-  {
-    std::unique_lock<std::mutex> lock(batch_mutex_);
-    auto it = batch_pending_index_.find(key);
-    if (it != batch_pending_index_.end()) {
-      BatchEntry& entry = batch_pending_[it->second];
-      if (options_.max_followers_per_flight > 0 &&
-          entry.waiters - 1 >= options_.max_followers_per_flight) {
-        // Same bound as a single-flight follower queue: refuse to pile a
-        // further duplicate onto this window entry.
-        lock.unlock();
-        if (admission_on) ReleasePermit();
-        rejected_followers_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().shed_followers->Add(1);
-        return Status::Unavailable("batch window follower bound reached");
-      }
-      ++entry.waiters;
-      entry.max_deadline_abs = std::max(entry.max_deadline_abs, deadline_abs);
-      entry.refreshing = entry.refreshing || refreshing;
-      future = entry.future;
-    } else {
-      BatchEntry entry;
-      entry.key = key;
-      entry.request = request;
-      entry.snapshot = snapshot;
-      entry.refreshing = refreshing;
-      entry.max_deadline_abs = deadline_abs;
-      entry.parked_micros = clock_->NowMicros();
-      entry.promise = std::make_shared<std::promise<BatchOutcome>>();
-      entry.future = entry.promise->get_future().share();
-      future = entry.future;
-      batch_pending_index_.emplace(key, batch_pending_.size());
-      batch_pending_.push_back(std::move(entry));
-      // While a leader is active every new entry lands in the list it will
-      // drain; otherwise this thread leads the window it just opened.
-      if (!batch_leader_active_) {
-        batch_leader_active_ = true;
-        batch_window_end_ =
-            clock_->NowMicros() + options_.batch_window_micros;
-        leader = true;
-      }
-    }
-    batch_parked_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().batch_parked->Add(1);
-    if (options_.max_batch_size > 0 &&
-        batch_pending_.size() >= options_.max_batch_size) {
-      batch_cv_.notify_all();
-    }
-
-    if (leader) {
-      // Lead the window: wait for the size trigger or expiry, polling the
-      // abstract clock (wait_until cannot see a VirtualClock advance).
-      for (;;) {
-        if (options_.max_batch_size > 0 &&
-            batch_pending_.size() >= options_.max_batch_size) {
-          break;
-        }
-        const int64_t now = clock_->NowMicros();
-        if (now >= batch_window_end_) break;
-        const auto remaining = std::chrono::microseconds(
-            batch_window_end_ - now);
-        batch_cv_.wait_for(lock, std::min(remaining, kAdmissionPoll));
-      }
-      drained.swap(batch_pending_);
-      batch_pending_index_.clear();
-      batch_leader_active_ = false;
-    }
-  }
-
-  if (leader) {
-    DrainBatchWindow(&drained);
-    // The leader held its compute permit through park + drain: with
-    // admission on, one window occupies one compute slot end to end.
-    if (admission_on) ReleasePermit();
-  } else if (admission_on) {
-    // Parked followers give their permit back before blocking, exactly
-    // like single-flight followers — a parked request must not starve the
-    // window leader (or unrelated computations) out of compute slots.
-    ReleasePermit();
-  }
-
-  BatchOutcome outcome = future.get();
-  if (deadline_abs != kNoDeadline && outcome.drained_micros >= deadline_abs) {
-    // The window outlived this request's deadline: shed it with the same
-    // typed error the admission queue uses. Requests that parked and then
-    // shed never count as admitted, keeping the accounting identity exact.
-    shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().shed_deadline->Add(1);
-    batch_window_shed_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().batch_window_shed->Add(1);
-    return Status::DeadlineExceeded("deadline passed in batch window");
-  }
-  admitted_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().admitted->Add(1);
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  // Exactly one surviving waiter per computed entry claims the computation
-  // (a computed entry always has one: the drain only runs when the latest
-  // waiter deadline is still live); the rest coalesced onto it.
-  if (!outcome.computation_claimed->exchange(true,
-                                             std::memory_order_acq_rel)) {
-    computations_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().computations->Add(1);
-  } else {
-    coalesced_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().coalesced->Add(1);
-  }
-  if (!outcome.status.ok()) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().errors->Add(1);
-    return outcome.status;
-  }
-  return *outcome.result;
-}
-
-void QuantificationService::DrainBatchWindow(std::vector<BatchEntry>* entries) {
-  const int64_t drain_now = clock_->NowMicros();
-  batch_windows_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().batch_windows->Add(1);
-  Metrics().batch_occupancy->Record(static_cast<double>(entries->size()));
-
-  // Resolve entries every waiter of which has already expired without
-  // computing them; waiters do their own (exact) per-deadline shed against
-  // drained_micros, so an entry computes iff someone can still use it.
-  std::vector<BatchEntry*> live;
-  live.reserve(entries->size());
-  for (BatchEntry& entry : *entries) {
-    Metrics().batch_window_wait_us->Record(
-        static_cast<double>(drain_now - entry.parked_micros));
-    if (entry.max_deadline_abs != kNoDeadline &&
-        drain_now >= entry.max_deadline_abs) {
-      BatchOutcome outcome;
-      outcome.status = Status::DeadlineExceeded("deadline passed in batch window");
-      outcome.drained_micros = drain_now;
-      outcome.computation_claimed = std::make_shared<std::atomic<bool>>(false);
-      entry.promise->set_value(std::move(outcome));
-      continue;
-    }
-    live.push_back(&entry);
-  }
-
-  // Group by pinned snapshot: entries usually share one, but a flip mid-
-  // window may split the batch — each request must still see exactly the
-  // snapshot it pinned.
-  std::stable_sort(live.begin(), live.end(),
-                   [](const BatchEntry* a, const BatchEntry* b) {
-                     return a->snapshot.get() < b->snapshot.get();
-                   });
-  size_t start = 0;
-  while (start < live.size()) {
-    size_t end = start;
-    while (end < live.size() &&
-           live[end]->snapshot.get() == live[start]->snapshot.get()) {
-      ++end;
-    }
-    const CubeSnapshot& snap = *live[start]->snapshot;
-    std::vector<QuantificationRequest> requests;
-    requests.reserve(end - start);
-    for (size_t i = start; i < end; ++i) {
-      requests.push_back(live[i]->request);
-    }
-    BatchExecStats exec;
-    std::vector<Result<QuantificationResult>> results;
-    {
-      TraceSpan span("serve.batch.compute", "serve");
-      results = SolveQuantificationBatch(snap.cube(), snap.indices(),
-                                         requests, &exec);
-    }
-    Metrics().batch_exec_groups->Add(exec.groups);
-    Metrics().batch_exec_lanes->Add(exec.requests);
-    Metrics().batch_lists_gathered->Add(exec.lists_gathered);
-    Metrics().batch_lists_demanded->Add(exec.lists_demanded);
-    for (size_t i = start; i < end; ++i) {
-      BatchEntry& entry = *live[i];
-      BatchOutcome outcome;
-      outcome.drained_micros = drain_now;
-      outcome.computation_claimed = std::make_shared<std::atomic<bool>>(false);
-      Result<QuantificationResult>& computed = results[i - start];
-      if (computed.ok()) {
-        outcome.result = std::make_shared<const QuantificationResult>(
-            std::move(*computed));
-        if (options_.cache_capacity > 0) {
-          CachedAnswer cached;
-          cached.result = outcome.result;
-          cached.epoch_digest = entry.key.epoch_digest;
-          cached.inserted_micros =
-              options_.cache_ttl_micros > 0 ? clock_->NowMicros() : drain_now;
-          cached.stale_served = std::make_shared<std::atomic<uint32_t>>(0);
-          cache_.Put(entry.key, std::move(cached));
-          if (entry.refreshing) {
-            stale_refreshes_.fetch_add(1, std::memory_order_relaxed);
-            Metrics().stale_refreshes->Add(1);
-          }
-        }
-      } else {
-        outcome.status = computed.status();
-      }
-      entry.promise->set_value(std::move(outcome));
-    }
-    start = end;
-  }
-}
-
 std::vector<Result<QuantificationResult>> QuantificationService::AnswerBatch(
     const std::vector<QuantificationRequest>& requests) {
   TraceSpan span("QuantificationService::AnswerBatch", "serve");
@@ -667,13 +413,10 @@ std::vector<Result<QuantificationResult>> QuantificationService::AnswerBatch(
 
   std::vector<std::optional<Result<QuantificationResult>>> answered(
       requests.size());
-  size_t parallelism = options_.batch_parallelism > 0
-                           ? options_.batch_parallelism
-                           : ThreadPool::Shared().num_threads() + 1;
   // The body only writes disjoint slots; AnswerInternal is thread-safe. The
   // fan-out itself cannot fail, so the ParallelFor status is always OK.
-  ThreadPool::Shared()
-      .ParallelFor(representatives.size(), parallelism,
+  ThreadPool& pool = ThreadPool::Shared();
+  pool.ParallelFor(representatives.size(), pool.num_threads() + 1,
                    [&](size_t r) {
                      size_t i = representatives[r];
                      answered[i] = AnswerInternal(requests[i],
@@ -710,10 +453,6 @@ QuantificationService::Stats QuantificationService::stats() const {
   stats.coalesced = coalesced_.load(std::memory_order_relaxed);
   stats.errors = errors_.load(std::memory_order_relaxed);
   stats.snapshot_flips = snapshot_flips_.load(std::memory_order_relaxed);
-  stats.batch_windows = batch_windows_.load(std::memory_order_relaxed);
-  stats.batch_parked = batch_parked_.load(std::memory_order_relaxed);
-  stats.batch_window_shed =
-      batch_window_shed_.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -53,9 +53,6 @@ class QuantificationService {
     // (single-flight still coalesces concurrent duplicates).
     size_t cache_capacity = 4096;
     size_t cache_shards = 8;
-    // Threads used by AnswerBatch for distinct requests (counting the
-    // caller); 0 = size of ThreadPool::Shared() + 1.
-    size_t batch_parallelism = 0;
 
     // --- Admission control (0 = feature off, the pre-hardening behavior).
     // Maximum computations holding a compute permit at once. When all
@@ -71,22 +68,6 @@ class QuantificationService {
     // not pass an explicit one. A request whose deadline passes while it is
     // queued for a permit is shed with kDeadlineExceeded. 0 = no deadline.
     int64_t default_deadline_micros = 0;
-
-    // --- Micro-batched execution (0 = feature off, bit-for-bit the
-    // single-flight behavior above). When > 0, admitted cache misses park in
-    // a per-service collector for up to this long; a window leader drains
-    // the collector and answers every distinct key with ONE
-    // SolveQuantificationBatch pass per pinned snapshot, so concurrent
-    // misses that share a selector group share its list scan
-    // (docs/serving.md, "Micro-batched execution"). Deadlines still bound
-    // total park time: a request whose deadline passes before the window
-    // drains is shed with kDeadlineExceeded and never waits for the
-    // computation. Window coalescing replaces the single-flight layer for
-    // misses (duplicate keys join the same batch entry).
-    int64_t batch_window_micros = 0;
-    // Drain early once this many distinct keys are parked (0 = drain on
-    // window expiry only).
-    size_t max_batch_size = 0;
 
     // --- Cache freshness (0 = feature off).
     // Hard age bound: an entry older than this is never served, fresh or
@@ -141,28 +122,12 @@ class QuantificationService {
     uint64_t computations = 0;    // SolveQuantification actually executed
     uint64_t coalesced = 0;       // requests served by another's computation
     uint64_t errors = 0;          // non-OK answers (excl. typed rejections)
-    uint64_t snapshot_flips = 0;  // SetSnapshot/SetBackend publications
-    // Micro-batch window accounting (outside the identities above —
-    // batch_parked requests still resolve as admitted / shed_deadline):
-    uint64_t batch_windows = 0;      // collector drains (leader passes)
-    uint64_t batch_parked = 0;       // misses that parked in a window
-    uint64_t batch_window_shed = 0;  // subset of shed_deadline: shed at drain
+    uint64_t snapshot_flips = 0;  // SetSnapshot publications
   };
 
   // Owning entry point: the service serves `snapshot` until the next flip.
   explicit QuantificationService(std::shared_ptr<const CubeSnapshot> snapshot);
   QuantificationService(std::shared_ptr<const CubeSnapshot> snapshot,
-                        Options options);
-
-  // Borrowing compatibility entry points: wrap caller-owned cube + indices
-  // in a non-owning snapshot (CubeSnapshot::Borrow). The backing objects
-  // must outlive the service AND every request in flight when they are
-  // replaced — with RCU serving there is no quiescence barrier to wait on.
-  // (The two-argument overload uses default Options; a default argument
-  // cannot be used here because the nested aggregate is incomplete inside
-  // the enclosing class as far as GCC is concerned.)
-  QuantificationService(const UnfairnessCube* cube, const IndexSet* indices);
-  QuantificationService(const UnfairnessCube* cube, const IndexSet* indices,
                         Options options);
 
   // Answers one request through cache + single-flight + (if configured)
@@ -197,14 +162,6 @@ class QuantificationService {
   // only refreshes); entries over columns the new snapshot left untouched
   // (same lineage, same epochs) keep hitting.
   void SetSnapshot(std::shared_ptr<const CubeSnapshot> snapshot);
-
-  // Compatibility shim for callers that own raw cube + indices: publishes
-  // CubeSnapshot::Borrow(cube, indices). Re-fingerprints (O(cells)) before
-  // publishing; if the new cube hashes identically the cache stays warm.
-  // Returns as soon as the snapshot is published — the caller must keep the
-  // OLD backing alive until in-flight requests have drained (e.g. by not
-  // freeing it until the service is quiesced or destroyed).
-  void SetBackend(const UnfairnessCube* cube, const IndexSet* indices);
 
   // Pins and returns the current serving snapshot.
   std::shared_ptr<const CubeSnapshot> snapshot() const;
@@ -271,51 +228,10 @@ class QuantificationService {
     kTtlExpired,    // entry older than cache_ttl_micros: recompute
   };
 
-  // Outcome of one micro-batch window entry, shared between every request
-  // parked on it. `drained_micros` is the drain decision time: each waiter
-  // compares its own absolute deadline against it, so per-request shedding
-  // stays exact even though the computation was shared. The first surviving
-  // waiter to claim `computation_claimed` counts the computation; the rest
-  // count as coalesced — preserving computations + coalesced == misses.
-  struct BatchOutcome {
-    Status status;
-    std::shared_ptr<const QuantificationResult> result;
-    int64_t drained_micros = 0;
-    std::shared_ptr<std::atomic<bool>> computation_claimed;
-  };
-
-  // One distinct key parked in the micro-batch collector. Duplicate keys
-  // join the entry (bounded by max_followers_per_flight, like a flight);
-  // max_deadline_abs tracks the latest waiter deadline so the drain skips
-  // the computation only when every waiter has already expired.
-  struct BatchEntry {
-    RequestCacheKey key;
-    QuantificationRequest request;
-    std::shared_ptr<const CubeSnapshot> snapshot;
-    bool refreshing = false;
-    int64_t max_deadline_abs = 0;
-    uint32_t waiters = 1;
-    int64_t parked_micros = 0;
-    std::shared_ptr<std::promise<BatchOutcome>> promise;
-    std::shared_future<BatchOutcome> future;
-  };
-
   Result<QuantificationResult> AnswerInternal(
       const QuantificationRequest& request, bool from_batch,
       int64_t deadline_budget_micros,
       const std::shared_ptr<const CubeSnapshot>& snapshot);
-
-  // Miss path when batch_window_micros > 0: park under the collector, lead
-  // or wait out the window, and resolve from the shared BatchOutcome.
-  Result<QuantificationResult> AnswerViaWindow(
-      const RequestCacheKey& key, const QuantificationRequest& request,
-      const std::shared_ptr<const CubeSnapshot>& snapshot, bool refreshing,
-      int64_t deadline_abs, bool admission_on);
-
-  // Leader-side drain: sheds fully-expired entries, groups the rest by
-  // pinned snapshot, answers each group with one SolveQuantificationBatch
-  // pass, publishes to the cache, and resolves every entry's promise.
-  void DrainBatchWindow(std::vector<BatchEntry>* entries);
 
   // Classifies the entry stored for `key`'s shape against `key`'s epoch
   // digest at time `now`; on kFresh/kStaleServed fills *answer.
@@ -342,18 +258,6 @@ class QuantificationService {
   std::mutex flights_mutex_;
   std::unordered_map<RequestCacheKey, Flight, RequestCacheKeyHash> flights_;
 
-  // Micro-batch collector (batch_window_micros > 0 only). Entries parked
-  // under batch_mutex_; at most one window leader is active at a time —
-  // while one is, every new entry lands in the pending list it will drain,
-  // so no entry can be stranded without a drainer.
-  std::mutex batch_mutex_;
-  std::condition_variable batch_cv_;
-  std::vector<BatchEntry> batch_pending_;
-  std::unordered_map<RequestCacheKey, size_t, RequestCacheKeyHash>
-      batch_pending_index_;
-  bool batch_leader_active_ = false;
-  int64_t batch_window_end_ = 0;
-
   // Admission state: permits outstanding and requests parked waiting for
   // one. Guarded by admission_mutex_; waiters poll the clock on a short
   // wait_for so deadline shedding works with both real and virtual clocks.
@@ -378,9 +282,6 @@ class QuantificationService {
   std::atomic<uint64_t> coalesced_{0};
   std::atomic<uint64_t> errors_{0};
   std::atomic<uint64_t> snapshot_flips_{0};
-  std::atomic<uint64_t> batch_windows_{0};
-  std::atomic<uint64_t> batch_parked_{0};
-  std::atomic<uint64_t> batch_window_shed_{0};
 };
 
 }  // namespace fairjob

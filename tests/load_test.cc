@@ -11,6 +11,7 @@
 #include "serve/load_gen.h"
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
@@ -126,7 +127,8 @@ TEST(AdmissionTest, QueueFullRejectsWithTypedUnavailable) {
     started.Open();
     release.Wait();
   };
-  QuantificationService service(cube.get(), &indices, options);
+  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+                                options);
 
   std::thread leader([&] {
     Result<QuantificationResult> answer = service.Answer(space.requests[0]);
@@ -170,7 +172,8 @@ TEST(AdmissionTest, QueuedRequestIsShedWhenVirtualDeadlinePasses) {
     started.Open();
     release.Wait();
   };
-  QuantificationService service(cube.get(), &indices, options);
+  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+                                options);
 
   std::thread leader([&] {
     Result<QuantificationResult> answer = service.Answer(space.requests[0]);
@@ -223,7 +226,8 @@ TEST(AdmissionTest, DefaultDeadlineFromOptionsApplies) {
     started.Open();
     release.Wait();
   };
-  QuantificationService service(cube.get(), &indices, options);
+  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+                                options);
 
   std::thread leader([&] { ASSERT_TRUE(service.Answer(space.requests[0]).ok()); });
   started.Wait();
@@ -253,7 +257,7 @@ TEST(AdmissionTest, NegativeBudgetShedsBeforeTouchingTheCache) {
   KeySpace space = MakeKeySpace(*cube, indices);
   ASSERT_FALSE(::testing::Test::HasFailure());
 
-  QuantificationService service(cube.get(), &indices);
+  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices));
   Result<QuantificationResult> shed =
       service.Answer(space.requests[0], /*deadline_budget_micros=*/-1);
   ASSERT_FALSE(shed.ok());
@@ -281,7 +285,8 @@ TEST(AdmissionTest, FollowerBoundRejectsExcessDuplicatesTyped) {
     started.Open();
     release.Wait();
   };
-  QuantificationService service(cube.get(), &indices, options);
+  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+                                options);
 
   std::thread leader([&] {
     Result<QuantificationResult> answer = service.Answer(space.requests[0]);
@@ -338,7 +343,8 @@ TEST(AdmissionTest, GenerousLimitsStayBitIdenticalToDirect) {
   options.max_inflight = 4;
   options.max_queue_depth = 64;
   options.default_deadline_micros = 60'000'000;
-  QuantificationService service(cube.get(), &indices, options);
+  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+                                options);
 
   for (int pass = 0; pass < 2; ++pass) {
     for (size_t i = 0; i < space.requests.size(); ++i) {
@@ -376,7 +382,8 @@ TEST(AdmissionTest, OverloadMixtureKeepsAccountingExactAndAnswersUntorn) {
   options.compute_started_hook = [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   };
-  QuantificationService service(cube.get(), &indices, options);
+  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+                                options);
 
   constexpr size_t kThreads = 8;
   constexpr size_t kIterations = 25;
@@ -420,7 +427,8 @@ TEST(CacheFreshnessTest, TtlExpiryForcesRecomputeAndRefreshesEntry) {
   QuantificationService::Options options;
   options.cache_ttl_micros = 1000;
   options.clock = &clock;
-  QuantificationService service(cube.get(), &indices, options);
+  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+                                options);
 
   auto expect_answer = [&] {
     Result<QuantificationResult> answer = service.Answer(space.requests[0]);
@@ -686,193 +694,81 @@ TEST(CacheFreshnessTest, RefreshAfterUpsertUpdatesTheEntryInPlace) {
   ExpectExactAccounting(stats);
 }
 
-// --- Micro-batch window ------------------------------------------------------
+// --- Single flight -----------------------------------------------------------
 
-// A request whose deadline expires while parked in the batch window is shed
-// with the typed kDeadlineExceeded, with exact accounting: it is never
-// admitted and its entry is never computed (all waiters were expired).
-TEST(BatchWindowTest, DeadlineExpiringInsideWindowIsShed) {
-  std::unique_ptr<UnfairnessCube> cube = MakeCube(/*seed=*/41);
-  IndexSet indices = IndexSet::Build(*cube);
-  KeySpace space = MakeKeySpace(*cube, indices);
-  ASSERT_FALSE(::testing::Test::HasFailure());
-
-  VirtualClock clock;
-  QuantificationService::Options options;
-  options.batch_window_micros = 5000;
-  options.clock = &clock;
-  QuantificationService service(cube.get(), &indices, options);
-
-  std::thread parked([&] {
-    Result<QuantificationResult> answer =
-        service.Answer(space.requests[0], /*deadline_budget_micros=*/1000);
-    ASSERT_FALSE(answer.ok());
-    EXPECT_EQ(answer.status().code(), StatusCode::kDeadlineExceeded);
-  });
-  // Wait until the request is parked as the window leader, then advance
-  // virtual time past both its deadline and the window end. Nothing else
-  // moves the clock, so the drain-time shed is deterministic.
-  for (int i = 0; i < 5000 && service.stats().batch_parked == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(service.stats().batch_parked, 1u);
-  clock.AdvanceMicros(6000);
-  parked.join();
-
-  QuantificationService::Stats stats = service.stats();
-  EXPECT_EQ(stats.requests, 1u);
-  EXPECT_EQ(stats.admitted, 0u);
-  EXPECT_EQ(stats.shed_deadline, 1u);
-  EXPECT_EQ(stats.computations, 0u);
-  EXPECT_EQ(stats.batch_windows, 1u);
-  EXPECT_EQ(stats.batch_parked, 1u);
-  EXPECT_EQ(stats.batch_window_shed, 1u);
-  EXPECT_EQ(stats.errors, 0u);  // typed sheds are not errors
-  ExpectExactAccounting(stats);
-}
-
-// Two distinct keys share one window: the one whose deadline survives the
-// drain is answered bit-identically to the direct computation, the expired
-// one is shed — per-request shedding stays exact inside a shared batch.
-TEST(BatchWindowTest, SharedWindowAnswersLiveRequestAndShedsExpiredOne) {
-  std::unique_ptr<UnfairnessCube> cube = MakeCube(/*seed=*/43);
-  IndexSet indices = IndexSet::Build(*cube);
-  KeySpace space = MakeKeySpace(*cube, indices);
-  ASSERT_FALSE(::testing::Test::HasFailure());
-
-  VirtualClock clock;
-  QuantificationService::Options options;
-  options.batch_window_micros = 5000;
-  options.clock = &clock;
-  QuantificationService service(cube.get(), &indices, options);
-
-  std::thread live([&] {
-    Result<QuantificationResult> answer = service.Answer(space.requests[0]);
-    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-    EXPECT_TRUE(SameAnswers(*answer, space.expected[0]));
-  });
-  std::thread expiring([&] {
-    Result<QuantificationResult> answer =
-        service.Answer(space.requests[1], /*deadline_budget_micros=*/1000);
-    ASSERT_FALSE(answer.ok());
-    EXPECT_EQ(answer.status().code(), StatusCode::kDeadlineExceeded);
-  });
-  for (int i = 0; i < 5000 && service.stats().batch_parked < 2; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(service.stats().batch_parked, 2u);
-  clock.AdvanceMicros(6000);
-  live.join();
-  expiring.join();
-
-  QuantificationService::Stats stats = service.stats();
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.admitted, 1u);
-  EXPECT_EQ(stats.shed_deadline, 1u);
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.computations, 1u);
-  EXPECT_EQ(stats.coalesced, 0u);
-  EXPECT_EQ(stats.batch_windows, 1u);
-  EXPECT_EQ(stats.batch_window_shed, 1u);
-  ExpectExactAccounting(stats);
-}
-
-// Duplicate keys coalesce onto one window entry: one computation, the rest
-// coalesced — the window replaces single-flight for misses with identical
-// accounting.
-TEST(BatchWindowTest, DuplicateKeysComputeOnceAndCoalesce) {
+// Deterministic coalescing under admission: with the cache off and two
+// permits, the leader of a key parks in the hook until a duplicate has
+// coalesced onto its flight. The duplicate computes nothing, and it gives
+// its permit back before blocking on the leader: a distinct key must still
+// be admitted and computed while the leader holds the other permit (with no
+// queue, a missing permit would reject it with kUnavailable).
+TEST(SingleFlightTest, DuplicateCoalescesExactlyOnceAndFollowerFreesPermit) {
   std::unique_ptr<UnfairnessCube> cube = MakeCube(/*seed=*/47);
   IndexSet indices = IndexSet::Build(*cube);
   KeySpace space = MakeKeySpace(*cube, indices);
   ASSERT_FALSE(::testing::Test::HasFailure());
+  const Result<QuantificationResult> direct =
+      SolveQuantification(*cube, indices, space.requests[0]);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
 
-  VirtualClock clock;
-  QuantificationService::Options options;
-  options.batch_window_micros = 2000;
-  options.clock = &clock;
-  QuantificationService service(cube.get(), &indices, options);
-
-  auto answer_one = [&] {
-    Result<QuantificationResult> answer = service.Answer(space.requests[0]);
-    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-    EXPECT_TRUE(SameAnswers(*answer, space.expected[0]));
+  QuantificationService* served = nullptr;
+  auto wait_coalesced = [&] {
+    for (int i = 0; i < 5000 && served->stats().coalesced < 1; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   };
-  std::thread first(answer_one);
-  std::thread second(answer_one);
-  for (int i = 0; i < 5000 && service.stats().batch_parked < 2; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(service.stats().batch_parked, 2u);
-  clock.AdvanceMicros(3000);
-  first.join();
-  second.join();
-
-  QuantificationService::Stats stats = service.stats();
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.admitted, 2u);
-  EXPECT_EQ(stats.cache_misses, 2u);
-  EXPECT_EQ(stats.computations, 1u);
-  EXPECT_EQ(stats.coalesced, 1u);
-  EXPECT_EQ(stats.batch_windows, 1u);
-  EXPECT_EQ(stats.batch_window_shed, 0u);
-  ExpectExactAccounting(stats);
-}
-
-// max_batch_size drains the window early: with a virtual clock that never
-// advances, hitting the size cap is the only way these answers can return.
-TEST(BatchWindowTest, SizeCapDrainsWithoutClockAdvance) {
-  std::unique_ptr<UnfairnessCube> cube = MakeCube(/*seed=*/53);
-  IndexSet indices = IndexSet::Build(*cube);
-  KeySpace space = MakeKeySpace(*cube, indices);
-  ASSERT_FALSE(::testing::Test::HasFailure());
-
-  VirtualClock clock;
+  Gate started, release;
+  std::atomic<int> hook_calls{0};
   QuantificationService::Options options;
-  options.batch_window_micros = 1'000'000;  // would park ~forever
-  options.max_batch_size = 2;
-  options.clock = &clock;
-  QuantificationService service(cube.get(), &indices, options);
+  options.cache_capacity = 0;
+  options.max_inflight = 2;
+  options.compute_started_hook = [&] {
+    if (hook_calls.fetch_add(1) != 0) return;  // only the first leader parks
+    started.Open();
+    wait_coalesced();
+    release.Wait();
+  };
+  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+                                options);
+  served = &service;
 
-  std::thread a([&] {
-    Result<QuantificationResult> answer = service.Answer(space.requests[0]);
+  auto bit_equal = [&](const Result<QuantificationResult>& answer) {
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-    EXPECT_TRUE(SameAnswers(*answer, space.expected[0]));
-  });
-  std::thread b([&] {
-    Result<QuantificationResult> answer = service.Answer(space.requests[1]);
-    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-    EXPECT_TRUE(SameAnswers(*answer, space.expected[1]));
-  });
-  a.join();
-  b.join();
+    ASSERT_EQ(answer->answers.size(), direct->answers.size());
+    for (size_t i = 0; i < answer->answers.size(); ++i) {
+      EXPECT_EQ(answer->answers[i].id, direct->answers[i].id);
+      EXPECT_EQ(std::bit_cast<uint64_t>(answer->answers[i].value),
+                std::bit_cast<uint64_t>(direct->answers[i].value));
+    }
+  };
+  std::thread leader([&] { bit_equal(service.Answer(space.requests[0])); });
+  started.Wait();
+  std::thread follower([&] { bit_equal(service.Answer(space.requests[0])); });
+  wait_coalesced();
+  // No ASSERT until the threads are joined: the leader is parked until
+  // release opens.
+  EXPECT_EQ(service.stats().coalesced, 1u);
+  EXPECT_EQ(service.stats().computations, 0u);  // the leader is still parked
+
+  // The leader still holds its permit; the distinct key gets the one the
+  // follower returned.
+  Result<QuantificationResult> distinct = service.Answer(space.requests[1]);
+  EXPECT_TRUE(distinct.ok() && SameAnswers(*distinct, space.expected[1]))
+      << distinct.status().ToString();
+  const uint64_t distinct_computations = service.stats().computations;
+  EXPECT_EQ(distinct_computations, 1u);
+
+  release.Open();
+  leader.join();
+  follower.join();
 
   QuantificationService::Stats stats = service.stats();
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.admitted, 2u);
-  EXPECT_EQ(stats.computations, 2u);
-  EXPECT_EQ(stats.batch_windows, 1u);
-  EXPECT_EQ(stats.batch_parked, 2u);
-  ExpectExactAccounting(stats);
-}
-
-// batch_window_micros = 0 must be today's behavior bit for bit: no windows,
-// no parking, misses go through single-flight exactly as before.
-TEST(BatchWindowTest, ZeroWindowIsSingleFlightPath) {
-  std::unique_ptr<UnfairnessCube> cube = MakeCube(/*seed=*/59);
-  IndexSet indices = IndexSet::Build(*cube);
-  KeySpace space = MakeKeySpace(*cube, indices);
-  ASSERT_FALSE(::testing::Test::HasFailure());
-
-  QuantificationService service(cube.get(), &indices);
-  for (size_t i = 0; i < space.requests.size(); ++i) {
-    Result<QuantificationResult> answer = service.Answer(space.requests[i]);
-    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-    EXPECT_TRUE(SameAnswers(*answer, space.expected[i]));
-  }
-  QuantificationService::Stats stats = service.stats();
-  EXPECT_EQ(stats.batch_windows, 0u);
-  EXPECT_EQ(stats.batch_parked, 0u);
-  EXPECT_EQ(stats.batch_window_shed, 0u);
+  EXPECT_EQ(stats.requests, 3u);
+  EXPECT_EQ(stats.rejected_queue, 0u);
+  // The duplicate pair computed exactly once and coalesced exactly once.
+  EXPECT_EQ(stats.computations - distinct_computations, 1u);
+  EXPECT_EQ(stats.coalesced, 1u);
+  EXPECT_EQ(hook_calls.load(), 2);
   ExpectExactAccounting(stats);
 }
 
@@ -931,7 +827,8 @@ TEST(LoadHarnessTest, OpenLoopAccountsForEveryScheduledArrival) {
   QuantificationService::Options options;
   options.max_inflight = 8;
   options.max_queue_depth = 64;
-  QuantificationService service(cube.get(), &indices, options);
+  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+                                options);
 
   ArrivalSpec arrival_spec;
   arrival_spec.seed = 3;
@@ -979,7 +876,8 @@ TEST(LoadHarnessTest, OpenLoopOverloadShedsInsteadOfStalling) {
   options.compute_started_hook = [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   };
-  QuantificationService service(cube.get(), &indices, options);
+  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+                                options);
 
   ArrivalSpec arrival_spec;
   arrival_spec.seed = 5;
@@ -1014,7 +912,7 @@ TEST(LoadHarnessTest, ClosedLoopMeasuresPositiveCapacity) {
   KeySpace space = MakeKeySpace(*cube, indices);
   ASSERT_FALSE(::testing::Test::HasFailure());
 
-  QuantificationService service(cube.get(), &indices);
+  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices));
   LoadGenOptions load_options;
   load_options.num_workers = 2;
   LoadReport report =

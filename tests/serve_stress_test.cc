@@ -89,7 +89,8 @@ TEST(ServeStressTest, ManyThreadsSmallKeySpaceNoTornResults) {
   QuantificationService::Options options;
   options.cache_capacity = 6;
   options.cache_shards = 2;
-  QuantificationService service(cube.get(), &indices, options);
+  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+                                options);
 
   constexpr size_t kIterations = 500;
   std::barrier start(kThreads);
@@ -140,7 +141,8 @@ TEST(ServeStressTest, SingleFlightCoalescesConcurrentIdenticalRequests) {
   options.compute_started_hook = [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   };
-  QuantificationService service(cube.get(), &indices, options);
+  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+                                options);
 
   std::barrier start(kThreads);
   std::vector<size_t> torn_per_thread(kThreads, 0);
@@ -178,7 +180,8 @@ TEST(ServeStressTest, ConcurrentBatchesAgreeWithOracle) {
   QuantificationService::Options options;
   options.cache_capacity = 32;
   options.cache_shards = 4;
-  QuantificationService service(cube.get(), &indices, options);
+  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+                                options);
 
   std::barrier start(kThreads);
   std::vector<size_t> torn_per_thread(kThreads, 0);
@@ -231,7 +234,8 @@ TEST(ServeStressTest, RebuildUnderLoadServesOneOfTheTwoBackends) {
 
   QuantificationService::Options options;
   options.cache_capacity = 16;
-  QuantificationService service(cube_a.get(), &indices_a, options);
+  QuantificationService service(CubeSnapshot::Borrow(cube_a.get(), &indices_a),
+                                options);
 
   // Snapshot flips are one pointer swap — they cannot be starved by reader
   // load — so the bounded iteration count is only about test runtime.
@@ -260,9 +264,9 @@ TEST(ServeStressTest, RebuildUnderLoadServesOneOfTheTwoBackends) {
   start.arrive_and_wait();
   for (int swap = 0; swap < 20; ++swap) {
     if (swap % 2 == 0) {
-      service.SetBackend(cube_b.get(), &indices_b);
+      service.SetSnapshot(CubeSnapshot::Borrow(cube_b.get(), &indices_b));
     } else {
-      service.SetBackend(cube_a.get(), &indices_a);
+      service.SetSnapshot(CubeSnapshot::Borrow(cube_a.get(), &indices_a));
     }
     std::this_thread::yield();
   }
@@ -532,7 +536,8 @@ TEST(ServeStressTest, OverloadShedsTypedAndNeverPoisonsCache) {
   options.compute_started_hook = [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   };
-  QuantificationService service(cube.get(), &indices, options);
+  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+                                options);
 
   constexpr size_t kIterations = 40;
   std::barrier start(kThreads);

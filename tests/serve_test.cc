@@ -107,7 +107,8 @@ class ServeDifferentialTest : public ::testing::Test {
 TEST_F(ServeDifferentialTest, CacheOffMatchesDirectForAllAlgorithms) {
   QuantificationService::Options options;
   options.cache_capacity = 0;
-  QuantificationService service(cube_.get(), indices_.get(), options);
+  QuantificationService service(
+      CubeSnapshot::Borrow(cube_.get(), indices_.get()), options);
   for (size_t i = 0; i < requests_.size(); ++i) {
     Result<QuantificationResult> direct =
         SolveQuantification(*cube_, *indices_, requests_[i]);
@@ -121,7 +122,8 @@ TEST_F(ServeDifferentialTest, CacheOffMatchesDirectForAllAlgorithms) {
 }
 
 TEST_F(ServeDifferentialTest, CachedMissAndHitMatchDirect) {
-  QuantificationService service(cube_.get(), indices_.get());
+  QuantificationService service(
+      CubeSnapshot::Borrow(cube_.get(), indices_.get()));
   for (size_t i = 0; i < requests_.size(); ++i) {
     Result<QuantificationResult> direct =
         SolveQuantification(*cube_, *indices_, requests_[i]);
@@ -139,7 +141,8 @@ TEST_F(ServeDifferentialTest, CachedMissAndHitMatchDirect) {
 }
 
 TEST_F(ServeDifferentialTest, BatchedMatchesDirectIncludingDuplicates) {
-  QuantificationService service(cube_.get(), indices_.get());
+  QuantificationService service(
+      CubeSnapshot::Borrow(cube_.get(), indices_.get()));
   // The batch carries every request twice (adjacent duplicates), so the
   // dedup path is exercised while results must still line up index-by-index.
   std::vector<QuantificationRequest> batch;
@@ -162,7 +165,8 @@ TEST_F(ServeDifferentialTest, BatchedMatchesDirectIncludingDuplicates) {
 }
 
 TEST_F(ServeDifferentialTest, RebuildInvalidatesFingerprintAndStaysCorrect) {
-  QuantificationService service(cube_.get(), indices_.get());
+  QuantificationService service(
+      CubeSnapshot::Borrow(cube_.get(), indices_.get()));
   uint64_t fingerprint_before = service.cube_fingerprint();
   for (const QuantificationRequest& request : requests_) {
     ASSERT_TRUE(service.Answer(request).ok());  // warm the cache
@@ -173,7 +177,7 @@ TEST_F(ServeDifferentialTest, RebuildInvalidatesFingerprintAndStaysCorrect) {
   std::unique_ptr<UnfairnessCube> rebuilt = MakeCube(/*seed=*/202);
   std::unique_ptr<IndexSet> rebuilt_indices =
       std::make_unique<IndexSet>(IndexSet::Build(*rebuilt));
-  service.SetBackend(rebuilt.get(), rebuilt_indices.get());
+  service.SetSnapshot(CubeSnapshot::Borrow(rebuilt.get(), rebuilt_indices.get()));
   EXPECT_NE(service.cube_fingerprint(), fingerprint_before);
 
   uint64_t computations_before = service.stats().computations;
@@ -193,7 +197,7 @@ TEST_F(ServeDifferentialTest, RebuildInvalidatesFingerprintAndStaysCorrect) {
   std::unique_ptr<UnfairnessCube> same = MakeCube(/*seed=*/202);
   std::unique_ptr<IndexSet> same_indices =
       std::make_unique<IndexSet>(IndexSet::Build(*same));
-  service.SetBackend(same.get(), same_indices.get());
+  service.SetSnapshot(CubeSnapshot::Borrow(same.get(), same_indices.get()));
   uint64_t computations_after = service.stats().computations;
   for (const QuantificationRequest& request : requests_) {
     ASSERT_TRUE(service.Answer(request).ok());
@@ -202,7 +206,8 @@ TEST_F(ServeDifferentialTest, RebuildInvalidatesFingerprintAndStaysCorrect) {
 }
 
 TEST_F(ServeDifferentialTest, EquivalentSpellingsShareOneCacheEntry) {
-  QuantificationService service(cube_.get(), indices_.get());
+  QuantificationService service(
+      CubeSnapshot::Borrow(cube_.get(), indices_.get()));
 
   QuantificationRequest plain;
   plain.target = Dimension::kGroup;
@@ -237,7 +242,8 @@ TEST_F(ServeDifferentialTest, EquivalentSpellingsShareOneCacheEntry) {
 }
 
 TEST_F(ServeDifferentialTest, ErrorsPropagateAndAreNotCached) {
-  QuantificationService service(cube_.get(), indices_.get());
+  QuantificationService service(
+      CubeSnapshot::Borrow(cube_.get(), indices_.get()));
   QuantificationRequest bad;
   bad.k = 0;  // SolveQuantification rejects k = 0
   Status direct = SolveQuantification(*cube_, *indices_, bad).status();

@@ -642,14 +642,16 @@ int RunServeBench(const Flags& flags) {
 
   QuantificationService::Options cold_options;
   cold_options.cache_capacity = 0;
-  QuantificationService cold(cube.get(), &indices, cold_options);
+  QuantificationService cold(CubeSnapshot::Borrow(cube.get(), &indices),
+                            cold_options);
   Result<double> cold_qps = run_pass(cold, "cold (no cache)");
   if (!cold_qps.ok()) return Fail(cold_qps.status());
 
   QuantificationService::Options hot_options;
   hot_options.cache_capacity = static_cast<size_t>(capacity);
   hot_options.cache_shards = static_cast<size_t>(shards);
-  QuantificationService hot(cube.get(), &indices, hot_options);
+  QuantificationService hot(CubeSnapshot::Borrow(cube.get(), &indices),
+                            hot_options);
   for (const QuantificationRequest& request : request_space) {
     Result<QuantificationResult> warmed = hot.Answer(request);  // warm
     if (!warmed.ok()) return Fail(warmed.status());
