@@ -61,7 +61,7 @@ struct TopKOptions {
   // Materialized once per run into a position-indexed bitmap.
   const std::vector<int32_t>* allowed = nullptr;
   // Size of the target axis when known (SolveQuantification passes the cube
-  // axis size). 0 = derive from the lists' dense columns. The engines size
+  // axis size). 0 = derive from the lists' dense_size. The engines size
   // their flat accumulator arrays and bitmaps to
   // max(universe_hint, max list dense_size), so an understated hint is
   // harmless.

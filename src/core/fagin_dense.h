@@ -19,10 +19,10 @@
 // and tests/fagin_dense_test.cc drives the gather and the scorer directly.
 // Axis positions are dense 0..N-1 cube coordinates, so all per-run
 // candidate state lives in flat position-indexed arrays: the allowed filter
-// is a byte bitmap, random accesses are O(1) column loads, and candidate
-// aggregates come from one CandidateScorer that switches from per-candidate
-// random access to a single list-order pass once that pass is the cheaper
-// of the two.
+// is a byte bitmap, random accesses are O(1) rank-bitmap lookups, and
+// candidate aggregates come from one CandidateScorer that switches from
+// per-candidate random access to a single list-order pass once that pass is
+// the cheaper of the two.
 
 namespace fairjob {
 namespace fagin_internal {
@@ -168,14 +168,15 @@ struct PositionSum {
 
 // The one source of candidate aggregates: TA's and FA's random accesses,
 // NRA's exact-value epilogue and the scan. A candidate is first answered by
-// random access, one dense-column load per non-empty list. Once those loads
-// would exceed the entry count of the lists, the scorer instead fills a
-// per-position (sum, present-count) table in one pass over every entry and
-// answers each later candidate from it. Either way a position's sum
-// accumulates in list order — each list holds a position at most once — so
-// the aggregate bits do not depend on which path answered, and the switch
-// point is a property of the input, not a tuning knob. Counters follow
-// per-candidate random access over the selected lists whichever path ran.
+// random access, one InvertedIndex::Find (a rank-bitmap lookup) per
+// non-empty list. Once those lookups would exceed the entry count of the
+// lists, the scorer instead fills a per-position (sum, present-count) table
+// in one pass over every entry and answers each later candidate from it.
+// Either way a position's sum accumulates in list order — each list holds a
+// position at most once — so the aggregate bits do not depend on which path
+// answered, and the switch point is a property of the input, not a tuning
+// knob. Counters follow per-candidate random access over the selected lists
+// whichever path ran.
 class CandidateScorer {
  public:
   CandidateScorer(const ListSet& set, size_t universe)

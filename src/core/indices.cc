@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 
 #include "common/thread_pool.h"
 
@@ -34,68 +35,124 @@ std::vector<size_t> ResolvePositions(const AxisSelector& sel, size_t size) {
   return all;
 }
 
+// The list every family hands out for an (other1, other2) pair that never
+// held an entry.
+const InvertedIndex& EmptyList() {
+  static const InvertedIndex empty{std::vector<ScoredEntry>()};
+  return empty;
+}
+
+// The sorted-access order: descending by value, ties by ascending position.
+bool DescendingByValue(const ScoredEntry& a, const ScoredEntry& b) {
+  if (a.value != b.value) return a.value > b.value;
+  return a.pos < b.pos;
+}
+
 }  // namespace
 
 InvertedIndex::InvertedIndex(std::vector<ScoredEntry> entries)
     : entries_(std::move(entries)) {
-  std::sort(entries_.begin(), entries_.end(),
-            [](const ScoredEntry& a, const ScoredEntry& b) {
-              if (a.value != b.value) return a.value > b.value;
-              return a.pos < b.pos;
-            });
+  std::sort(entries_.begin(), entries_.end(), DescendingByValue);
   int32_t max_pos = -1;
-  for (const ScoredEntry& e : entries_) max_pos = std::max(max_pos, e.pos);
-  values_.assign(static_cast<size_t>(max_pos + 1), 0.0);
-  present_.assign(static_cast<size_t>(max_pos + 1), 0);
+  for (const ScoredEntry& e : entries_) {
+    assert(e.pos >= 0);
+    max_pos = std::max(max_pos, e.pos);
+  }
+  words_.resize(static_cast<size_t>(int64_t{max_pos} + 64) / 64);
   // One entry per position: on duplicates the first (highest-value) entry
-  // is kept and the rest are dropped, so sorted access, the dense column and
+  // is kept and the rest are dropped, so sorted access, the rank bitmap and
   // Find all see the same value.
   size_t kept = 0;
   for (const ScoredEntry& e : entries_) {
-    size_t pos = static_cast<size_t>(e.pos);
-    if (present_[pos] != 0) continue;
-    present_[pos] = 1;
-    values_[pos] = e.value;
+    const size_t pos = static_cast<size_t>(e.pos);
+    uint64_t& bits = words_[pos >> 6].bits;
+    const uint64_t bit = uint64_t{1} << (pos & 63);
+    if ((bits & bit) != 0) continue;
+    bits |= bit;
     entries_[kept++] = e;
   }
+  // Lists are long-lived: drop the growth slack of the caller's vector.
   entries_.resize(kept);
+  entries_.shrink_to_fit();
+  uint32_t below = 0;
+  for (RankWord& word : words_) {
+    word.below = below;
+    below += static_cast<uint32_t>(PopCount(word.bits));
+  }
+  // Each kept entry goes to its rank: one scatter, no second sort.
+  by_position_.resize(kept);
+  for (const ScoredEntry& e : entries_) {
+    by_position_[RankOf(static_cast<size_t>(e.pos))] = e.value;
+  }
 }
 
 void InvertedIndex::Upsert(int32_t pos, double value) {
+  assert(pos >= 0);
   std::optional<double> existing = Find(pos);
   if (existing.has_value()) {
     if (*existing == value) return;
     Remove(pos);
   }
-  if (static_cast<size_t>(pos) >= values_.size()) {
-    values_.resize(static_cast<size_t>(pos) + 1, 0.0);
-    present_.resize(static_cast<size_t>(pos) + 1, 0);
+  const size_t p = static_cast<size_t>(pos);
+  const size_t w = p >> 6;
+  if (w >= words_.size()) {
+    words_.resize(w + 1,
+                  RankWord{0, static_cast<uint32_t>(by_position_.size())});
   }
-  values_[static_cast<size_t>(pos)] = value;
-  present_[static_cast<size_t>(pos)] = 1;
+  const auto rank = static_cast<std::ptrdiff_t>(RankOf(p));
+  words_[w].bits |= uint64_t{1} << (p & 63);
+  for (size_t i = w + 1; i < words_.size(); ++i) ++words_[i].below;
+  by_position_.insert(by_position_.begin() + rank, value);
   ScoredEntry entry{pos, value};
-  auto insert_at = std::lower_bound(
-      entries_.begin(), entries_.end(), entry,
-      [](const ScoredEntry& a, const ScoredEntry& b) {
-        if (a.value != b.value) return a.value > b.value;
-        return a.pos < b.pos;
-      });
-  entries_.insert(insert_at, entry);
+  entries_.insert(std::lower_bound(entries_.begin(), entries_.end(), entry,
+                                   DescendingByValue),
+                  entry);
 }
 
 void InvertedIndex::Remove(int32_t pos) {
-  if (pos < 0 || static_cast<size_t>(pos) >= present_.size() ||
-      present_[static_cast<size_t>(pos)] == 0) {
-    return;
-  }
-  present_[static_cast<size_t>(pos)] = 0;
-  values_[static_cast<size_t>(pos)] = 0.0;
+  if (!Find(pos).has_value()) return;
+  const size_t p = static_cast<size_t>(pos);
+  const size_t w = p >> 6;
+  by_position_.erase(by_position_.begin() +
+                     static_cast<std::ptrdiff_t>(RankOf(p)));
+  words_[w].bits &= ~(uint64_t{1} << (p & 63));
+  for (size_t i = w + 1; i < words_.size(); ++i) --words_[i].below;
+  while (!words_.empty() && words_.back().bits == 0) words_.pop_back();
   for (auto entry = entries_.begin(); entry != entries_.end(); ++entry) {
     if (entry->pos == pos) {
       entries_.erase(entry);
       return;
     }
   }
+}
+
+const InvertedIndex& IndexSet::Family::at(size_t i) const {
+  const uint32_t slot = slot_of_[i];
+  return slot == kNoSlot ? EmptyList() : lists_[slot];
+}
+
+InvertedIndex* IndexSet::Family::Find(size_t i) {
+  const uint32_t slot = slot_of_[i];
+  return slot == kNoSlot ? nullptr : &lists_[slot];
+}
+
+InvertedIndex& IndexSet::Family::Get(size_t i) {
+  if (slot_of_[i] == kNoSlot) {
+    assert(lists_.size() < kNoSlot);
+    slot_of_[i] = static_cast<uint32_t>(lists_.size());
+    lists_.push_back(EmptyList());
+  }
+  return lists_[slot_of_[i]];
+}
+
+IndexSet::Family::Family(size_t num_lists, size_t num_slots)
+    : slot_of_(num_lists, kNoSlot), lists_(num_slots, EmptyList()) {
+  assert(num_slots < kNoSlot);
+}
+
+InvertedIndex& IndexSet::Family::Place(size_t i, size_t slot) {
+  slot_of_[i] = static_cast<uint32_t>(slot);
+  return lists_[slot];
 }
 
 void IndexSet::OtherSizes(Dimension target, size_t* s1, size_t* s2) const {
@@ -114,14 +171,6 @@ IndexSet IndexSet::Build(const UnfairnessCube& cube) {
   set.sizes_[0] = num_groups;
   set.sizes_[1] = num_queries;
   set.sizes_[2] = num_locations;
-  const InvertedIndex empty{std::vector<ScoredEntry>()};
-  auto& group_lists = set.family_[static_cast<size_t>(Dimension::kGroup)];
-  auto& query_lists = set.family_[static_cast<size_t>(Dimension::kQuery)];
-  auto& location_lists =
-      set.family_[static_cast<size_t>(Dimension::kLocation)];
-  group_lists.assign(num_queries * num_locations, empty);
-  query_lists.assign(num_groups * num_locations, empty);
-  location_lists.assign(num_groups * num_queries, empty);
 
   // The cube's stored columns in (q, l) order; columns without a slot hold
   // no cell and feed no list.
@@ -140,36 +189,73 @@ IndexSet IndexSet::Build(const UnfairnessCube& cube) {
 
   // Every list is fed its entries in ascending target position, and the
   // InvertedIndex sort is a total order on distinct positions, so the lists
-  // are the ones a per-list scan of the cube would build. Each task writes
-  // only the lists of its own g (first sweep) or column (second sweep).
+  // are the ones a per-list scan of the cube would build. Lists are counted
+  // before they are built, so each family makes its slots once and each
+  // task fills only the slots and lists of its own g (sweep 1) or column
+  // (sweep 2).
   ThreadPool& pool = ThreadPool::Shared();
   const size_t parallelism = pool.num_threads() + 1;
+  // Counting pass, one task per group: g's location lists (g, q) are the
+  // runs of stored columns with one q holding a cell of g; its query lists
+  // (g, l) are the locations with such a column.
+  std::vector<size_t> location_slot(num_groups + 1, 0);
+  std::vector<size_t> query_slot(num_groups + 1, 0);
+  Status status = pool.ParallelFor(num_groups, parallelism, [&](size_t g) {
+    std::vector<uint8_t> has_location(num_locations, 0);
+    size_t last_q = SIZE_MAX;
+    for (const StoredColumn& c : stored) {
+      if (!c.cells.present(g)) continue;
+      location_slot[g + 1] += c.q != last_q;
+      last_q = c.q;
+      has_location[c.l] = 1;
+    }
+    for (uint8_t has : has_location) query_slot[g + 1] += has;
+    return Status::OK();
+  });
+  for (size_t g = 0; g < num_groups; ++g) {
+    location_slot[g + 1] += location_slot[g];
+    query_slot[g + 1] += query_slot[g];
+  }
+  Family& group_lists = set.family_[static_cast<size_t>(Dimension::kGroup)];
+  Family& query_lists = set.family_[static_cast<size_t>(Dimension::kQuery)];
+  Family& location_lists =
+      set.family_[static_cast<size_t>(Dimension::kLocation)];
+  group_lists = Family(num_queries * num_locations, stored.size());
+  query_lists = Family(num_groups * num_locations, query_slot[num_groups]);
+  location_lists =
+      Family(num_groups * num_queries, location_slot[num_groups]);
+
   // Sweep 1, one task per group: walk the stored columns once. The run of
   // columns with one q is the location list (g, q); bucketing it by l
   // builds the query lists (g, l).
-  Status status = pool.ParallelFor(num_groups, parallelism, [&](size_t g) {
-    std::vector<std::vector<ScoredEntry>> by_location(num_locations);
-    for (size_t i = 0; i < stored.size();) {
-      const size_t q = stored[i].q;
-      std::vector<ScoredEntry> row;
-      for (; i < stored.size() && stored[i].q == q; ++i) {
-        const StoredColumn& c = stored[i];
-        if (!c.cells.present(g)) continue;
-        double v = c.cells.value(g);
-        row.push_back(ScoredEntry{static_cast<int32_t>(c.l), v});
-        by_location[c.l].push_back(ScoredEntry{static_cast<int32_t>(q), v});
+  if (status.ok()) {
+    status = pool.ParallelFor(num_groups, parallelism, [&](size_t g) {
+      std::vector<std::vector<ScoredEntry>> by_location(num_locations);
+      size_t slot = location_slot[g];
+      for (size_t i = 0; i < stored.size();) {
+        const size_t q = stored[i].q;
+        std::vector<ScoredEntry> row;
+        for (; i < stored.size() && stored[i].q == q; ++i) {
+          const StoredColumn& c = stored[i];
+          if (!c.cells.present(g)) continue;
+          double v = c.cells.value(g);
+          row.push_back(ScoredEntry{static_cast<int32_t>(c.l), v});
+          by_location[c.l].push_back(ScoredEntry{static_cast<int32_t>(q), v});
+        }
+        if (!row.empty()) {
+          location_lists.Place(g * num_queries + q, slot++) =
+              InvertedIndex(std::move(row));
+        }
       }
-      if (!row.empty()) {
-        location_lists[g * num_queries + q] = InvertedIndex(std::move(row));
+      slot = query_slot[g];
+      for (size_t l = 0; l < num_locations; ++l) {
+        if (by_location[l].empty()) continue;
+        query_lists.Place(g * num_locations + l, slot++) =
+            InvertedIndex(std::move(by_location[l]));
       }
-    }
-    for (size_t l = 0; l < num_locations; ++l) {
-      if (by_location[l].empty()) continue;
-      query_lists[g * num_locations + l] =
-          InvertedIndex(std::move(by_location[l]));
-    }
-    return Status::OK();
-  });
+      return Status::OK();
+    });
+  }
   // Sweep 2, one task per stored column: its present cells, by ascending g,
   // are the group list (q, l).
   if (status.ok()) {
@@ -182,7 +268,7 @@ IndexSet IndexSet::Build(const UnfairnessCube& cube) {
               ScoredEntry{static_cast<int32_t>(g), c.cells.value(g)});
         }
       }
-      group_lists[c.q * num_locations + c.l] =
+      group_lists.Place(c.q * num_locations + c.l, i) =
           InvertedIndex(std::move(entries));
       return Status::OK();
     });
@@ -208,28 +294,33 @@ void IndexSet::RefreshColumn(const UnfairnessCube& cube, size_t query_pos,
         entries.push_back(ScoredEntry{static_cast<int32_t>(g), *v});
       }
     }
-    family_[static_cast<size_t>(Dimension::kGroup)]
-           [query_pos * num_locations + location_pos] =
-               InvertedIndex(std::move(entries));
+    Family& group_lists = family_[static_cast<size_t>(Dimension::kGroup)];
+    const size_t list = query_pos * num_locations + location_pos;
+    if (!entries.empty() || group_lists.Find(list) != nullptr) {
+      group_lists.Get(list) = InvertedIndex(std::move(entries));
+    }
   }
 
   // Query-based family: per group, the (g, location_pos) list's entry for
   // query_pos. Location-based family: per group, the (g, query_pos) list's
   // entry for location_pos.
+  Family& query_lists = family_[static_cast<size_t>(Dimension::kQuery)];
+  Family& location_lists = family_[static_cast<size_t>(Dimension::kLocation)];
   for (size_t g = 0; g < num_groups; ++g) {
     std::optional<double> v = cube.Get(g, query_pos, location_pos);
-    InvertedIndex& query_list =
-        family_[static_cast<size_t>(Dimension::kQuery)]
-               [g * num_locations + location_pos];
-    InvertedIndex& location_list =
-        family_[static_cast<size_t>(Dimension::kLocation)]
-               [g * num_queries + query_pos];
+    const size_t query_list = g * num_locations + location_pos;
+    const size_t location_list = g * num_queries + query_pos;
     if (v.has_value()) {
-      query_list.Upsert(static_cast<int32_t>(query_pos), *v);
-      location_list.Upsert(static_cast<int32_t>(location_pos), *v);
-    } else {
-      query_list.Remove(static_cast<int32_t>(query_pos));
-      location_list.Remove(static_cast<int32_t>(location_pos));
+      query_lists.Get(query_list).Upsert(static_cast<int32_t>(query_pos), *v);
+      location_lists.Get(location_list)
+          .Upsert(static_cast<int32_t>(location_pos), *v);
+      continue;
+    }
+    if (InvertedIndex* list = query_lists.Find(query_list)) {
+      list->Remove(static_cast<int32_t>(query_pos));
+    }
+    if (InvertedIndex* list = location_lists.Find(location_list)) {
+      list->Remove(static_cast<int32_t>(location_pos));
     }
   }
 }
@@ -242,12 +333,12 @@ std::vector<const InvertedIndex*> IndexSet::ListsFor(
   OtherSizes(target, &n1, &n2);
   std::vector<size_t> p1s = ResolvePositions(other1, n1);
   std::vector<size_t> p2s = ResolvePositions(other2, n2);
-  const auto& family = family_[static_cast<size_t>(target)];
+  const Family& family = family_[static_cast<size_t>(target)];
   std::vector<const InvertedIndex*> lists;
   lists.reserve(p1s.size() * p2s.size());
   for (size_t p1 : p1s) {
     for (size_t p2 : p2s) {
-      lists.push_back(&family[p1 * n2 + p2]);
+      lists.push_back(&family.at(p1 * n2 + p2));
     }
   }
   return lists;
@@ -259,7 +350,7 @@ const InvertedIndex& IndexSet::ListAt(Dimension target, size_t other1_pos,
   size_t n2;
   OtherSizes(target, &n1, &n2);
   (void)n1;
-  return family_[static_cast<size_t>(target)][other1_pos * n2 + other2_pos];
+  return family_[static_cast<size_t>(target)].at(other1_pos * n2 + other2_pos);
 }
 
 }  // namespace fairjob

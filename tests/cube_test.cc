@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <memory>
 #include <string>
 
 #include "common/rng.h"
+#include "resident_memory.h"
 
 namespace fairjob {
 namespace {
@@ -88,27 +88,6 @@ TEST(CubeTest, AxisAverageMatchesManualAverage) {
   EXPECT_DOUBLE_EQ(*cube.AxisAverage(Dimension::kQuery, 1), 0.3);
   EXPECT_DOUBLE_EQ(*cube.AxisAverage(Dimension::kLocation, 0),
                    (0.1 + 0.3 + 0.9) / 3.0);
-}
-
-// Resident set in MB from /proc/self/status; 0 off Linux and under a
-// sanitizer, whose shadow memory would swamp the program's own.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define FAIRJOB_TEST_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define FAIRJOB_TEST_SANITIZED 1
-#endif
-#endif
-
-double ResidentMb() {
-#if defined(__linux__) && !defined(FAIRJOB_TEST_SANITIZED)
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmRSS:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;
-  }
-#endif
-  return 0.0;
 }
 
 // Storage follows the present columns, not the grid: an all-absent

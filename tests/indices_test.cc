@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
+#include <limits>
+#include <map>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
+#include "resident_memory.h"
 
 namespace fairjob {
 namespace {
@@ -37,6 +43,107 @@ TEST(InvertedIndexTest, EmptyIndex) {
   InvertedIndex index({});
   EXPECT_TRUE(index.empty());
   EXPECT_FALSE(index.Find(0).has_value());
+}
+
+// Checks `list` against `model` (position -> value): Find at every
+// position up to past the last word and at out-of-range probes,
+// dense_size(), the sorted entries, and a twin rebuilt from those entries.
+void ExpectListMatchesModel(const InvertedIndex& list,
+                            const std::map<int32_t, double>& model,
+                            int32_t probe_end) {
+  for (int32_t pos = 0; pos < probe_end; ++pos) {
+    auto it = model.find(pos);
+    std::optional<double> want;
+    if (it != model.end()) want = it->second;
+    ASSERT_EQ(list.Find(pos), want) << "pos " << pos;
+  }
+  for (int32_t pos : {-1, -64, std::numeric_limits<int32_t>::min(),
+                      probe_end + 1000, std::numeric_limits<int32_t>::max()}) {
+    ASSERT_EQ(list.Find(pos), std::nullopt) << "pos " << pos;
+  }
+  const size_t want_dense =
+      model.empty() ? 0 : static_cast<size_t>(model.rbegin()->first) + 1;
+  ASSERT_EQ(list.dense_size(), want_dense);
+
+  ASSERT_EQ(list.size(), model.size());
+  std::vector<ScoredEntry> entries;
+  for (size_t i = 0; i < list.size(); ++i) {
+    const ScoredEntry& e = list.entry(i);
+    auto it = model.find(e.pos);
+    ASSERT_NE(it, model.end()) << "entry " << i;
+    ASSERT_EQ(e.value, it->second) << "entry " << i;
+    if (i > 0) {
+      const ScoredEntry& prev = list.entry(i - 1);
+      ASSERT_TRUE(prev.value > e.value ||
+                  (prev.value == e.value && prev.pos < e.pos))
+          << "entry " << i;
+    }
+    entries.push_back(e);
+  }
+  InvertedIndex twin(std::move(entries));
+  ASSERT_EQ(twin.size(), list.size());
+  for (size_t i = 0; i < list.size(); ++i) {
+    ASSERT_EQ(twin.entry(i), list.entry(i)) << "entry " << i;
+  }
+  ASSERT_EQ(twin.dense_size(), list.dense_size());
+  for (int32_t pos = 0; pos < probe_end; ++pos) {
+    ASSERT_EQ(twin.Find(pos), list.Find(pos)) << "pos " << pos;
+  }
+}
+
+// The rank bitmap against a std::map model over a seeded sequence of
+// constructor inputs (duplicates included), Upserts and Removes. Positions
+// sit on the 64-position word boundaries, and far out at 10,000, so words
+// are added, emptied and trimmed; values come from a few levels so ties
+// are common.
+TEST(InvertedIndexRankBitmapTest, RandomAccessMatchesMapModel) {
+  const int32_t kBoundaries[] = {0, 63, 64, 127, 128, 10'000};
+  const int32_t kProbeEnd = 10'000 + 130;
+  Rng rng(20261018);
+  auto next_pos = [&]() {
+    if (rng.NextBelow(2) == 0) {
+      return kBoundaries[rng.NextBelow(std::size(kBoundaries))];
+    }
+    return static_cast<int32_t>(rng.NextBelow(200));
+  };
+  auto next_value = [&]() {
+    return static_cast<double>(rng.NextBelow(5)) / 4.0;
+  };
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    // The constructor keeps a repeated position's first entry in value
+    // order, so the model holds each position's largest value. Round 0
+    // starts from every position below 192, so full words are ranked too.
+    std::vector<ScoredEntry> input;
+    std::map<int32_t, double> model;
+    const uint32_t n = round == 0 ? 192 : rng.NextBelow(12);
+    for (uint32_t i = 0; i < n; ++i) {
+      ScoredEntry e{round == 0 ? static_cast<int32_t>(i) : next_pos(),
+                    next_value()};
+      input.push_back(e);
+      auto [it, inserted] = model.emplace(e.pos, e.value);
+      if (!inserted) it->second = std::max(it->second, e.value);
+    }
+    InvertedIndex list(std::move(input));
+    ASSERT_NO_FATAL_FAILURE(ExpectListMatchesModel(list, model, kProbeEnd));
+    for (int step = 0; step < 30; ++step) {
+      SCOPED_TRACE(::testing::Message() << "step " << step);
+      const int32_t pos = next_pos();
+      if (rng.NextBelow(3) == 0) {
+        list.Remove(pos);
+        model.erase(pos);
+      } else {
+        const double value = next_value();
+        list.Upsert(pos, value);
+        model[pos] = value;
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectListMatchesModel(list, model, kProbeEnd));
+    }
+    // Remove of absent and negative positions changes nothing.
+    list.Remove(-1);
+    list.Remove(kProbeEnd + 5);
+    ASSERT_NO_FATAL_FAILURE(ExpectListMatchesModel(list, model, kProbeEnd));
+  }
 }
 
 class IndexSetTest : public ::testing::Test {
@@ -319,6 +426,46 @@ TEST_F(IndexSetTest, RepeatedBuildsAreIdentical) {
       ExpectListsIdentical(*a[i], *b[i], cube.axis_size(target));
     }
   }
+}
+
+// Random access is sized by the present entries, not by the axis: a
+// 64 × 100,000 × 4 cube holding a few hundred cells indexes in a few MB.
+// A dense value column per query list, as long as the query axis, would
+// take about 230 MB.
+TEST_F(IndexSetTest, SparseCubeIndexIsSizedByItsEntries) {
+  const size_t kGroups = 64;
+  const size_t kQueries = 100'000;
+  const size_t kLocations = 4;
+  std::vector<int32_t> ids[3];
+  for (size_t d = 0; d < 3; ++d) {
+    const size_t n = d == 0 ? kGroups : d == 1 ? kQueries : kLocations;
+    for (size_t i = 0; i < n; ++i) ids[d].push_back(static_cast<int32_t>(i));
+  }
+  UnfairnessCube cube = *UnfairnessCube::Make(ids[0], ids[1], ids[2]);
+  Rng rng(64);
+  for (int i = 0; i < 300; ++i) {
+    cube.Set(rng.NextBelow(kGroups), rng.NextBelow(kQueries),
+             rng.NextBelow(kLocations), rng.NextDouble());
+  }
+  const double before = ResidentMb();
+  IndexSet indices = IndexSet::Build(cube);
+  const double grown = ResidentMb() - before;
+  if (before > 0.0) {
+    EXPECT_LT(grown, 32.0);
+  }
+  // Spot-check the index against the cube along one query list.
+  size_t found = 0;
+  for (size_t g = 0; g < kGroups; ++g) {
+    for (size_t l = 0; l < kLocations; ++l) {
+      const InvertedIndex& list = indices.ListAt(Dimension::kQuery, g, l);
+      for (size_t i = 0; i < list.size(); ++i) {
+        const ScoredEntry& e = list.entry(i);
+        ASSERT_EQ(list.Find(e.pos), cube.Get(g, static_cast<size_t>(e.pos), l));
+        ++found;
+      }
+    }
+  }
+  EXPECT_EQ(found, cube.num_present());
 }
 
 }  // namespace
