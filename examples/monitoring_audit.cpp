@@ -5,7 +5,8 @@
 //   2. advances the marketplace one epoch (rankings shift) and re-crawls
 //      only a subset of queries;
 //   3. refreshes exactly those cube columns and inverted lists
-//      (RefreshMarketplaceColumn + IndexSet::RefreshColumn);
+//      (BuildMarketplaceCubeColumns into a CubeMaterializeSink +
+//      IndexSet::RefreshColumn);
 //   4. reports how the top-group ranking moved between epochs, with a
 //      bootstrap CI to separate drift from resampling noise.
 //
@@ -90,9 +91,9 @@ int main() {
   // --- Epoch 1: the market moves; re-crawl one city ---------------------------
   site->SetEpoch(1);
   std::string city = site->Cities()[0];
-  size_t refreshed = 0;
   LocationId l = OrDie(data.locations().Find(city), "city id");
   size_t l_pos = OrDie(cube.PosOf(Dimension::kLocation, l), "city pos");
+  std::vector<CubeColumnRef> refreshed;
   for (const std::string& job : site->JobsIn(city)) {
     std::vector<size_t> ranking = OrDie(site->RankFor(job, city), "rank");
     MarketRanking fresh;
@@ -111,17 +112,24 @@ int main() {
     QueryId q = OrDie(data.queries().Find(job), "query id");
     if (!data.SetRanking(q, l, std::move(fresh)).ok()) return 1;
     size_t q_pos = OrDie(cube.PosOf(Dimension::kQuery, q), "query pos");
-    if (!RefreshMarketplaceColumn(data, space, MarketMeasure::kEmd, {}, &cube,
-                                  q_pos, l_pos)
-             .ok()) {
-      return 1;
-    }
-    indices.RefreshColumn(cube, q_pos, l_pos);
-    ++refreshed;
+    refreshed.push_back(CubeColumnRef{q_pos, l_pos});
+  }
+  // Re-evaluate just the re-crawled columns into the cube (the membership
+  // table is built after the new workers were registered), then re-sync
+  // the inverted lists those columns feed.
+  MarketplaceGroupMembership membership(data, space);
+  CubeMaterializeSink sink(&cube);
+  if (!BuildMarketplaceCubeColumns(data, space, membership, MarketMeasure::kEmd,
+                                   {}, {}, refreshed, /*parallelism=*/1, &sink)
+           .ok()) {
+    return 1;
+  }
+  for (const CubeColumnRef& column : refreshed) {
+    indices.RefreshColumn(cube, column.query_pos, column.location_pos);
   }
   std::printf("\nepoch 1: re-crawled %zu queries in %s, refreshed %zu cube "
               "columns incrementally\n",
-              refreshed, city.c_str(), refreshed);
+              refreshed.size(), city.c_str(), refreshed.size());
 
   QuantificationResult epoch1 = top_group(cube, indices);
   std::printf("epoch 1 top groups:\n");

@@ -135,8 +135,9 @@ class IndexSet {
   }
 
   // Re-syncs every inverted list touched by changes to the cube column at
-  // (query_pos, location_pos) — i.e. after RefreshMarketplaceColumn updated
-  // the group cells for one re-crawled (query, location):
+  // (query_pos, location_pos) — i.e. after a delta build
+  // (BuildMarketplaceCubeColumns into a CubeMaterializeSink) rewrote the
+  // group cells for one re-crawled (query, location):
   //  * the group-based list for that pair is rebuilt;
   //  * the query-based list of every (g, location_pos) gets its query entry
   //    upserted/removed;

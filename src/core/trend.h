@@ -13,7 +13,8 @@ namespace fairjob {
 // Longitudinal fairness monitoring: snapshots of a dimension's aggregate
 // unfairness across audit epochs (re-crawls), with drift and rank-crossing
 // detection between consecutive epochs. Complements the incremental
-// refresh path (RefreshMarketplaceColumn / IndexSet::RefreshColumn).
+// refresh path (BuildMarketplaceCubeColumns into a CubeMaterializeSink, then
+// IndexSet::RefreshColumn).
 class TrendTracker {
  public:
   // Tracks the `dim` axis; positions refer to that axis of the recorded

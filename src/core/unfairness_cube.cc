@@ -4,6 +4,8 @@
 #include <bit>
 #include <cassert>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -238,8 +240,7 @@ namespace {
 // Runs fn(i) for every i in [0, n) on up to `parallelism` threads of the
 // process-wide pool; serial calls never touch (or create) the pool. The
 // first non-OK status wins and stops remaining work; fn must only touch
-// disjoint state per index (the cube builders write disjoint columns
-// through UnfairnessCube::SetColumn).
+// disjoint state per index.
 Status ParallelFor(size_t n, size_t parallelism,
                    const std::function<Status(size_t)>& fn) {
   if (parallelism <= 1 || n <= 1) {
@@ -251,24 +252,24 @@ Status ParallelFor(size_t n, size_t parallelism,
   return ThreadPool::Shared().ParallelFor(n, parallelism, fn);
 }
 
-// fn(i, j) over [0, n1) × [0, n2), same contract as ParallelFor.
-Status ParallelForPairs(size_t n1, size_t n2, size_t parallelism,
-                        const std::function<Status(size_t, size_t)>& fn) {
-  if (n1 == 0 || n2 == 0) return Status::OK();
-  return ParallelFor(n1 * n2, parallelism,
-                     [&](size_t index) { return fn(index / n2, index % n2); });
-}
-
+// The one place every builder's axes pass through, so a group id outside
+// the space never reaches the column evaluators' per-group tables.
 Result<CubeAxes> ResolveAxes(const CubeAxes& axes, size_t num_groups,
                              size_t num_queries, size_t num_locations) {
-  CubeAxes out = axes;
-  if (out.groups.empty()) out.groups = DefaultIds(num_groups);
-  if (out.queries.empty()) out.queries = DefaultIds(num_queries);
-  if (out.locations.empty()) out.locations = DefaultIds(num_locations);
   if (num_queries == 0 || num_locations == 0) {
     return Status::InvalidArgument(
         "dataset has no queries or no locations to build a cube over");
   }
+  for (GroupId g : axes.groups) {
+    if (g < 0 || static_cast<size_t>(g) >= num_groups) {
+      return Status::InvalidArgument("cube group id " + std::to_string(g) +
+                                     " is outside the group space");
+    }
+  }
+  CubeAxes out = axes;
+  if (out.groups.empty()) out.groups = DefaultIds(num_groups);
+  if (out.queries.empty()) out.queries = DefaultIds(num_queries);
+  if (out.locations.empty()) out.locations = DefaultIds(num_locations);
   return out;
 }
 
@@ -287,8 +288,7 @@ Status EvaluateMarketplaceColumn(const MarketplaceDataset& data,
                                  const MeasureOptions& options, QueryId q,
                                  LocationId l,
                                  const std::vector<GroupId>& groups,
-                                 std::vector<std::optional<double>>* out,
-                                 size_t parallelism) {
+                                 std::vector<std::optional<double>>* out) {
   // Per-phase observability: batch construction (membership sweeps,
   // histogram scatter, bias/relevance sums) versus per-group evaluation.
   // cube.market.cell_context_us keeps its name across the engine swap so
@@ -321,25 +321,21 @@ Status EvaluateMarketplaceColumn(const MarketplaceDataset& data,
     return batch.status();
   }
   ScopedTimer group_timer(group_eval_us);
-  Status evaluated =
-      ParallelFor(groups.size(), parallelism, [&](size_t g) -> Status {
-        Result<double> v = batch->Unfairness(groups[g]);
-        if (v.ok()) {
-          (*out)[g] = *v;
-        } else if (v.status().code() == StatusCode::kNotFound) {
-          (*out)[g].reset();
-        } else {
-          return v.status();
-        }
-        return Status::OK();
-      });
-  if (evaluated.ok()) {
-    size_t present = 0;
-    for (const auto& cell : *out) present += cell.has_value() ? 1 : 0;
-    cells_present->Add(present);
-    cells_missing->Add(out->size() - present);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    Result<double> v = batch->Unfairness(groups[g]);
+    if (v.ok()) {
+      (*out)[g] = *v;
+    } else if (v.status().code() == StatusCode::kNotFound) {
+      (*out)[g].reset();
+    } else {
+      return v.status();
+    }
   }
-  return evaluated;
+  size_t present = 0;
+  for (const auto& cell : *out) present += cell.has_value() ? 1 : 0;
+  cells_present->Add(present);
+  cells_missing->Add(out->size() - present);
+  return Status::OK();
 }
 
 // Per-user group membership, hoisted across (query, location) columns:
@@ -565,10 +561,16 @@ Status EvaluateSearchColumn(const SearchDataset& data, const GroupSpace& space,
   return Status::OK();
 }
 
-// Build-level summary gauges shared by the two cube builders: wall-clock of
-// the most recent build and its cell throughput (the "cells/sec" headline).
-void RecordBuildSummary(const char* family, double elapsed_us, size_t cells) {
+// Build-level summary gauges of the full builds (in-memory and sharded):
+// wall-clock of the most recent build since `start` and its cell
+// throughput (the "cells/sec" headline).
+void RecordBuildSummary(const char* family,
+                        std::chrono::steady_clock::time_point start,
+                        size_t cells) {
   MetricsRegistry& metrics = MetricsRegistry::Global();
+  double elapsed_us = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
   if (!metrics.enabled() || elapsed_us <= 0.0) return;
   std::string prefix = std::string("cube.") + family;
   metrics.gauge(prefix + ".last_build_ms")->Set(elapsed_us / 1e3);
@@ -576,110 +578,95 @@ void RecordBuildSummary(const char* family, double elapsed_us, size_t cells) {
       ->Set(static_cast<double>(cells) / (elapsed_us / 1e6));
 }
 
-}  // namespace
+// Evaluates one column over the resolved group axis into `out`.
+using ColumnEval = std::function<Status(
+    QueryId, LocationId, std::vector<std::optional<double>>*)>;
 
-Result<UnfairnessCube> BuildMarketplaceCube(const MarketplaceDataset& data,
-                                            const GroupSpace& space,
-                                            MarketMeasure measure,
-                                            const MeasureOptions& options,
-                                            const CubeAxes& axes,
-                                            size_t parallelism) {
-  TraceSpan span("BuildMarketplaceCube", "cube");
-  auto start = std::chrono::steady_clock::now();
-  FAIRJOB_ASSIGN_OR_RETURN(
-      CubeAxes resolved,
-      ResolveAxes(axes, space.num_groups(), data.queries().size(),
-                  data.locations().size()));
-  FAIRJOB_ASSIGN_OR_RETURN(
-      UnfairnessCube cube,
-      UnfairnessCube::Make(resolved.groups, resolved.queries,
-                           resolved.locations));
-  // Worker group membership depends only on demographics, never on the
-  // (query, location) column, so the label matching is hoisted out of the
-  // column loop and shared read-only across all column tasks — the
-  // marketplace twin of BuildSearchCube's hoist.
-  MarketplaceGroupMembership membership(data, space);
-  Status built = ParallelForPairs(
-      resolved.queries.size(), resolved.locations.size(), parallelism,
-      [&](size_t q, size_t l) -> Status {
-        std::vector<std::optional<double>> column(resolved.groups.size());
-        FAIRJOB_RETURN_IF_ERROR(EvaluateMarketplaceColumn(
-            data, space, membership, measure, options, resolved.queries[q],
-            resolved.locations[l], resolved.groups, &column,
-            /*parallelism=*/1));
-        cube.SetColumn(q, l, column.data(), column.size());
-        return Status::OK();
-      });
-  FAIRJOB_RETURN_IF_ERROR(built);
-  RecordBuildSummary("market",
-                     std::chrono::duration<double, std::micro>(
-                         std::chrono::steady_clock::now() - start)
-                         .count(),
-                     cube.num_cells());
-  return cube;
-}
+// A pass size that puts every column in one pass.
+constexpr size_t kOnePass = SIZE_MAX;
 
-namespace {
-
-// Shared frame of the two column-refresh entry points: validates positions,
-// evaluates the column via `eval`, then writes it into the cube.
-Status RefreshColumn(
-    UnfairnessCube* cube, size_t query_pos, size_t location_pos,
-    const std::function<Status(QueryId, LocationId,
-                               const std::vector<GroupId>&,
-                               std::vector<std::optional<double>>*)>& eval) {
-  if (cube == nullptr) return Status::InvalidArgument("null cube");
-  if (query_pos >= cube->axis_size(Dimension::kQuery) ||
-      location_pos >= cube->axis_size(Dimension::kLocation)) {
-    return Status::InvalidArgument("column position out of range");
+// The one column loop under every builder: evaluates `columns` — or, when
+// null, every (q, l) of `resolved` in row-major order, enumerated by index
+// — on up to `parallelism` pool threads, in passes of at most
+// `pass_columns` columns with a barrier between passes, and hands each
+// finished column to `sink`.
+Status StreamColumns(const CubeAxes& resolved,
+                     const std::vector<CubeColumnRef>* columns,
+                     size_t pass_columns, size_t parallelism,
+                     CubeColumnSink* sink, const ColumnEval& eval) {
+  if (sink == nullptr) {
+    return Status::InvalidArgument("cube build needs a column sink");
   }
-  QueryId q = cube->axis_id(Dimension::kQuery, query_pos);
-  LocationId l = cube->axis_id(Dimension::kLocation, location_pos);
-  std::vector<GroupId> groups(cube->axis_size(Dimension::kGroup));
-  for (size_t g = 0; g < groups.size(); ++g) {
-    groups[g] = cube->axis_id(Dimension::kGroup, g);
+  size_t num_locations = resolved.locations.size();
+  size_t total = resolved.queries.size() * num_locations;
+  if (columns != nullptr) {
+    for (const CubeColumnRef& column : *columns) {
+      if (column.query_pos >= resolved.queries.size() ||
+          column.location_pos >= num_locations) {
+        return Status::InvalidArgument("delta column position out of range");
+      }
+    }
+    total = columns->size();
   }
-  std::vector<std::optional<double>> column(groups.size());
-  FAIRJOB_RETURN_IF_ERROR(eval(q, l, groups, &column));
-  cube->SetColumn(query_pos, location_pos, column.data(), column.size());
+  for (size_t start = 0; start < total;) {
+    size_t pass = std::min(pass_columns, total - start);
+    FAIRJOB_RETURN_IF_ERROR(
+        ParallelFor(pass, parallelism, [&](size_t offset) -> Status {
+          size_t index = start + offset;
+          CubeColumnRef column =
+              columns != nullptr
+                  ? (*columns)[index]
+                  : CubeColumnRef{index / num_locations, index % num_locations};
+          std::vector<std::optional<double>> values(resolved.groups.size());
+          FAIRJOB_RETURN_IF_ERROR(eval(resolved.queries[column.query_pos],
+                                       resolved.locations[column.location_pos],
+                                       &values));
+          return sink->Consume(column.query_pos, column.location_pos,
+                               values.data(), values.size());
+        }));
+    start += pass;
+  }
   return Status::OK();
 }
 
-}  // namespace
-
-Status RefreshMarketplaceColumn(const MarketplaceDataset& data,
-                                const GroupSpace& space, MarketMeasure measure,
+Status StreamMarketplaceColumns(const MarketplaceDataset& data,
+                                const GroupSpace& space,
+                                const MarketplaceGroupMembership& membership,
+                                MarketMeasure measure,
                                 const MeasureOptions& options,
-                                UnfairnessCube* cube, size_t query_pos,
-                                size_t location_pos, size_t parallelism) {
-  MarketplaceGroupMembership membership(data, space);
-  return RefreshColumn(
-      cube, query_pos, location_pos,
-      [&](QueryId q, LocationId l, const std::vector<GroupId>& groups,
-          std::vector<std::optional<double>>* column) {
+                                const CubeAxes& resolved,
+                                const std::vector<CubeColumnRef>* columns,
+                                size_t pass_columns, size_t parallelism,
+                                CubeColumnSink* sink) {
+  return StreamColumns(
+      resolved, columns, pass_columns, parallelism, sink,
+      [&](QueryId q, LocationId l, std::vector<std::optional<double>>* out) {
         return EvaluateMarketplaceColumn(data, space, membership, measure,
-                                         options, q, l, groups, column,
-                                         parallelism);
+                                         options, q, l, resolved.groups, out);
       });
 }
 
-Status RefreshSearchColumn(const SearchDataset& data, const GroupSpace& space,
-                           SearchMeasure measure,
-                           const MeasureOptions& options, UnfairnessCube* cube,
-                           size_t query_pos, size_t location_pos,
-                           size_t parallelism) {
+Status StreamSearchColumns(const SearchDataset& data, const GroupSpace& space,
+                           SearchMeasure measure, const MeasureOptions& options,
+                           const CubeAxes& resolved,
+                           const std::vector<CubeColumnRef>* columns,
+                           size_t parallelism, CubeColumnSink* sink) {
   if (options.kendall_penalty < 0.0 || options.kendall_penalty > 1.0) {
     return Status::InvalidArgument("kendall_penalty must lie in [0, 1]");
   }
+  // Group membership depends only on user demographics, never on the
+  // (query, location) column, so the label matching is hoisted out of the
+  // column loop and shared read-only across all column tasks.
   SearchGroupMembership membership(data, space);
-  return RefreshColumn(
-      cube, query_pos, location_pos,
-      [&](QueryId q, LocationId l, const std::vector<GroupId>& groups,
-          std::vector<std::optional<double>>* column) {
+  return StreamColumns(
+      resolved, columns, kOnePass, parallelism, sink,
+      [&](QueryId q, LocationId l, std::vector<std::optional<double>>* out) {
         return EvaluateSearchColumn(data, space, membership, measure, options,
-                                    q, l, groups, column, parallelism);
+                                    q, l, resolved.groups, out, parallelism);
       });
 }
+
+}  // namespace
 
 Result<CubeAxes> ResolveMarketplaceCubeAxes(const MarketplaceDataset& data,
                                             const GroupSpace& space,
@@ -695,6 +682,15 @@ Result<CubeAxes> ResolveSearchCubeAxes(const SearchDataset& data,
                      data.locations().size());
 }
 
+Status CheckFiniteColumn(const std::optional<double>* values, size_t n) {
+  for (size_t g = 0; g < n; ++g) {
+    if (values[g].has_value() && !std::isfinite(*values[g])) {
+      return Status::InvalidArgument("non-finite cell value in column");
+    }
+  }
+  return Status::OK();
+}
+
 Status CubeMaterializeSink::Consume(size_t query_pos, size_t location_pos,
                                     const std::optional<double>* values,
                                     size_t num_groups) {
@@ -704,93 +700,85 @@ Status CubeMaterializeSink::Consume(size_t query_pos, size_t location_pos,
     return Status::InvalidArgument(
         "streamed column does not match the sink cube's axes");
   }
+  FAIRJOB_RETURN_IF_ERROR(CheckFiniteColumn(values, num_groups));
   cube_->SetColumn(query_pos, location_pos, values, num_groups);
   return Status::OK();
 }
 
-namespace {
+Result<UnfairnessCube> BuildMarketplaceCube(const MarketplaceDataset& data,
+                                            const GroupSpace& space,
+                                            MarketMeasure measure,
+                                            const MeasureOptions& options,
+                                            const CubeAxes& axes,
+                                            size_t parallelism) {
+  TraceSpan span("BuildMarketplaceCube", "cube");
+  auto start = std::chrono::steady_clock::now();
+  FAIRJOB_ASSIGN_OR_RETURN(CubeAxes resolved,
+                           ResolveMarketplaceCubeAxes(data, space, axes));
+  FAIRJOB_ASSIGN_OR_RETURN(
+      UnfairnessCube cube,
+      UnfairnessCube::Make(resolved.groups, resolved.queries,
+                           resolved.locations));
+  MarketplaceGroupMembership membership(data, space);
+  CubeMaterializeSink sink(&cube);
+  FAIRJOB_RETURN_IF_ERROR(StreamMarketplaceColumns(
+      data, space, membership, measure, options, resolved,
+      /*columns=*/nullptr, kOnePass, parallelism, &sink));
+  RecordBuildSummary("market", start, cube.num_cells());
+  return cube;
+}
 
-// Shared frame of the two sharded builders: shard loop + column fan-out;
-// `eval` runs the family-specific column evaluation.
-Status BuildCubeSharded(
-    const CubeAxes& resolved, const ShardedBuildOptions& sharded,
-    CubeColumnSink* sink, const char* family,
-    const std::function<Status(QueryId, LocationId,
-                               std::vector<std::optional<double>>*)>& eval) {
+Result<UnfairnessCube> BuildSearchCube(const SearchDataset& data,
+                                       const GroupSpace& space,
+                                       SearchMeasure measure,
+                                       const MeasureOptions& options,
+                                       const CubeAxes& axes,
+                                       size_t parallelism) {
+  TraceSpan span("BuildSearchCube", "cube");
+  auto start = std::chrono::steady_clock::now();
+  FAIRJOB_ASSIGN_OR_RETURN(CubeAxes resolved,
+                           ResolveSearchCubeAxes(data, space, axes));
+  FAIRJOB_ASSIGN_OR_RETURN(
+      UnfairnessCube cube,
+      UnfairnessCube::Make(resolved.groups, resolved.queries,
+                           resolved.locations));
+  CubeMaterializeSink sink(&cube);
+  FAIRJOB_RETURN_IF_ERROR(StreamSearchColumns(data, space, measure, options,
+                                              resolved, /*columns=*/nullptr,
+                                              parallelism, &sink));
+  RecordBuildSummary("search", start, cube.num_cells());
+  return cube;
+}
+
+Status BuildMarketplaceCubeSharded(const MarketplaceDataset& data,
+                                   const GroupSpace& space,
+                                   MarketMeasure measure,
+                                   const MeasureOptions& options,
+                                   const CubeAxes& axes,
+                                   const ShardedBuildOptions& sharded,
+                                   CubeColumnSink* sink) {
+  TraceSpan span("BuildMarketplaceCubeSharded", "cube");
   MetricsRegistry& metrics = MetricsRegistry::Global();
   static Counter* const columns_streamed =
       metrics.counter("cube.sharded.columns_streamed");
   static Counter* const shards_built = metrics.counter("cube.sharded.shards");
   auto start = std::chrono::steady_clock::now();
-
-  if (sink == nullptr) {
-    return Status::InvalidArgument("sharded cube build needs a sink");
-  }
+  FAIRJOB_ASSIGN_OR_RETURN(CubeAxes resolved,
+                           ResolveMarketplaceCubeAxes(data, space, axes));
   if (sharded.shard_columns == 0) {
     return Status::InvalidArgument("shard_columns must be at least 1");
   }
-  size_t num_locations = resolved.locations.size();
-  size_t total_columns = resolved.queries.size() * num_locations;
-  for (size_t shard_start = 0; shard_start < total_columns;
-       shard_start += sharded.shard_columns) {
-    size_t shard_size =
-        std::min(sharded.shard_columns, total_columns - shard_start);
-    Status built = ParallelFor(
-        shard_size, sharded.parallelism, [&](size_t offset) -> Status {
-          size_t index = shard_start + offset;
-          size_t q = index / num_locations;
-          size_t l = index % num_locations;
-          std::vector<std::optional<double>> column(resolved.groups.size());
-          FAIRJOB_RETURN_IF_ERROR(
-              eval(resolved.queries[q], resolved.locations[l], &column));
-          FAIRJOB_RETURN_IF_ERROR(
-              sink->Consume(q, l, column.data(), column.size()));
-          columns_streamed->Add(1);
-          return Status::OK();
-        });
-    FAIRJOB_RETURN_IF_ERROR(built);
-    shards_built->Add(1);
-  }
-  RecordBuildSummary(family,
-                     std::chrono::duration<double, std::micro>(
-                         std::chrono::steady_clock::now() - start)
-                         .count(),
-                     total_columns * resolved.groups.size());
+  MarketplaceGroupMembership membership(data, space);
+  FAIRJOB_RETURN_IF_ERROR(StreamMarketplaceColumns(
+      data, space, membership, measure, options, resolved,
+      /*columns=*/nullptr, sharded.shard_columns, sharded.parallelism, sink));
+  size_t total_columns = resolved.queries.size() * resolved.locations.size();
+  columns_streamed->Add(total_columns);
+  shards_built->Add((total_columns + sharded.shard_columns - 1) /
+                    sharded.shard_columns);
+  RecordBuildSummary("market", start, total_columns * resolved.groups.size());
   return Status::OK();
 }
-
-}  // namespace
-
-namespace {
-
-// Shared frame of the two delta builders: validate the column list against
-// the resolved axes, then fan the listed columns out to the sink.
-Status BuildCubeColumns(
-    const CubeAxes& resolved, const std::vector<CubeColumnRef>& columns,
-    size_t parallelism, CubeColumnSink* sink,
-    const std::function<Status(QueryId, LocationId,
-                               std::vector<std::optional<double>>*)>& eval) {
-  if (sink == nullptr) {
-    return Status::InvalidArgument("delta cube build needs a sink");
-  }
-  for (const CubeColumnRef& column : columns) {
-    if (column.query_pos >= resolved.queries.size() ||
-        column.location_pos >= resolved.locations.size()) {
-      return Status::InvalidArgument("delta column position out of range");
-    }
-  }
-  return ParallelFor(columns.size(), parallelism, [&](size_t i) -> Status {
-    const CubeColumnRef& column = columns[i];
-    std::vector<std::optional<double>> values(resolved.groups.size());
-    FAIRJOB_RETURN_IF_ERROR(eval(resolved.queries[column.query_pos],
-                                 resolved.locations[column.location_pos],
-                                 &values));
-    return sink->Consume(column.query_pos, column.location_pos, values.data(),
-                         values.size());
-  });
-}
-
-}  // namespace
 
 Status BuildMarketplaceCubeColumns(const MarketplaceDataset& data,
                                    const GroupSpace& space,
@@ -803,26 +791,9 @@ Status BuildMarketplaceCubeColumns(const MarketplaceDataset& data,
   TraceSpan span("BuildMarketplaceCubeColumns", "cube");
   FAIRJOB_ASSIGN_OR_RETURN(CubeAxes resolved,
                            ResolveMarketplaceCubeAxes(data, space, axes));
-  return BuildCubeColumns(
-      resolved, columns, parallelism, sink,
-      [&](QueryId q, LocationId l,
-          std::vector<std::optional<double>>* column) {
-        return EvaluateMarketplaceColumn(data, space, membership, measure,
-                                         options, q, l, resolved.groups,
-                                         column, /*parallelism=*/1);
-      });
-}
-
-Status BuildMarketplaceCubeColumns(const MarketplaceDataset& data,
-                                   const GroupSpace& space,
-                                   MarketMeasure measure,
-                                   const MeasureOptions& options,
-                                   const CubeAxes& axes,
-                                   const std::vector<CubeColumnRef>& columns,
-                                   size_t parallelism, CubeColumnSink* sink) {
-  MarketplaceGroupMembership membership(data, space);
-  return BuildMarketplaceCubeColumns(data, space, membership, measure, options,
-                                     axes, columns, parallelism, sink);
+  return StreamMarketplaceColumns(data, space, membership, measure, options,
+                                  resolved, &columns, kOnePass, parallelism,
+                                  sink);
 }
 
 Status BuildSearchCubeColumns(const SearchDataset& data,
@@ -832,112 +803,10 @@ Status BuildSearchCubeColumns(const SearchDataset& data,
                               const std::vector<CubeColumnRef>& columns,
                               size_t parallelism, CubeColumnSink* sink) {
   TraceSpan span("BuildSearchCubeColumns", "cube");
-  if (options.kendall_penalty < 0.0 || options.kendall_penalty > 1.0) {
-    return Status::InvalidArgument("kendall_penalty must lie in [0, 1]");
-  }
   FAIRJOB_ASSIGN_OR_RETURN(CubeAxes resolved,
                            ResolveSearchCubeAxes(data, space, axes));
-  SearchGroupMembership membership(data, space);
-  return BuildCubeColumns(
-      resolved, columns, parallelism, sink,
-      [&](QueryId q, LocationId l,
-          std::vector<std::optional<double>>* column) {
-        return EvaluateSearchColumn(data, space, membership, measure, options,
-                                    q, l, resolved.groups, column,
-                                    /*parallelism=*/1);
-      });
-}
-
-Status BuildMarketplaceCubeSharded(const MarketplaceDataset& data,
-                                   const GroupSpace& space,
-                                   MarketMeasure measure,
-                                   const MeasureOptions& options,
-                                   const CubeAxes& axes,
-                                   const ShardedBuildOptions& sharded,
-                                   CubeColumnSink* sink) {
-  TraceSpan span("BuildMarketplaceCubeSharded", "cube");
-  FAIRJOB_ASSIGN_OR_RETURN(CubeAxes resolved,
-                           ResolveMarketplaceCubeAxes(data, space, axes));
-  MarketplaceGroupMembership membership(data, space);
-  return BuildCubeSharded(
-      resolved, sharded, sink, "market",
-      [&](QueryId q, LocationId l,
-          std::vector<std::optional<double>>* column) {
-        return EvaluateMarketplaceColumn(data, space, membership, measure,
-                                         options, q, l, resolved.groups,
-                                         column, /*parallelism=*/1);
-      });
-}
-
-Status BuildSearchCubeSharded(const SearchDataset& data,
-                              const GroupSpace& space, SearchMeasure measure,
-                              const MeasureOptions& options,
-                              const CubeAxes& axes,
-                              const ShardedBuildOptions& sharded,
-                              CubeColumnSink* sink) {
-  TraceSpan span("BuildSearchCubeSharded", "cube");
-  if (options.kendall_penalty < 0.0 || options.kendall_penalty > 1.0) {
-    return Status::InvalidArgument("kendall_penalty must lie in [0, 1]");
-  }
-  FAIRJOB_ASSIGN_OR_RETURN(CubeAxes resolved,
-                           ResolveSearchCubeAxes(data, space, axes));
-  SearchGroupMembership membership(data, space);
-  return BuildCubeSharded(
-      resolved, sharded, sink, "search",
-      [&](QueryId q, LocationId l,
-          std::vector<std::optional<double>>* column) {
-        return EvaluateSearchColumn(data, space, membership, measure, options,
-                                    q, l, resolved.groups, column,
-                                    sharded.parallelism);
-      });
-}
-
-Result<UnfairnessCube> BuildSearchCube(const SearchDataset& data,
-                                       const GroupSpace& space,
-                                       SearchMeasure measure,
-                                       const MeasureOptions& options,
-                                       const CubeAxes& axes,
-                                       size_t parallelism) {
-  TraceSpan span("BuildSearchCube", "cube");
-  auto start = std::chrono::steady_clock::now();
-  if (options.kendall_penalty < 0.0 || options.kendall_penalty > 1.0) {
-    return Status::InvalidArgument("kendall_penalty must lie in [0, 1]");
-  }
-  FAIRJOB_ASSIGN_OR_RETURN(
-      CubeAxes resolved,
-      ResolveAxes(axes, space.num_groups(), data.queries().size(),
-                  data.locations().size()));
-  FAIRJOB_ASSIGN_OR_RETURN(
-      UnfairnessCube cube,
-      UnfairnessCube::Make(resolved.groups, resolved.queries,
-                           resolved.locations));
-
-  // Group membership depends only on user demographics, never on the
-  // (query, location) column, so the label matching is hoisted out of the
-  // column loop and shared read-only across all column tasks.
-  SearchGroupMembership membership(data, space);
-
-  // Unlike the marketplace path, pairwise list distances dominate here, so
-  // the within-cell rows are parallelized too (nested ParallelFor calls on
-  // the shared pool): a few large (query, location) cells no longer
-  // serialize a whole build.
-  Status built = ParallelForPairs(
-      resolved.queries.size(), resolved.locations.size(), parallelism,
-      [&](size_t q, size_t l) -> Status {
-        std::vector<std::optional<double>> column(resolved.groups.size());
-        FAIRJOB_RETURN_IF_ERROR(EvaluateSearchColumn(
-            data, space, membership, measure, options, resolved.queries[q],
-            resolved.locations[l], resolved.groups, &column, parallelism));
-        cube.SetColumn(q, l, column.data(), column.size());
-        return Status::OK();
-      });
-  FAIRJOB_RETURN_IF_ERROR(built);
-  RecordBuildSummary("search",
-                     std::chrono::duration<double, std::micro>(
-                         std::chrono::steady_clock::now() - start)
-                         .count(),
-                     cube.num_cells());
-  return cube;
+  return StreamSearchColumns(data, space, measure, options, resolved, &columns,
+                             parallelism, sink);
 }
 
 }  // namespace fairjob

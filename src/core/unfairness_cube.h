@@ -212,7 +212,8 @@ struct CubeAxes {
 // The axes a builder would actually use: `axes` with empty vectors defaulted
 // against the dataset/space. Lets a caller size a CubeColumnSink (e.g. a
 // binary cube file header) before starting a sharded build over the same
-// axes. Errors: InvalidArgument when the dataset has no queries/locations.
+// axes. Errors: InvalidArgument when the dataset has no queries/locations
+// or a group id lies outside [0, space.num_groups()).
 Result<CubeAxes> ResolveMarketplaceCubeAxes(const MarketplaceDataset& data,
                                             const GroupSpace& space,
                                             const CubeAxes& axes = {});
@@ -220,7 +221,7 @@ Result<CubeAxes> ResolveSearchCubeAxes(const SearchDataset& data,
                                        const GroupSpace& space,
                                        const CubeAxes& axes = {});
 
-// Receives finished (query, location) columns from a sharded cube build.
+// Receives the finished (query, location) columns of a cube build.
 // `values[g]` is the cell for group-axis position g (nullopt = undefined
 // triple); positions index the resolved cube axes. Consume is called from
 // pool threads in no particular column order — implementations must be
@@ -233,11 +234,17 @@ class CubeColumnSink {
                          size_t num_groups) = 0;
 };
 
+// InvalidArgument when a present cell among values[0, n) is NaN or
+// infinite. No measure produces either, and either would break the
+// engines' orderings, so every column sink rejects such a column.
+Status CheckFiniteColumn(const std::optional<double>* values, size_t n);
+
 // Sink that materializes the streamed columns into a pre-made cube (the
 // cube's axes must equal the build's resolved axes) through
-// UnfairnessCube::SetColumn, so concurrent distinct columns are safe. Used
-// for differential testing and for small builds where bounded memory is not
-// a concern.
+// UnfairnessCube::SetColumn, so concurrent distinct columns are safe. The
+// in-memory builders stream into one; a delta build into one patches an
+// existing cube. Errors: InvalidArgument on a column that does not fit the
+// cube's axes or holds a non-finite cell.
 class CubeMaterializeSink final : public CubeColumnSink {
  public:
   explicit CubeMaterializeSink(UnfairnessCube* cube) : cube_(cube) {}
@@ -249,30 +256,28 @@ class CubeMaterializeSink final : public CubeColumnSink {
   UnfairnessCube* cube_;
 };
 
-// Sharded construction: (query, location) columns are partitioned into
-// shards of `shard_columns`; within a shard, columns are evaluated on
-// `parallelism` threads of the shared pool and streamed into the sink as
-// they finish. Peak memory is O(parallelism) column buffers plus whatever
-// the sink holds — the G×Q×L tensor never materializes — so million-user
-// datasets build in bounded RSS with the cube landing on disk (see
-// BinaryCubeColumnWriter in crawl/cube_io.h).
-struct ShardedBuildOptions {
-  size_t shard_columns = 1024;  // columns per shard; bounds in-flight work
-  size_t parallelism = 1;
-};
+// Every builder below runs one column loop: it evaluates (query, location)
+// columns on up to `parallelism` threads of the shared pool — the pool
+// claims one column at a time, so O(parallelism) column buffers are in
+// flight — and hands each finished column to a CubeColumnSink. They differ
+// only in which columns they visit and where the columns go. Column values
+// are bitwise-identical across entry points and across parallelism.
+//
+// Marketplace group membership is hoisted into a MarketplaceGroupMembership
+// table (label matching once per build, not per cell) and per-cell state
+// (worker values, per-group histograms, bias and relevance sums — see
+// MarketplaceCellBatch in core/marketplace_batch.h) is computed once per
+// column and shared across the whole group axis; results stay
+// bitwise-identical to MarketplaceUnfairness. Search columns also compute
+// their pairwise distance rows on `parallelism` pool threads (the thread
+// that submits a nested pool call drains it, so nesting cannot deadlock).
+//
+// Errors: only on structurally invalid input (bad options, bad axes) or a
+// failing sink — per-cell NotFound is expected and absorbed. The first
+// failure stops the build.
 
-// Evaluates the chosen measure for every (g, q, l) in the axes; undefined
-// triples stay missing. Group membership is hoisted into a per-build
-// MarketplaceGroupMembership table (label matching once per build, not per
-// cell) and per-cell state (worker values, per-group histograms, bias and
-// relevance sums — see MarketplaceCellBatch in core/marketplace_batch.h) is
-// computed once per (query, location) and shared across the whole group
-// axis; results stay bitwise-identical to MarketplaceUnfairness. With
-// `parallelism` > 1, (query, location) columns are evaluated on that many
-// threads of the shared ThreadPool (cells are disjoint, datasets are read
-// only; results are bitwise-identical to the serial build). Errors: only on
-// structurally invalid input (bad options, bad axes) — per-cell NotFound is
-// expected and absorbed.
+// In-memory builds: every (g, q, l) of the axes, materialized in one pass;
+// undefined triples stay missing.
 Result<UnfairnessCube> BuildMarketplaceCube(const MarketplaceDataset& data,
                                             const GroupSpace& space,
                                             MarketMeasure measure,
@@ -287,12 +292,19 @@ Result<UnfairnessCube> BuildSearchCube(const SearchDataset& data,
                                        const CubeAxes& axes = {},
                                        size_t parallelism = 1);
 
-// Bounded-memory variants of the two builders (see ShardedBuildOptions).
-// Column values are bitwise-identical to the in-memory builds: the same
-// EvaluateMarketplaceColumn / EvaluateSearchColumn code paths run, only the
-// destination differs. Errors: InvalidArgument on a null sink or bad
-// options/axes, plus whatever the sink's Consume returns (first failure
-// stops the build).
+// Sharded construction: every column of the axes streamed into `sink` in
+// passes of `shard_columns` columns, each pass ending in a barrier. Peak
+// memory is O(parallelism) column buffers plus whatever the sink holds —
+// the G×Q×L tensor never materializes — so million-user datasets build in
+// bounded RSS with the cube landing on disk (see BinaryCubeColumnWriter in
+// crawl/cube_io.h). `shard_columns` bounds no memory; it sets the number
+// of passes (the cube.sharded.shards counter).
+struct ShardedBuildOptions {
+  size_t shard_columns = 1024;  // columns per pass
+  size_t parallelism = 1;
+};
+
+// Errors: InvalidArgument on a null sink or shard_columns == 0.
 Status BuildMarketplaceCubeSharded(const MarketplaceDataset& data,
                                    const GroupSpace& space,
                                    MarketMeasure measure,
@@ -300,12 +312,6 @@ Status BuildMarketplaceCubeSharded(const MarketplaceDataset& data,
                                    const CubeAxes& axes,
                                    const ShardedBuildOptions& sharded,
                                    CubeColumnSink* sink);
-Status BuildSearchCubeSharded(const SearchDataset& data,
-                              const GroupSpace& space, SearchMeasure measure,
-                              const MeasureOptions& options,
-                              const CubeAxes& axes,
-                              const ShardedBuildOptions& sharded,
-                              CubeColumnSink* sink);
 
 // One (query, location) column by cube-axis position; the unit of delta
 // recomputation (and of the column epochs above).
@@ -315,25 +321,16 @@ struct CubeColumnRef {
 };
 
 // Delta builds: evaluate ONLY the listed columns over the resolved axes and
-// stream them through the same CubeColumnSink seam the sharded builders use
-// — the G×Q×L tensor never materializes, and column values are bitwise
-// identical to the full builders' (same EvaluateMarketplaceColumn /
-// EvaluateSearchColumn code paths). Columns are fanned out on up to
-// `parallelism` threads of the shared pool; Consume sees each column exactly
-// once, in no particular order. Errors: InvalidArgument on a null sink, bad
-// axes, or a column position outside the resolved axes.
-Status BuildMarketplaceCubeColumns(const MarketplaceDataset& data,
-                                   const GroupSpace& space,
-                                   MarketMeasure measure,
-                                   const MeasureOptions& options,
-                                   const CubeAxes& axes,
-                                   const std::vector<CubeColumnRef>& columns,
-                                   size_t parallelism, CubeColumnSink* sink);
-// Variant taking a caller-maintained MarketplaceGroupMembership table, the
+// stream them into `sink`. To patch a cube after its dataset changed, pass
+// a CubeMaterializeSink over it (then IndexSet::RefreshColumn re-syncs the
+// inverted lists); the maintainers (serve/incremental.h) stream into a
+// sink that also tracks which columns changed. The marketplace variant
+// takes a caller-maintained MarketplaceGroupMembership table, the
 // amortization seam for tight delta loops (MarketplaceCubeMaintainer keeps
 // one per dataset version and updates it instead of relabeling every worker
-// per upsert). `membership` must cover every worker the touched rankings
-// list. The parameterless variant above builds a fresh table per call.
+// per upsert); it must cover every worker the touched rankings list.
+// Errors: InvalidArgument on a null sink or a column position outside the
+// resolved axes.
 Status BuildMarketplaceCubeColumns(const MarketplaceDataset& data,
                                    const GroupSpace& space,
                                    const MarketplaceGroupMembership& membership,
@@ -348,29 +345,6 @@ Status BuildSearchCubeColumns(const SearchDataset& data,
                               const CubeAxes& axes,
                               const std::vector<CubeColumnRef>& columns,
                               size_t parallelism, CubeColumnSink* sink);
-
-// Incremental maintenance: re-evaluates the group cells of one
-// (query, location) column after its underlying ranking changed (a crawl
-// refresh); triples that became undefined are cleared. Pair with
-// IndexSet::RefreshColumn to keep the inverted lists in sync. Builds one
-// MarketplaceGroupMembership table and shares one MarketplaceCellBatch
-// across the column; with `parallelism` > 1 the group cells are evaluated
-// on the shared ThreadPool (no per-call thread spawns, so tight refresh
-// loops stay cheap).
-// Errors: InvalidArgument on out-of-range positions or bad options.
-Status RefreshMarketplaceColumn(const MarketplaceDataset& data,
-                                const GroupSpace& space, MarketMeasure measure,
-                                const MeasureOptions& options,
-                                UnfairnessCube* cube, size_t query_pos,
-                                size_t location_pos, size_t parallelism = 1);
-
-// Search-side twin of RefreshMarketplaceColumn (e.g. after a study collected
-// new runs for one (term, location)).
-Status RefreshSearchColumn(const SearchDataset& data, const GroupSpace& space,
-                           SearchMeasure measure,
-                           const MeasureOptions& options, UnfairnessCube* cube,
-                           size_t query_pos, size_t location_pos,
-                           size_t parallelism = 1);
 
 }  // namespace fairjob
 

@@ -464,17 +464,6 @@ struct BlockLayout {
         table_bytes(4 * num_columns + PadTo8(4 * num_columns)) {}
 };
 
-// A column's cells must be finite: no measure produces NaN or infinity, and
-// either would break the engines' orderings.
-Status CheckFiniteColumn(const std::optional<double>* values, size_t n) {
-  for (size_t g = 0; g < n; ++g) {
-    if (values[g].has_value() && !std::isfinite(*values[g])) {
-      return Status::InvalidArgument("non-finite cell value in column");
-    }
-  }
-  return Status::OK();
-}
-
 // Writes one column block (presence words, then values) to `out`, which
 // holds layout.block_bytes bytes.
 void EncodeBlock(const std::optional<double>* values, size_t num_groups,

@@ -166,8 +166,8 @@ class MappedCube {
 };
 
 // Streams a column-block binary cube file column-by-column: the
-// CubeColumnSink fed to BuildMarketplaceCubeSharded / BuildSearchCubeSharded
-// when the cube should land on disk instead of in memory. Create writes the
+// CubeColumnSink fed to BuildMarketplaceCubeSharded (or a delta build) when
+// the cube should land on disk instead of in memory. Create writes the
 // axis tables (unstreamed columns stay all-missing); Consume accepts columns
 // from any thread in any order and appends one block per column with a
 // present cell (an all-absent column writes nothing). It rejects a column

@@ -24,11 +24,10 @@ namespace fairjob {
 // The differential contract: after any sequence of successful upserts, the
 // maintainer's cube is bitwise identical (presence + double bit patterns)
 // to a cold rebuild over the same mutated dataset. The delta path reuses
-// the full builders' per-column evaluation verbatim
-// (BuildMarketplaceCubeColumns / BuildSearchCubeColumns stream through the
-// same CubeColumnSink seam the sharded builders use), so this holds by
-// construction and is asserted by tests/incremental_test.cc and
-// bench_incremental.
+// the full builders' column loop verbatim (BuildMarketplaceCubeColumns /
+// BuildSearchCubeColumns run the same per-column evaluation into a
+// CubeColumnSink as every other builder), so this holds by construction
+// and is asserted by tests/incremental_test.cc and bench_incremental.
 //
 // Epoch discipline: a column's epoch is bumped only when its recomputed
 // values actually differ from the served ones — an upsert that rewrites a

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/rng.h"
+#include "crawl/cube_io.h"
+#include "serve/cache_key.h"
 #include "resident_memory.h"
 
 namespace fairjob {
@@ -491,9 +498,64 @@ TEST(ParallelBuildTest, ParallelMatchesSerialForBothBuilders) {
   }
 }
 
-// The bounded-memory sharded builders must stream exactly the columns the
-// in-memory builders materialize — bitwise, whatever the shard size or
-// parallelism, since both run the same column evaluators.
+// Every cell's presence and bit pattern agree.
+bool SameColumn(const UnfairnessCube& a, const UnfairnessCube& b, size_t q,
+                size_t l) {
+  for (size_t g = 0; g < a.axis_size(Dimension::kGroup); ++g) {
+    std::optional<double> x = a.Get(g, q, l);
+    std::optional<double> y = b.Get(g, q, l);
+    if (x.has_value() != y.has_value()) return false;
+    if (x.has_value() &&
+        std::bit_cast<uint64_t>(*x) != std::bit_cast<uint64_t>(*y)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void ExpectSameCube(const UnfairnessCube& got, const UnfairnessCube& want,
+                    const std::string& what) {
+  for (Dimension d :
+       {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
+    ASSERT_EQ(got.axis_size(d), want.axis_size(d)) << what;
+  }
+  for (size_t q = 0; q < want.axis_size(Dimension::kQuery); ++q) {
+    for (size_t l = 0; l < want.axis_size(Dimension::kLocation); ++l) {
+      ASSERT_TRUE(SameColumn(got, want, q, l))
+          << what << " q=" << q << " l=" << l;
+    }
+  }
+  EXPECT_EQ(FingerprintCube(got), FingerprintCube(want)) << what;
+}
+
+size_t PresentInColumn(const UnfairnessCube& cube, size_t q, size_t l) {
+  size_t present = 0;
+  for (size_t g = 0; g < cube.axis_size(Dimension::kGroup); ++g) {
+    present += cube.Get(g, q, l).has_value();
+  }
+  return present;
+}
+
+std::vector<CubeColumnRef> AllColumns(const CubeAxes& axes) {
+  std::vector<CubeColumnRef> columns;
+  for (size_t q = 0; q < axes.queries.size(); ++q) {
+    for (size_t l = 0; l < axes.locations.size(); ++l) {
+      columns.push_back(CubeColumnRef{q, l});
+    }
+  }
+  return columns;
+}
+
+UnfairnessCube EmptyCube(const CubeAxes& axes) {
+  return *UnfairnessCube::Make(axes.groups, axes.queries, axes.locations);
+}
+
+// Every builder entry point and sink must deliver exactly the columns the
+// in-memory builders materialize — bitwise, whatever the pass size or
+// parallelism, since they all run one column loop. A delta build over the
+// columns a dataset change touched must equal a full rebuild: the changed
+// columns are tracked, cells that became undefined are cleared and every
+// other column is left as it was.
 TEST(ShardedBuildTest, ShardedMatchesInMemoryForBothBuilders) {
   AttributeSchema schema;
   ASSERT_TRUE(
@@ -520,29 +582,6 @@ TEST(ShardedBuildTest, ShardedMatchesInMemoryForBothBuilders) {
       ASSERT_TRUE(market.SetRanking(q, l, std::move(r)).ok());
     }
   }
-  CubeAxes axes = *ResolveMarketplaceCubeAxes(market, space);
-  UnfairnessCube full =
-      *BuildMarketplaceCube(market, space, MarketMeasure::kEmd);
-  for (ShardedBuildOptions sharded :
-       {ShardedBuildOptions{2, 1}, ShardedBuildOptions{4, 3},
-        ShardedBuildOptions{1000, 2}}) {
-    UnfairnessCube streamed =
-        *UnfairnessCube::Make(axes.groups, axes.queries, axes.locations);
-    CubeMaterializeSink sink(&streamed);
-    ASSERT_TRUE(BuildMarketplaceCubeSharded(market, space, MarketMeasure::kEmd,
-                                            {}, axes, sharded, &sink)
-                    .ok());
-    ASSERT_EQ(streamed.num_present(), full.num_present());
-    for (size_t g = 0; g < full.axis_size(Dimension::kGroup); ++g) {
-      for (size_t q = 0; q < 5; ++q) {
-        for (size_t l = 0; l < 3; ++l) {
-          ASSERT_EQ(streamed.Get(g, q, l), full.Get(g, q, l))
-              << "g=" << g << " q=" << q << " l=" << l
-              << " shard_columns=" << sharded.shard_columns;
-        }
-      }
-    }
-  }
 
   SearchDataset search(schema);
   for (int u = 0; u < 8; ++u) {
@@ -562,23 +601,173 @@ TEST(ShardedBuildTest, ShardedMatchesInMemoryForBothBuilders) {
       }
     }
   }
+  search.queries().GetOrAdd("sq4");  // unobserved until the delta below
+
+  CubeAxes axes = *ResolveMarketplaceCubeAxes(market, space);
   CubeAxes search_axes = *ResolveSearchCubeAxes(search, space);
-  UnfairnessCube search_full =
+  const size_t num_columns = axes.queries.size() * axes.locations.size();
+  UnfairnessCube serial =
+      *BuildMarketplaceCube(market, space, MarketMeasure::kEmd);
+  UnfairnessCube search_serial =
       *BuildSearchCube(search, space, SearchMeasure::kJaccard);
-  UnfairnessCube search_streamed = *UnfairnessCube::Make(
-      search_axes.groups, search_axes.queries, search_axes.locations);
-  CubeMaterializeSink search_sink(&search_streamed);
-  ASSERT_TRUE(BuildSearchCubeSharded(search, space, SearchMeasure::kJaccard,
-                                     {}, search_axes, {3, 2}, &search_sink)
+
+  // The dataset change for the delta cases. Market: column (3, 1) was
+  // unobserved and gets a ranking; column (0, 2) shrinks to one worker, so
+  // no group keeps a comparable with members. Search: column (4, 0) gets
+  // its first runs; column (1, 1) keeps one run, which pairs with nobody.
+  MarketplaceDataset market_changed = market;
+  MarketRanking fresh;
+  fresh.workers = workers;
+  rng.Shuffle(fresh.workers);
+  ASSERT_TRUE(market_changed.SetRanking(3, 1, std::move(fresh)).ok());
+  MarketRanking lone;
+  lone.workers = {workers[0]};
+  ASSERT_TRUE(market_changed.SetRanking(0, 2, std::move(lone)).ok());
+  const std::vector<CubeColumnRef> market_touched = {{3, 1}, {0, 2}};
+  MarketplaceGroupMembership membership(market, space);
+  MarketplaceGroupMembership membership_changed(market_changed, space);
+  UnfairnessCube market_rebuilt =
+      *BuildMarketplaceCube(market_changed, space, MarketMeasure::kEmd);
+
+  SearchDataset search_changed = search;
+  ASSERT_TRUE(search_changed
+                  .SetObservations(4, 0, {{0, {4, 5}}, {1, {8, 9}},
+                                          {2, {4, 9}}, {3, {5, 8}}})
                   .ok());
-  ASSERT_EQ(search_streamed.num_present(), search_full.num_present());
-  for (size_t g = 0; g < search_full.axis_size(Dimension::kGroup); ++g) {
-    for (size_t q = 0; q < 4; ++q) {
-      for (size_t l = 0; l < 2; ++l) {
-        ASSERT_EQ(search_streamed.Get(g, q, l), search_full.Get(g, q, l));
+  ASSERT_TRUE(search_changed.SetObservations(1, 1, {{0, {1, 2, 3}}}).ok());
+  const std::vector<CubeColumnRef> search_touched = {{4, 0}, {1, 1}};
+  UnfairnessCube search_rebuilt =
+      *BuildSearchCube(search_changed, space, SearchMeasure::kJaccard);
+
+  for (size_t parallelism : {size_t{1}, size_t{3}}) {
+    const std::string at = " parallelism=" + std::to_string(parallelism);
+
+    // --- marketplace ---
+    UnfairnessCube full = *BuildMarketplaceCube(
+        market, space, MarketMeasure::kEmd, {}, {}, parallelism);
+    ExpectSameCube(full, serial, "in-memory" + at);
+    for (size_t shard_columns : {size_t{1}, size_t{4}, num_columns}) {
+      UnfairnessCube streamed = EmptyCube(axes);
+      CubeMaterializeSink sink(&streamed);
+      ASSERT_TRUE(BuildMarketplaceCubeSharded(
+                      market, space, MarketMeasure::kEmd, {}, axes,
+                      ShardedBuildOptions{shard_columns, parallelism}, &sink)
+                      .ok());
+      ExpectSameCube(streamed, full,
+                     "sharded shard_columns=" + std::to_string(shard_columns) +
+                         at);
+    }
+    std::string path = ::testing::TempDir() + "/fairjob_sharded_differential_" +
+                       std::to_string(parallelism) + ".fjcube";
+    {
+      auto writer = BinaryCubeColumnWriter::Create(path, axes);
+      ASSERT_TRUE(writer.ok());
+      ASSERT_TRUE(BuildMarketplaceCubeSharded(
+                      market, space, MarketMeasure::kEmd, {}, axes,
+                      ShardedBuildOptions{4, parallelism}, writer->get())
+                      .ok());
+      ASSERT_TRUE((*writer)->Finish().ok());
+    }
+    Result<MappedCube> mapped = MappedCube::Open(path);
+    ASSERT_TRUE(mapped.ok());
+    Result<UnfairnessCube> from_file = mapped->Materialize();
+    ASSERT_TRUE(from_file.ok());
+    ExpectSameCube(*from_file, full, "sharded into the binary writer" + at);
+    std::remove(path.c_str());
+    {
+      UnfairnessCube delta = EmptyCube(axes);
+      CubeMaterializeSink sink(&delta);
+      ASSERT_TRUE(BuildMarketplaceCubeColumns(
+                      market, space, membership, MarketMeasure::kEmd, {}, axes,
+                      AllColumns(axes), parallelism, &sink)
+                      .ok());
+      ExpectSameCube(delta, full, "market columns, every column" + at);
+    }
+    {
+      UnfairnessCube patched = full;
+      CubeMaterializeSink sink(&patched);
+      ASSERT_TRUE(BuildMarketplaceCubeColumns(
+                      market_changed, space, membership_changed,
+                      MarketMeasure::kEmd, {}, axes, market_touched,
+                      parallelism, &sink)
+                      .ok());
+      ExpectSameCube(patched, market_rebuilt, "market delta" + at);
+      EXPECT_EQ(PresentInColumn(full, 3, 1), 0u);
+      EXPECT_GT(PresentInColumn(patched, 3, 1), 0u);
+      EXPECT_GT(PresentInColumn(full, 0, 2), 0u);
+      EXPECT_EQ(PresentInColumn(patched, 0, 2), 0u);
+      for (size_t q = 0; q < axes.queries.size(); ++q) {
+        for (size_t l = 0; l < axes.locations.size(); ++l) {
+          if ((q == 3 && l == 1) || (q == 0 && l == 2)) continue;
+          EXPECT_TRUE(SameColumn(patched, full, q, l)) << q << "," << l << at;
+        }
+      }
+    }
+
+    // --- search ---
+    UnfairnessCube search_full = *BuildSearchCube(
+        search, space, SearchMeasure::kJaccard, {}, {}, parallelism);
+    ExpectSameCube(search_full, search_serial, "search in-memory" + at);
+    {
+      UnfairnessCube delta = EmptyCube(search_axes);
+      CubeMaterializeSink sink(&delta);
+      ASSERT_TRUE(BuildSearchCubeColumns(search, space, SearchMeasure::kJaccard,
+                                         {}, search_axes,
+                                         AllColumns(search_axes), parallelism,
+                                         &sink)
+                      .ok());
+      ExpectSameCube(delta, search_full, "search columns, every column" + at);
+    }
+    {
+      UnfairnessCube patched = search_full;
+      CubeMaterializeSink sink(&patched);
+      ASSERT_TRUE(BuildSearchCubeColumns(
+                      search_changed, space, SearchMeasure::kJaccard, {},
+                      search_axes, search_touched, parallelism, &sink)
+                      .ok());
+      ExpectSameCube(patched, search_rebuilt, "search delta" + at);
+      EXPECT_EQ(PresentInColumn(search_full, 4, 0), 0u);
+      EXPECT_GT(PresentInColumn(patched, 4, 0), 0u);
+      EXPECT_GT(PresentInColumn(search_full, 1, 1), 0u);
+      EXPECT_EQ(PresentInColumn(patched, 1, 1), 0u);
+      for (size_t q = 0; q < search_axes.queries.size(); ++q) {
+        for (size_t l = 0; l < search_axes.locations.size(); ++l) {
+          if ((q == 4 && l == 0) || (q == 1 && l == 1)) continue;
+          EXPECT_TRUE(SameColumn(patched, search_full, q, l))
+              << q << "," << l << at;
+        }
       }
     }
   }
+
+  // The delta path rejects a position outside the axes and a null sink,
+  // before it touches the sink.
+  UnfairnessCube untouched = serial;
+  CubeMaterializeSink sink(&untouched);
+  for (const CubeColumnRef& bad :
+       {CubeColumnRef{axes.queries.size(), 0},
+        CubeColumnRef{0, axes.locations.size()}}) {
+    EXPECT_EQ(BuildMarketplaceCubeColumns(market_changed, space,
+                                          membership_changed,
+                                          MarketMeasure::kEmd, {}, axes,
+                                          {{3, 1}, bad}, 1, &sink)
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(BuildSearchCubeColumns(search, space, SearchMeasure::kJaccard, {},
+                                     search_axes, {bad}, 1, &sink)
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  ExpectSameCube(untouched, serial, "after rejected deltas");
+  EXPECT_EQ(BuildMarketplaceCubeColumns(market, space, membership,
+                                        MarketMeasure::kEmd, {}, axes,
+                                        market_touched, 1, nullptr)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(BuildSearchCubeColumns(search, space, SearchMeasure::kJaccard, {},
+                                   search_axes, search_touched, 1, nullptr)
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ShardedBuildTest, RejectsBadArguments) {
@@ -604,8 +793,23 @@ TEST(ShardedBuildTest, RejectsBadArguments) {
                                         axes, {0, 1}, &sink)
                 .code(),
             StatusCode::kInvalidArgument);
+
+  // The sink refuses a non-finite cell, like the binary writer, and leaves
+  // the column unwritten.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    std::vector<std::optional<double>> column(
+        cube.axis_size(Dimension::kGroup));
+    column[0] = 0.5;
+    column[1] = bad;
+    EXPECT_EQ(sink.Consume(0, 0, column.data(), column.size()).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_FALSE(cube.column(0, 0).stored());
+  }
 }
 
+// Patching a cube after a re-crawl: the changed columns go through a delta
+// build into a CubeMaterializeSink over the existing cube.
 TEST_F(CubeBuilderTest, RefreshColumnTracksDatasetChanges) {
   UnfairnessCube cube =
       *BuildMarketplaceCube(*data_, *space_, MarketMeasure::kEmd);
@@ -613,8 +817,11 @@ TEST_F(CubeBuilderTest, RefreshColumnTracksDatasetChanges) {
   MarketRanking fresh;
   fresh.workers = {0, 1, 2, 3};
   ASSERT_TRUE(data_->SetRanking(1, 0, std::move(fresh)).ok());
-  ASSERT_TRUE(RefreshMarketplaceColumn(*data_, *space_, MarketMeasure::kEmd,
-                                       {}, &cube, 1, 0)
+  MarketplaceGroupMembership membership(*data_, *space_);
+  CubeMaterializeSink sink(&cube);
+  ASSERT_TRUE(BuildMarketplaceCubeColumns(*data_, *space_, membership,
+                                          MarketMeasure::kEmd, {}, {},
+                                          {{1, 0}}, 1, &sink)
                   .ok());
   UnfairnessCube rebuilt =
       *BuildMarketplaceCube(*data_, *space_, MarketMeasure::kEmd);
@@ -638,8 +845,11 @@ TEST_F(CubeBuilderTest, RefreshColumnClearsUndefinedCells) {
   MarketRanking males_only;
   males_only.workers = {0, 1};
   ASSERT_TRUE(data_->SetRanking(0, 0, std::move(males_only)).ok());
-  ASSERT_TRUE(RefreshMarketplaceColumn(*data_, *space_, MarketMeasure::kEmd,
-                                       {}, &cube, 0, 0)
+  MarketplaceGroupMembership membership(*data_, *space_);
+  CubeMaterializeSink sink(&cube);
+  ASSERT_TRUE(BuildMarketplaceCubeColumns(*data_, *space_, membership,
+                                          MarketMeasure::kEmd, {}, {},
+                                          {{0, 0}}, 1, &sink)
                   .ok());
   EXPECT_FALSE(cube.Get(0, 0, 0).has_value());
   EXPECT_FALSE(cube.Get(1, 0, 0).has_value());
@@ -648,31 +858,18 @@ TEST_F(CubeBuilderTest, RefreshColumnClearsUndefinedCells) {
 TEST_F(CubeBuilderTest, RefreshColumnValidates) {
   UnfairnessCube cube =
       *BuildMarketplaceCube(*data_, *space_, MarketMeasure::kEmd);
-  EXPECT_FALSE(RefreshMarketplaceColumn(*data_, *space_, MarketMeasure::kEmd,
-                                        {}, nullptr, 0, 0)
-                   .ok());
-  EXPECT_FALSE(RefreshMarketplaceColumn(*data_, *space_, MarketMeasure::kEmd,
-                                        {}, &cube, 9, 0)
-                   .ok());
-}
-
-TEST(ParallelBuildTest, ParallelPropagatesErrors) {
-  AttributeSchema schema;
-  ASSERT_TRUE(schema.AddAttribute("gender", {"Male", "Female"}).ok());
-  MarketplaceDataset market(schema);
-  GroupSpace space = *GroupSpace::Enumerate(market.schema());
-  ASSERT_TRUE(market.AddWorker("w", {0}).ok());
-  MarketRanking r;
-  r.workers = {0};
-  market.queries().GetOrAdd("q");
-  market.locations().GetOrAdd("l");
-  ASSERT_TRUE(market.SetRanking(0, 0, std::move(r)).ok());
-  MeasureOptions bad;
-  bad.histogram_bins = 0;
-  Result<UnfairnessCube> cube =
-      BuildMarketplaceCube(market, space, MarketMeasure::kEmd, bad, {}, 4);
-  ASSERT_FALSE(cube.ok());
-  EXPECT_EQ(cube.status().code(), StatusCode::kInvalidArgument);
+  MarketplaceGroupMembership membership(*data_, *space_);
+  CubeMaterializeSink sink(&cube);
+  EXPECT_EQ(BuildMarketplaceCubeColumns(*data_, *space_, membership,
+                                        MarketMeasure::kEmd, {}, {}, {{0, 0}},
+                                        1, nullptr)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(BuildMarketplaceCubeColumns(*data_, *space_, membership,
+                                        MarketMeasure::kEmd, {}, {}, {{9, 0}},
+                                        1, &sink)
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SearchCubeBuilderTest, RefreshSearchColumnTracksNewObservations) {
@@ -696,8 +893,9 @@ TEST(SearchCubeBuilderTest, RefreshSearchColumnTracksNewObservations) {
   // New runs arrive for the second query: disjoint result sets.
   ASSERT_TRUE(data.AddObservation(1, l, {0, {4, 5}}).ok());
   ASSERT_TRUE(data.AddObservation(1, l, {1, {8, 9}}).ok());
-  ASSERT_TRUE(RefreshSearchColumn(data, space, SearchMeasure::kJaccard, {},
-                                  &cube, 1, 0)
+  CubeMaterializeSink sink(&cube);
+  ASSERT_TRUE(BuildSearchCubeColumns(data, space, SearchMeasure::kJaccard, {},
+                                     {}, {{1, 0}}, 1, &sink)
                   .ok());
   ASSERT_TRUE(cube.Get(0, 1, 0).has_value());
   EXPECT_DOUBLE_EQ(*cube.Get(0, 1, 0), 1.0);
@@ -707,6 +905,73 @@ TEST(SearchCubeBuilderTest, RefreshSearchColumnTracksNewObservations) {
   UnfairnessCube rebuilt =
       *BuildSearchCube(data, space, SearchMeasure::kJaccard);
   EXPECT_EQ(cube.num_present(), rebuilt.num_present());
+}
+
+TEST_F(CubeBuilderTest, GroupIdsOutsideTheSpaceAreRejected) {
+  SearchDataset search(data_->schema());
+  ASSERT_TRUE(search.AddUser("m", {0}).ok());
+  ASSERT_TRUE(search.AddUser("f", {1}).ok());
+  QueryId q = search.queries().GetOrAdd("cleaning jobs");
+  LocationId l = search.locations().GetOrAdd("Boston, MA");
+  ASSERT_TRUE(search.AddObservation(q, l, {0, {1, 2, 3}}).ok());
+  ASSERT_TRUE(search.AddObservation(q, l, {1, {1, 2, 4}}).ok());
+  MarketplaceGroupMembership membership(*data_, *space_);
+
+  for (GroupId bad :
+       {GroupId{-1}, static_cast<GroupId>(space_->num_groups()),
+        static_cast<GroupId>(space_->num_groups() + 3)}) {
+    CubeAxes axes;
+    axes.groups = {0, bad};
+    UnfairnessCube cube = *UnfairnessCube::Make(axes.groups, {0, 1}, {0});
+    CubeMaterializeSink sink(&cube);
+    EXPECT_EQ(ResolveMarketplaceCubeAxes(*data_, *space_, axes).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(BuildMarketplaceCube(*data_, *space_, MarketMeasure::kEmd, {},
+                                   axes)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(BuildMarketplaceCubeSharded(*data_, *space_, MarketMeasure::kEmd,
+                                          {}, axes, {}, &sink)
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(BuildMarketplaceCubeColumns(*data_, *space_, membership,
+                                          MarketMeasure::kEmd, {}, axes,
+                                          {{0, 0}}, 1, &sink)
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(ResolveSearchCubeAxes(search, *space_, axes).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(
+        BuildSearchCube(search, *space_, SearchMeasure::kJaccard, {}, axes)
+            .status()
+            .code(),
+        StatusCode::kInvalidArgument);
+    EXPECT_EQ(BuildSearchCubeColumns(search, *space_, SearchMeasure::kJaccard,
+                                     {}, axes, {{0, 0}}, 1, &sink)
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(cube.num_present(), 0u);
+  }
+}
+
+TEST(ParallelBuildTest, ParallelPropagatesErrors) {
+  AttributeSchema schema;
+  ASSERT_TRUE(schema.AddAttribute("gender", {"Male", "Female"}).ok());
+  MarketplaceDataset market(schema);
+  GroupSpace space = *GroupSpace::Enumerate(market.schema());
+  ASSERT_TRUE(market.AddWorker("w", {0}).ok());
+  MarketRanking r;
+  r.workers = {0};
+  market.queries().GetOrAdd("q");
+  market.locations().GetOrAdd("l");
+  ASSERT_TRUE(market.SetRanking(0, 0, std::move(r)).ok());
+  MeasureOptions bad;
+  bad.histogram_bins = 0;
+  Result<UnfairnessCube> cube =
+      BuildMarketplaceCube(market, space, MarketMeasure::kEmd, bad, {}, 4);
+  ASSERT_FALSE(cube.ok());
+  EXPECT_EQ(cube.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SearchCubeBuilderTest, EmptyDatasetIsInvalid) {

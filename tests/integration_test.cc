@@ -186,6 +186,7 @@ TEST(MonitoringPipelineTest, IncrementalRefreshMatchesFreshAuditAcrossEpochs) {
   std::string city = site->Cities()[1];
   LocationId l = *data.locations().Find(city);
   size_t l_pos = *cube.PosOf(Dimension::kLocation, l);
+  std::vector<CubeColumnRef> refreshed;
   for (const std::string& job : site->JobsIn(city)) {
     std::vector<size_t> ranking = *site->RankFor(job, city);
     MarketRanking fresh;
@@ -200,11 +201,17 @@ TEST(MonitoringPipelineTest, IncrementalRefreshMatchesFreshAuditAcrossEpochs) {
     }
     QueryId q = *data.queries().Find(job);
     ASSERT_TRUE(data.SetRanking(q, l, std::move(fresh)).ok());
-    size_t q_pos = *cube.PosOf(Dimension::kQuery, q);
-    ASSERT_TRUE(RefreshMarketplaceColumn(data, space, MarketMeasure::kEmd, {},
-                                         &cube, q_pos, l_pos)
-                    .ok());
-    indices.RefreshColumn(cube, q_pos, l_pos);
+    refreshed.push_back(
+        CubeColumnRef{*cube.PosOf(Dimension::kQuery, q), l_pos});
+  }
+  MarketplaceGroupMembership membership(data, space);
+  CubeMaterializeSink sink(&cube);
+  ASSERT_TRUE(BuildMarketplaceCubeColumns(data, space, membership,
+                                          MarketMeasure::kEmd, {}, {},
+                                          refreshed, /*parallelism=*/2, &sink)
+                  .ok());
+  for (const CubeColumnRef& column : refreshed) {
+    indices.RefreshColumn(cube, column.query_pos, column.location_pos);
   }
 
   // Fresh audit of the same updated dataset.
