@@ -158,9 +158,7 @@ bool BitwiseIdentical(const Result<QuantificationResult>& a,
   return s.sorted_accesses == t.sorted_accesses &&
          s.random_accesses == t.random_accesses &&
          s.ids_scored == t.ids_scored && s.rounds == t.rounds &&
-         s.threshold_checks == t.threshold_checks &&
-         s.dense_accesses == t.dense_accesses &&
-         s.hash_accesses == t.hash_accesses;
+         s.threshold_checks == t.threshold_checks;
 }
 
 // One metrics-on SolveQuantificationBatch pass over the head of the trace,

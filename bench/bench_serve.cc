@@ -105,17 +105,16 @@ bool AnswersIdentical(const QuantificationResult& a,
 // One metrics-on pass so the serve.* / serve.cache.* families have data for
 // the "metrics" JSON section; runs after the timing loops, which are always
 // metrics-off.
-std::string InstrumentedPassJson(const UnfairnessCube& cube,
-                                 const IndexSet& indices,
-                                 const std::vector<QuantificationRequest>&
-                                     trace) {
+std::string InstrumentedPassJson(
+    const std::shared_ptr<const CubeSnapshot>& snapshot,
+    const std::vector<QuantificationRequest>& trace) {
   MetricsRegistry& metrics = MetricsRegistry::Global();
   metrics.Reset();
   Tracer::Global().Reset();
   metrics.SetEnabled(true);
   Tracer::Global().SetEnabled(true);
 
-  QuantificationService service(CubeSnapshot::Borrow(&cube, &indices));
+  QuantificationService service(snapshot);
   for (const QuantificationRequest& request : trace) {
     OrDie(service.Answer(request), "instrumented answer");
   }
@@ -158,11 +157,13 @@ int Main(int argc, char** argv) {
   TaskRabbitDataset world = OrDie(BuildTaskRabbitDataset(config), "world");
   GroupSpace space =
       OrDie(GroupSpace::Enumerate(world.dataset.schema()), "space");
-  UnfairnessCube cube =
+  // Every service below serves this one snapshot.
+  std::shared_ptr<const CubeSnapshot> snapshot = CubeSnapshot::Make(
       OrDie(BuildMarketplaceCube(world.dataset, space, MarketMeasure::kEmd,
                                  MeasureOptions{}, CubeAxes{}, hardware),
-            "cube");
-  IndexSet indices = IndexSet::Build(cube);
+            "cube"));
+  const UnfairnessCube& cube = snapshot->cube();
+  const IndexSet& indices = snapshot->indices();
 
   std::vector<QuantificationRequest> request_space = RequestSpace(cube);
   std::vector<QuantificationRequest> trace =
@@ -174,7 +175,7 @@ int Main(int argc, char** argv) {
   // to direct SolveQuantification for every key in the space.
   bool all_identical = true;
   {
-    QuantificationService service(CubeSnapshot::Borrow(&cube, &indices));
+    QuantificationService service(snapshot);
     std::vector<Result<QuantificationResult>> batched =
         service.AnswerBatch(request_space);
     for (size_t i = 0; i < request_space.size(); ++i) {
@@ -194,8 +195,7 @@ int Main(int argc, char** argv) {
   double cold_ms = TimeMs(kReps, [&] {
     QuantificationService::Options options;
     options.cache_capacity = 0;
-    QuantificationService service(CubeSnapshot::Borrow(&cube, &indices),
-                                  options);
+    QuantificationService service(snapshot, options);
     for (const QuantificationRequest& request : trace) {
       OrDie(service.Answer(request), "cold answer");
     }
@@ -206,7 +206,7 @@ int Main(int argc, char** argv) {
   // hide (lazily faulted pages, cold branch predictors, allocator growth),
   // so it is timed separately as hot_first_ms; the gated hot_ms is steady
   // state — best of kReps replays taken only after that first one.
-  QuantificationService hot(CubeSnapshot::Borrow(&cube, &indices));
+  QuantificationService hot(snapshot);
   for (const QuantificationRequest& request : request_space) {
     OrDie(hot.Answer(request), "warmup answer");
   }
@@ -245,7 +245,7 @@ int Main(int argc, char** argv) {
   // Batched: fresh service per rep, trace chunked through AnswerBatch —
   // dedup plus pool fan-out, no pre-warming.
   double batched_ms = TimeMs(kReps, [&] {
-    QuantificationService service(CubeSnapshot::Borrow(&cube, &indices));
+    QuantificationService service(snapshot);
     for (size_t i = 0; i < trace.size(); i += kBatchSize) {
       size_t end = std::min(trace.size(), i + kBatchSize);
       std::vector<QuantificationRequest> chunk(trace.begin() + i,
@@ -280,7 +280,7 @@ int Main(int argc, char** argv) {
   std::printf("answers identical to direct solve: %s\n",
               all_identical ? "yes" : "NO");
 
-  std::string metrics_json = InstrumentedPassJson(cube, indices, trace);
+  std::string metrics_json = InstrumentedPassJson(snapshot, trace);
   std::string json =
       "{\n  \"bench\": \"serve\",\n  \"hardware_concurrency\": " +
       std::to_string(hardware) +

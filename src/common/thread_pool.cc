@@ -159,12 +159,4 @@ Status ThreadPool::ParallelFor(size_t n, size_t parallelism,
   return result;
 }
 
-Status ThreadPool::ParallelForPairs(
-    size_t n1, size_t n2, size_t parallelism,
-    const std::function<Status(size_t, size_t)>& fn) {
-  if (n1 == 0 || n2 == 0) return Status::OK();
-  return ParallelFor(n1 * n2, parallelism,
-                     [&](size_t index) { return fn(index / n2, index % n2); });
-}
-
 }  // namespace fairjob

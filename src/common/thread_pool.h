@@ -52,11 +52,6 @@ class ThreadPool {
   Status ParallelFor(size_t n, size_t parallelism,
                      const std::function<Status(size_t)>& fn);
 
-  // Convenience: fn(i, j) over the row-major flattening of
-  // [0, n1) × [0, n2).
-  Status ParallelForPairs(size_t n1, size_t n2, size_t parallelism,
-                          const std::function<Status(size_t, size_t)>& fn);
-
   // Process-wide pool sized to the hardware concurrency, created on first
   // use and leaked deliberately: joining threads from a static destructor
   // races with other teardown, and the workers are all idle-blocked at exit.

@@ -33,14 +33,6 @@ struct FaginStats {
   size_t rounds = 0;
   // Times the termination bound was evaluated against the k-th best value.
   size_t threshold_checks = 0;
-  // Storage-engine attribution for the random accesses above: the dense
-  // engine answers them from flat position-indexed columns
-  // (dense_accesses == random_accesses), the legacy hash reference from
-  // unordered_map probes (hash_accesses == random_accesses). Exported as
-  // fagin.<algorithm>.{dense,hash}_accesses so dashboards can tell which
-  // engine served a run without parsing names.
-  size_t dense_accesses = 0;
-  size_t hash_accesses = 0;
 };
 
 // Publishes one run's stats to the global MetricsRegistry under
@@ -51,7 +43,7 @@ struct FaginStats {
 void RecordFaginMetrics(const char* algorithm, const FaginStats& stats,
                         std::optional<double> elapsed_us);
 
-// Options for a top-k run.
+// Options for a top-k run (RunTopK, core/fagin_family.h).
 struct TopKOptions {
   size_t k = 5;
   RankDirection direction = RankDirection::kMostUnfair;
@@ -67,34 +59,6 @@ struct TopKOptions {
   // harmless.
   size_t universe_hint = 0;
 };
-
-// Adaptation of Fagin's Threshold Algorithm (Algorithm 1): round-robin
-// sorted access over the inverted lists, random access to complete each
-// newly seen id's aggregate, and a per-policy threshold bound on unseen ids
-// for early termination. With MissingCellPolicy::kSkip the bound is the
-// max (resp. min) frontier, with kZero the mean of clamped frontiers; with
-// kZero + kLeastUnfair no useful bound exists and the run degenerates to a
-// scan (still correct).
-//
-// Returns up to k entries sorted by value (descending for most-unfair,
-// ascending for least-unfair); ties are broken arbitrarily, as in classic TA.
-// Ids absent from every list are never returned.
-//
-// Errors: InvalidArgument when k == 0 or `lists` is empty.
-Result<std::vector<ScoredEntry>> FaginTopK(
-    const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
-    FaginStats* stats = nullptr);
-
-// Baseline: scores every id appearing in any list. The dense engine does
-// this in a single pass over all list entries into per-position sum /
-// present-count accumulator arrays — O(total entries) instead of
-// O(candidates × lists) random accesses. The pass keeps the per-candidate
-// list-iteration order, so aggregates are bitwise-identical to
-// per-candidate random access. Same contract as FaginTopK; used for
-// correctness cross-checks and as the comparison point in bench_fagin_perf.
-Result<std::vector<ScoredEntry>> ScanTopK(
-    const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
-    FaginStats* stats = nullptr);
 
 }  // namespace fairjob
 

@@ -15,8 +15,9 @@
 
 // Internal interface of the dense Fagin engine. The engine itself — the
 // TA, FA, NRA and scan lane runners — lives in quantification_batch.cc;
-// fagin_family.cc (the public list APIs) reaches it through RunLaneGroup,
-// and tests/fagin_dense_test.cc drives the gather and the scorer directly.
+// fagin_family.cc (RunTopK over caller-built lists) reaches it through
+// RunLaneGroup, and tests/fagin_dense_test.cc drives the gather and the
+// scorer directly.
 // Axis positions are dense 0..N-1 cube coordinates, so all per-run
 // candidate state lives in flat position-indexed arrays: the allowed filter
 // is a byte bitmap, random accesses are O(1) rank-bitmap lookups, and
@@ -193,7 +194,7 @@ class CandidateScorer {
   }
 
   // The aggregate of `pos` under `policy`, nullopt when no list holds it.
-  // Counts one random (dense) access per selected list; the caller owns
+  // Counts one random access per selected list; the caller owns
   // ids_scored.
   std::optional<double> Aggregate(int32_t pos, MissingCellPolicy policy,
                                   FaginStats* stats) {
@@ -206,7 +207,6 @@ class CandidateScorer {
   // What one per-candidate random access costs in the counters.
   void CountAccess(FaginStats* stats) const {
     stats->random_accesses += set_.selected;
-    stats->dense_accesses += set_.selected;
   }
 
   // The inputs of `pos`'s aggregate, counting nothing: batch lanes that

@@ -38,18 +38,6 @@ const char* TopKAlgorithmName(TopKAlgorithm algorithm) {
   return "?";
 }
 
-Result<std::vector<ScoredEntry>> FaginFA(
-    const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
-    FaginStats* stats) {
-  return RunTopK(TopKAlgorithm::kFA, lists, options, stats);
-}
-
-Result<std::vector<ScoredEntry>> FaginNRA(
-    const std::vector<const InvertedIndex*>& lists, const TopKOptions& options,
-    FaginStats* stats) {
-  return RunTopK(TopKAlgorithm::kNRA, lists, options, stats);
-}
-
 Result<std::vector<ScoredEntry>> RunTopK(
     TopKAlgorithm algorithm, const std::vector<const InvertedIndex*>& lists,
     const TopKOptions& options, FaginStats* stats) {

@@ -157,10 +157,9 @@ void RunScanLanes(const ListSet& set, size_t universe,
         out.push_back(ScoredEntry{static_cast<int32_t>(pos), value});
       }
     }
-    // Per-request counter semantics: one random (dense) access per selected
-    // list per emitted candidate, one ids_scored each.
+    // Per-request counter semantics: one random access per selected list per
+    // emitted candidate, one ids_scored each.
     stats->random_accesses += emitted * set.selected;
-    stats->dense_accesses += emitted * set.selected;
     stats->ids_scored += emitted;
     KeepTopK(&out, lane->options.k, lane->options.direction);
   }

@@ -52,16 +52,15 @@ struct BatchExecStats {
 //
 // These lane runners are the only TA / FA / NRA / scan implementation:
 // SolveQuantification runs a single request as a lane group of one, and
-// the list APIs of fagin.h / fagin_family.h do the same over caller-built
-// lists.
+// RunTopK (fagin_family.h) does the same over caller-built lists.
 //
 // Contract: results[i] is bitwise-identical to
 // SolveQuantification(cube, indices, requests[i]) — same answers (bit-equal
 // values, same order), same FaginStats, same error codes and messages, for
 // every request independently of what else is in the batch. The hash engine
-// of fagin_reference.h is the independent differential reference for both
-// (tests/batch_exec_test.cc, tests/fagin_dense_test.cc and
-// bench_fagin_perf --dense_compare).
+// of tests/support/fagin_reference.h is the independent differential
+// reference for both (tests/batch_exec_test.cc, tests/fagin_dense_test.cc
+// and bench_fagin_perf --dense_compare).
 //
 // Every lane publishes its FaginStats under fagin.<algorithm>.*, so those
 // counters are sums over lanes. A batched lane records no latency sample (a

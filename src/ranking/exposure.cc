@@ -18,10 +18,13 @@ double LogInverseExposure(size_t rank) {
 // One generation of the shared memo table. Generations are never freed:
 // outstanding PositionBiasTable::View pointers must stay valid for the
 // process lifetime, and doubling growth bounds the retained total at 2x the
-// final size.
+// final size. Each generation links the one it superseded, so every
+// generation stays reachable from g_bias_table (a leak checker sees retained
+// memory, not a leak).
 struct BiasTableGen {
   size_t size;
   double* data;
+  const BiasTableGen* prev;
 };
 
 std::atomic<const BiasTableGen*> g_bias_table{nullptr};
@@ -34,7 +37,7 @@ const BiasTableGen* GrowBiasTable(size_t min_ranks) {
   size_t size = current != nullptr ? current->size : 0;
   if (size < 1024) size = 1024;
   while (size < min_ranks) size *= 2;
-  auto* grown = new BiasTableGen{size, new double[size]};
+  auto* grown = new BiasTableGen{size, new double[size], current};
   size_t copied = 0;
   if (current != nullptr) {
     // Carrying the old prefix over by copy (not recomputation) makes the

@@ -30,11 +30,14 @@ uint64_t ColumnMix(size_t column, uint64_t epoch) {
 
 }  // namespace
 
-void CubeSnapshot::Finish() {
-  cube_ = owned_cube_.has_value() ? &*owned_cube_ : cube_;
-  indices_ = owned_indices_.has_value() ? &*owned_indices_ : indices_;
-  const size_t num_queries = cube_->axis_size(Dimension::kQuery);
-  const size_t num_locations = cube_->axis_size(Dimension::kLocation);
+CubeSnapshot::CubeSnapshot(UnfairnessCube cube, IndexSet indices,
+                           uint64_t lineage, uint64_t version)
+    : cube_(std::move(cube)),
+      indices_(std::move(indices)),
+      lineage_(lineage),
+      version_(version) {
+  const size_t num_queries = cube_.axis_size(Dimension::kQuery);
+  const size_t num_locations = cube_.axis_size(Dimension::kLocation);
   query_epoch_sums_.assign(num_queries, 0);
   location_epoch_sums_.assign(num_locations, 0);
   uint64_t total = 0;
@@ -42,7 +45,7 @@ void CubeSnapshot::Finish() {
     uint64_t row = 0;
     for (size_t l = 0; l < num_locations; ++l) {
       const uint64_t mix =
-          ColumnMix(q * num_locations + l, cube_->column_epoch(q, l));
+          ColumnMix(q * num_locations + l, cube_.column_epoch(q, l));
       row += mix;
       location_epoch_sums_[l] += mix;
     }
@@ -53,34 +56,17 @@ void CubeSnapshot::Finish() {
 }
 
 std::shared_ptr<const CubeSnapshot> CubeSnapshot::Make(UnfairnessCube cube) {
-  auto snapshot = std::shared_ptr<CubeSnapshot>(new CubeSnapshot());
-  snapshot->owned_cube_ = std::move(cube);
-  snapshot->owned_indices_ = IndexSet::Build(*snapshot->owned_cube_);
-  snapshot->lineage_ = FingerprintCube(*snapshot->owned_cube_);
-  snapshot->Finish();
-  return snapshot;
+  IndexSet indices = IndexSet::Build(cube);
+  const uint64_t lineage = FingerprintCube(cube);
+  return MakeDerived(std::move(cube), std::move(indices), lineage,
+                     /*version=*/0);
 }
 
 std::shared_ptr<const CubeSnapshot> CubeSnapshot::MakeDerived(
     UnfairnessCube cube, IndexSet indices, uint64_t lineage,
     uint64_t version) {
-  auto snapshot = std::shared_ptr<CubeSnapshot>(new CubeSnapshot());
-  snapshot->owned_cube_ = std::move(cube);
-  snapshot->owned_indices_ = std::move(indices);
-  snapshot->lineage_ = lineage;
-  snapshot->version_ = version;
-  snapshot->Finish();
-  return snapshot;
-}
-
-std::shared_ptr<const CubeSnapshot> CubeSnapshot::Borrow(
-    const UnfairnessCube* cube, const IndexSet* indices) {
-  auto snapshot = std::shared_ptr<CubeSnapshot>(new CubeSnapshot());
-  snapshot->cube_ = cube;
-  snapshot->indices_ = indices;
-  snapshot->lineage_ = FingerprintCube(*cube);
-  snapshot->Finish();
-  return snapshot;
+  return std::shared_ptr<const CubeSnapshot>(new CubeSnapshot(
+      std::move(cube), std::move(indices), lineage, version));
 }
 
 uint64_t CubeSnapshot::EpochDigest(Dimension target,
@@ -118,7 +104,7 @@ uint64_t CubeSnapshot::EpochDigest(Dimension target,
       if (q >= num_queries) continue;
       for (size_t l : *ls) {
         if (l < num_locations) {
-          sum += ColumnMix(q * num_locations + l, cube_->column_epoch(q, l));
+          sum += ColumnMix(q * num_locations + l, cube_.column_epoch(q, l));
         }
       }
     }

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -34,28 +33,22 @@ namespace fairjob {
 //    untouched columns keep matching across upserts.
 class CubeSnapshot {
  public:
-  // Owning: takes the cube, builds indices from it, fingerprints it (the
-  // O(cells) lineage computation happens here, once per family — never on
-  // the delta path and never per request).
+  // Takes the cube, builds indices from it, fingerprints it (the O(cells)
+  // lineage computation happens here, once per family — never on the delta
+  // path and never per request). A snapshot always owns its cube and
+  // indices; services that serve one cube share one snapshot.
   static std::shared_ptr<const CubeSnapshot> Make(UnfairnessCube cube);
 
-  // Owning, for the delta path: inherits lineage/version from the snapshot
-  // this one was derived from instead of re-fingerprinting. The caller (the
+  // For the delta path: inherits lineage/version from the snapshot this one
+  // was derived from instead of re-fingerprinting. The caller (the
   // maintainer) guarantees cube/indices consistency and bumped epochs.
   static std::shared_ptr<const CubeSnapshot> MakeDerived(UnfairnessCube cube,
                                                          IndexSet indices,
                                                          uint64_t lineage,
                                                          uint64_t version);
 
-  // Non-owning: serves a caller-owned cube + indices (the pre-snapshot
-  // QuantificationService contract). The backing objects must outlive the
-  // snapshot and every in-flight request that pinned it — with RCU serving
-  // there is no quiescence barrier to wait on.
-  static std::shared_ptr<const CubeSnapshot> Borrow(const UnfairnessCube* cube,
-                                                    const IndexSet* indices);
-
-  const UnfairnessCube& cube() const { return *cube_; }
-  const IndexSet& indices() const { return *indices_; }
+  const UnfairnessCube& cube() const { return cube_; }
+  const IndexSet& indices() const { return indices_; }
   uint64_t lineage() const { return lineage_; }
   // Monotone flip counter within a maintainer's snapshot family; purely
   // observability (serve.snapshot.version), never part of cache identity.
@@ -75,7 +68,7 @@ class CubeSnapshot {
   // index and epoch, summed mod 2^64 over the read set (a selector is a
   // multiset, so a duplicated position adds its columns twice), then folded
   // with the lineage. The sum ignores order, so equal keys ⇒ equal digests,
-  // and per-query / per-location sums precomputed by Finish make the cost
+  // and per-query / per-location sums precomputed per snapshot make the cost
   // O(|selector|) whenever one side is a whole axis; a window × window
   // request pays one mix per selected cell. Positions outside the cube
   // contribute nothing (the solver rejects such requests; errors are never
@@ -88,16 +81,13 @@ class CubeSnapshot {
   uint64_t full_epoch_digest() const { return full_epoch_digest_; }
 
  private:
-  CubeSnapshot() = default;
-
-  // Resolves the cube/index pointers and, in one pass over the columns,
+  // Takes the cube and indices and, in one pass over the columns, computes
   // the epoch sums EpochDigest folds: per query, per location and in total.
-  void Finish();
+  CubeSnapshot(UnfairnessCube cube, IndexSet indices, uint64_t lineage,
+               uint64_t version);
 
-  std::optional<UnfairnessCube> owned_cube_;
-  std::optional<IndexSet> owned_indices_;
-  const UnfairnessCube* cube_ = nullptr;
-  const IndexSet* indices_ = nullptr;
+  UnfairnessCube cube_;
+  IndexSet indices_;
   uint64_t lineage_ = 0;
   uint64_t version_ = 0;
   uint64_t full_epoch_digest_ = 0;

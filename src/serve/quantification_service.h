@@ -125,7 +125,8 @@ class QuantificationService {
     uint64_t snapshot_flips = 0;  // SetSnapshot publications
   };
 
-  // Owning entry point: the service serves `snapshot` until the next flip.
+  // The service serves `snapshot` until the next flip. Services may share
+  // one snapshot; it lives as long as any of them (or a request) pins it.
   explicit QuantificationService(std::shared_ptr<const CubeSnapshot> snapshot);
   QuantificationService(std::shared_ptr<const CubeSnapshot> snapshot,
                         Options options);

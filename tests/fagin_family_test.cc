@@ -11,6 +11,10 @@
 namespace fairjob {
 namespace {
 
+constexpr TopKAlgorithm kFA = TopKAlgorithm::kFA;
+constexpr TopKAlgorithm kNRA = TopKAlgorithm::kNRA;
+constexpr TopKAlgorithm kScan = TopKAlgorithm::kScan;
+
 std::vector<const InvertedIndex*> Pointers(
     const std::vector<InvertedIndex>& lists) {
   std::vector<const InvertedIndex*> out;
@@ -45,9 +49,9 @@ TEST(FaginFATest, ValidatesInput) {
   InvertedIndex list({{0, 1.0}});
   TopKOptions options;
   options.k = 0;
-  EXPECT_FALSE(FaginFA({&list}, options).ok());
+  EXPECT_FALSE(RunTopK(kFA, {&list}, options).ok());
   options.k = 1;
-  EXPECT_FALSE(FaginFA({}, options).ok());
+  EXPECT_FALSE(RunTopK(kFA, {}, options).ok());
 }
 
 TEST(FaginFATest, SimpleTopK) {
@@ -56,7 +60,7 @@ TEST(FaginFATest, SimpleTopK) {
   lists.emplace_back(std::vector<ScoredEntry>{{0, 0.4}, {1, 0.6}, {2, 0.1}});
   TopKOptions options;
   options.k = 2;
-  Result<std::vector<ScoredEntry>> top = FaginFA(Pointers(lists), options);
+  Result<std::vector<ScoredEntry>> top = RunTopK(kFA, Pointers(lists), options);
   ASSERT_TRUE(top.ok());
   ASSERT_EQ(top->size(), 2u);
   EXPECT_EQ((*top)[0].pos, 1);
@@ -77,7 +81,7 @@ TEST(FaginFATest, StopsEarlyOnSkewedLists) {
   options.missing = MissingCellPolicy::kZero;
   FaginStats stats;
   Result<std::vector<ScoredEntry>> top =
-      FaginFA(Pointers(lists), options, &stats);
+      RunTopK(kFA, Pointers(lists), options, &stats);
   ASSERT_TRUE(top.ok());
   // Identical lists: 3 complete ids after 3 rounds.
   EXPECT_LE(stats.sorted_accesses, 10u);
@@ -89,10 +93,10 @@ TEST(FaginNRATest, RejectsUnsupportedModes) {
   TopKOptions options;
   options.k = 1;
   options.missing = MissingCellPolicy::kSkip;
-  EXPECT_FALSE(FaginNRA({&list}, options).ok());
+  EXPECT_FALSE(RunTopK(kNRA, {&list}, options).ok());
   options.missing = MissingCellPolicy::kZero;
   options.direction = RankDirection::kLeastUnfair;
-  EXPECT_FALSE(FaginNRA({&list}, options).ok());
+  EXPECT_FALSE(RunTopK(kNRA, {&list}, options).ok());
 }
 
 TEST(FaginNRATest, SimpleTopK) {
@@ -102,7 +106,8 @@ TEST(FaginNRATest, SimpleTopK) {
   TopKOptions options;
   options.k = 1;
   options.missing = MissingCellPolicy::kZero;
-  Result<std::vector<ScoredEntry>> top = FaginNRA(Pointers(lists), options);
+  Result<std::vector<ScoredEntry>> top =
+      RunTopK(kNRA, Pointers(lists), options);
   ASSERT_TRUE(top.ok());
   ASSERT_EQ(top->size(), 1u);
   EXPECT_EQ((*top)[0].pos, 0);
@@ -120,7 +125,7 @@ TEST(FaginNRATest, TerminatesEarlyOnSkewedLists) {
   options.missing = MissingCellPolicy::kZero;
   FaginStats stats;
   Result<std::vector<ScoredEntry>> top =
-      FaginNRA(Pointers(lists), options, &stats);
+      RunTopK(kNRA, Pointers(lists), options, &stats);
   ASSERT_TRUE(top.ok());
   EXPECT_LT(stats.sorted_accesses, 100u);
   EXPECT_EQ((*top)[0].pos, 0);
@@ -135,7 +140,7 @@ TEST(FaginNRATest, RejectsTooManyLists) {
   TopKOptions options;
   options.k = 1;
   options.missing = MissingCellPolicy::kZero;
-  EXPECT_FALSE(FaginNRA(Pointers(lists), options).ok());
+  EXPECT_FALSE(RunTopK(kNRA, Pointers(lists), options).ok());
 }
 
 // The whole family must agree with the scan (up to ties) wherever each
@@ -161,7 +166,7 @@ TEST_P(FaginFamilyEquivalenceTest, AllAlgorithmsMatchScan) {
     Result<std::vector<ScoredEntry>> got =
         RunTopK(algorithm, Pointers(lists), options);
     Result<std::vector<ScoredEntry>> want =
-        ScanTopK(Pointers(lists), options);
+        RunTopK(kScan, Pointers(lists), options);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(want.ok());
     ASSERT_EQ(got->size(), want->size()) << "trial " << trial;
@@ -189,9 +194,10 @@ TEST(FaginFATest, SkipPolicyAndBottomKMatchScan) {
       options.k = 4;
       options.direction = dir;
       options.missing = MissingCellPolicy::kSkip;
-      Result<std::vector<ScoredEntry>> fa = FaginFA(Pointers(lists), options);
+      Result<std::vector<ScoredEntry>> fa =
+          RunTopK(kFA, Pointers(lists), options);
       Result<std::vector<ScoredEntry>> scan =
-          ScanTopK(Pointers(lists), options);
+          RunTopK(kScan, Pointers(lists), options);
       ASSERT_TRUE(fa.ok());
       ASSERT_TRUE(scan.ok());
       ASSERT_EQ(fa->size(), scan->size());

@@ -127,7 +127,7 @@ TEST(AdmissionTest, QueueFullRejectsWithTypedUnavailable) {
     started.Open();
     release.Wait();
   };
-  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+  QuantificationService service(CubeSnapshot::Make(*cube),
                                 options);
 
   std::thread leader([&] {
@@ -172,7 +172,7 @@ TEST(AdmissionTest, QueuedRequestIsShedWhenVirtualDeadlinePasses) {
     started.Open();
     release.Wait();
   };
-  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+  QuantificationService service(CubeSnapshot::Make(*cube),
                                 options);
 
   std::thread leader([&] {
@@ -226,7 +226,7 @@ TEST(AdmissionTest, DefaultDeadlineFromOptionsApplies) {
     started.Open();
     release.Wait();
   };
-  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+  QuantificationService service(CubeSnapshot::Make(*cube),
                                 options);
 
   std::thread leader([&] { ASSERT_TRUE(service.Answer(space.requests[0]).ok()); });
@@ -257,7 +257,7 @@ TEST(AdmissionTest, NegativeBudgetShedsBeforeTouchingTheCache) {
   KeySpace space = MakeKeySpace(*cube, indices);
   ASSERT_FALSE(::testing::Test::HasFailure());
 
-  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices));
+  QuantificationService service(CubeSnapshot::Make(*cube));
   Result<QuantificationResult> shed =
       service.Answer(space.requests[0], /*deadline_budget_micros=*/-1);
   ASSERT_FALSE(shed.ok());
@@ -285,7 +285,7 @@ TEST(AdmissionTest, FollowerBoundRejectsExcessDuplicatesTyped) {
     started.Open();
     release.Wait();
   };
-  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+  QuantificationService service(CubeSnapshot::Make(*cube),
                                 options);
 
   std::thread leader([&] {
@@ -343,7 +343,7 @@ TEST(AdmissionTest, GenerousLimitsStayBitIdenticalToDirect) {
   options.max_inflight = 4;
   options.max_queue_depth = 64;
   options.default_deadline_micros = 60'000'000;
-  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+  QuantificationService service(CubeSnapshot::Make(*cube),
                                 options);
 
   for (int pass = 0; pass < 2; ++pass) {
@@ -382,7 +382,7 @@ TEST(AdmissionTest, OverloadMixtureKeepsAccountingExactAndAnswersUntorn) {
   options.compute_started_hook = [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   };
-  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+  QuantificationService service(CubeSnapshot::Make(*cube),
                                 options);
 
   constexpr size_t kThreads = 8;
@@ -427,7 +427,7 @@ TEST(CacheFreshnessTest, TtlExpiryForcesRecomputeAndRefreshesEntry) {
   QuantificationService::Options options;
   options.cache_ttl_micros = 1000;
   options.clock = &clock;
-  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+  QuantificationService service(CubeSnapshot::Make(*cube),
                                 options);
 
   auto expect_answer = [&] {
@@ -728,7 +728,7 @@ TEST(SingleFlightTest, DuplicateCoalescesExactlyOnceAndFollowerFreesPermit) {
     wait_coalesced();
     release.Wait();
   };
-  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+  QuantificationService service(CubeSnapshot::Make(*cube),
                                 options);
   served = &service;
 
@@ -827,7 +827,7 @@ TEST(LoadHarnessTest, OpenLoopAccountsForEveryScheduledArrival) {
   QuantificationService::Options options;
   options.max_inflight = 8;
   options.max_queue_depth = 64;
-  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+  QuantificationService service(CubeSnapshot::Make(*cube),
                                 options);
 
   ArrivalSpec arrival_spec;
@@ -876,7 +876,7 @@ TEST(LoadHarnessTest, OpenLoopOverloadShedsInsteadOfStalling) {
   options.compute_started_hook = [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   };
-  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+  QuantificationService service(CubeSnapshot::Make(*cube),
                                 options);
 
   ArrivalSpec arrival_spec;
@@ -912,7 +912,7 @@ TEST(LoadHarnessTest, ClosedLoopMeasuresPositiveCapacity) {
   KeySpace space = MakeKeySpace(*cube, indices);
   ASSERT_FALSE(::testing::Test::HasFailure());
 
-  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices));
+  QuantificationService service(CubeSnapshot::Make(*cube));
   LoadGenOptions load_options;
   load_options.num_workers = 2;
   LoadReport report =

@@ -7,10 +7,13 @@
 
 #include "common/rng.h"
 #include "core/comparison.h"
+#include "core/fagin_family.h"
 #include "core/fbox.h"
 
 namespace fairjob {
 namespace {
+
+constexpr TopKAlgorithm kTA = TopKAlgorithm::kThresholdAlgorithm;
 
 AttributeSchema Schema() {
   AttributeSchema schema;
@@ -149,8 +152,8 @@ TEST(MetamorphicTest, DuplicatedListInvariantUnderSkipPolicy) {
     TopKOptions options;
     options.k = 5;
     options.missing = MissingCellPolicy::kSkip;
-    auto once = *FaginTopK({&list}, options);
-    auto twice = *FaginTopK({&list, &list}, options);
+    auto once = *RunTopK(kTA, {&list}, options);
+    auto twice = *RunTopK(kTA, {&list, &list}, options);
     ASSERT_EQ(once.size(), twice.size());
     for (size_t i = 0; i < once.size(); ++i) {
       EXPECT_EQ(once[i].pos, twice[i].pos);

@@ -208,10 +208,8 @@ TEST(ScaleGenTest, ServeRequestsAreDeterministicBoundedAndSkewed) {
   for (size_t i = 0; i < locations.size(); ++i) {
     locations[i] = static_cast<int>(i);
   }
-  UnfairnessCube cube = *UnfairnessCube::Make(groups, queries, locations);
-  IndexSet indices = IndexSet::Build(cube);
-  std::shared_ptr<const CubeSnapshot> snapshot =
-      CubeSnapshot::Borrow(&cube, &indices);
+  std::shared_ptr<const CubeSnapshot> snapshot = CubeSnapshot::Make(
+      *UnfairnessCube::Make(groups, queries, locations));
   RequestCacheKeyHash hash;
   std::map<size_t, size_t> pattern_counts;
   for (size_t i = 0; i < a.size(); ++i) {

@@ -89,7 +89,7 @@ TEST(ServeStressTest, ManyThreadsSmallKeySpaceNoTornResults) {
   QuantificationService::Options options;
   options.cache_capacity = 6;
   options.cache_shards = 2;
-  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+  QuantificationService service(CubeSnapshot::Make(*cube),
                                 options);
 
   constexpr size_t kIterations = 500;
@@ -141,7 +141,7 @@ TEST(ServeStressTest, SingleFlightCoalescesConcurrentIdenticalRequests) {
   options.compute_started_hook = [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   };
-  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+  QuantificationService service(CubeSnapshot::Make(*cube),
                                 options);
 
   std::barrier start(kThreads);
@@ -180,7 +180,7 @@ TEST(ServeStressTest, ConcurrentBatchesAgreeWithOracle) {
   QuantificationService::Options options;
   options.cache_capacity = 32;
   options.cache_shards = 4;
-  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+  QuantificationService service(CubeSnapshot::Make(*cube),
                                 options);
 
   std::barrier start(kThreads);
@@ -234,8 +234,9 @@ TEST(ServeStressTest, RebuildUnderLoadServesOneOfTheTwoBackends) {
 
   QuantificationService::Options options;
   options.cache_capacity = 16;
-  QuantificationService service(CubeSnapshot::Borrow(cube_a.get(), &indices_a),
-                                options);
+  std::shared_ptr<const CubeSnapshot> snapshot_a = CubeSnapshot::Make(*cube_a);
+  std::shared_ptr<const CubeSnapshot> snapshot_b = CubeSnapshot::Make(*cube_b);
+  QuantificationService service(snapshot_a, options);
 
   // Snapshot flips are one pointer swap — they cannot be starved by reader
   // load — so the bounded iteration count is only about test runtime.
@@ -263,11 +264,7 @@ TEST(ServeStressTest, RebuildUnderLoadServesOneOfTheTwoBackends) {
   }
   start.arrive_and_wait();
   for (int swap = 0; swap < 20; ++swap) {
-    if (swap % 2 == 0) {
-      service.SetSnapshot(CubeSnapshot::Borrow(cube_b.get(), &indices_b));
-    } else {
-      service.SetSnapshot(CubeSnapshot::Borrow(cube_a.get(), &indices_a));
-    }
+    service.SetSnapshot(swap % 2 == 0 ? snapshot_b : snapshot_a);
     std::this_thread::yield();
   }
   for (std::thread& thread : threads) thread.join();
@@ -536,7 +533,7 @@ TEST(ServeStressTest, OverloadShedsTypedAndNeverPoisonsCache) {
   options.compute_started_hook = [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   };
-  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices),
+  QuantificationService service(CubeSnapshot::Make(*cube),
                                 options);
 
   constexpr size_t kIterations = 40;

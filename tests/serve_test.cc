@@ -107,8 +107,7 @@ class ServeDifferentialTest : public ::testing::Test {
 TEST_F(ServeDifferentialTest, CacheOffMatchesDirectForAllAlgorithms) {
   QuantificationService::Options options;
   options.cache_capacity = 0;
-  QuantificationService service(
-      CubeSnapshot::Borrow(cube_.get(), indices_.get()), options);
+  QuantificationService service(CubeSnapshot::Make(*cube_), options);
   for (size_t i = 0; i < requests_.size(); ++i) {
     Result<QuantificationResult> direct =
         SolveQuantification(*cube_, *indices_, requests_[i]);
@@ -122,8 +121,7 @@ TEST_F(ServeDifferentialTest, CacheOffMatchesDirectForAllAlgorithms) {
 }
 
 TEST_F(ServeDifferentialTest, CachedMissAndHitMatchDirect) {
-  QuantificationService service(
-      CubeSnapshot::Borrow(cube_.get(), indices_.get()));
+  QuantificationService service(CubeSnapshot::Make(*cube_));
   for (size_t i = 0; i < requests_.size(); ++i) {
     Result<QuantificationResult> direct =
         SolveQuantification(*cube_, *indices_, requests_[i]);
@@ -141,8 +139,7 @@ TEST_F(ServeDifferentialTest, CachedMissAndHitMatchDirect) {
 }
 
 TEST_F(ServeDifferentialTest, BatchedMatchesDirectIncludingDuplicates) {
-  QuantificationService service(
-      CubeSnapshot::Borrow(cube_.get(), indices_.get()));
+  QuantificationService service(CubeSnapshot::Make(*cube_));
   // The batch carries every request twice (adjacent duplicates), so the
   // dedup path is exercised while results must still line up index-by-index.
   std::vector<QuantificationRequest> batch;
@@ -165,8 +162,7 @@ TEST_F(ServeDifferentialTest, BatchedMatchesDirectIncludingDuplicates) {
 }
 
 TEST_F(ServeDifferentialTest, RebuildInvalidatesFingerprintAndStaysCorrect) {
-  QuantificationService service(
-      CubeSnapshot::Borrow(cube_.get(), indices_.get()));
+  QuantificationService service(CubeSnapshot::Make(*cube_));
   uint64_t fingerprint_before = service.cube_fingerprint();
   for (const QuantificationRequest& request : requests_) {
     ASSERT_TRUE(service.Answer(request).ok());  // warm the cache
@@ -177,7 +173,7 @@ TEST_F(ServeDifferentialTest, RebuildInvalidatesFingerprintAndStaysCorrect) {
   std::unique_ptr<UnfairnessCube> rebuilt = MakeCube(/*seed=*/202);
   std::unique_ptr<IndexSet> rebuilt_indices =
       std::make_unique<IndexSet>(IndexSet::Build(*rebuilt));
-  service.SetSnapshot(CubeSnapshot::Borrow(rebuilt.get(), rebuilt_indices.get()));
+  service.SetSnapshot(CubeSnapshot::Make(*rebuilt));
   EXPECT_NE(service.cube_fingerprint(), fingerprint_before);
 
   uint64_t computations_before = service.stats().computations;
@@ -194,10 +190,7 @@ TEST_F(ServeDifferentialTest, RebuildInvalidatesFingerprintAndStaysCorrect) {
             computations_before + requests_.size());
 
   // An identical rebuild, though, hashes the same: the cache stays warm.
-  std::unique_ptr<UnfairnessCube> same = MakeCube(/*seed=*/202);
-  std::unique_ptr<IndexSet> same_indices =
-      std::make_unique<IndexSet>(IndexSet::Build(*same));
-  service.SetSnapshot(CubeSnapshot::Borrow(same.get(), same_indices.get()));
+  service.SetSnapshot(CubeSnapshot::Make(*MakeCube(/*seed=*/202)));
   uint64_t computations_after = service.stats().computations;
   for (const QuantificationRequest& request : requests_) {
     ASSERT_TRUE(service.Answer(request).ok());
@@ -205,9 +198,44 @@ TEST_F(ServeDifferentialTest, RebuildInvalidatesFingerprintAndStaysCorrect) {
   EXPECT_EQ(service.stats().computations, computations_after);
 }
 
+// Two services may serve one snapshot, as fairjob_cli serve-bench's cold
+// and hot services do. Both answer bitwise like the solver over the
+// snapshot's own cube and indices, and the snapshot keeps serving once the
+// first service and every other reference to it are gone.
+TEST_F(ServeDifferentialTest, ServicesShareOneSnapshot) {
+  std::shared_ptr<const CubeSnapshot> snapshot = CubeSnapshot::Make(*cube_);
+  auto first = std::make_unique<QuantificationService>(snapshot);
+  QuantificationService::Options options;
+  options.cache_capacity = 0;  // every answer below reads the snapshot
+  QuantificationService second(snapshot, options);
+  EXPECT_EQ(first->snapshot().get(), second.snapshot().get());
+
+  std::vector<QuantificationResult> direct;
+  for (size_t i = 0; i < requests_.size(); ++i) {
+    Result<QuantificationResult> solved = SolveQuantification(
+        snapshot->cube(), snapshot->indices(), requests_[i]);
+    ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+    Result<QuantificationResult> from_first = first->Answer(requests_[i]);
+    Result<QuantificationResult> from_second = second.Answer(requests_[i]);
+    ASSERT_TRUE(from_first.ok()) << from_first.status().ToString();
+    ASSERT_TRUE(from_second.ok()) << from_second.status().ToString();
+    ExpectBitEqual(*from_first, *solved, "first service", i);
+    ExpectBitEqual(*from_second, *solved, "second service", i);
+    direct.push_back(*std::move(solved));
+  }
+
+  first.reset();
+  snapshot.reset();  // `second` now holds the only reference
+  for (size_t i = 0; i < requests_.size(); ++i) {
+    Result<QuantificationResult> served = second.Answer(requests_[i]);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ExpectBitEqual(*served, direct[i], "after first destroyed", i);
+  }
+  EXPECT_EQ(second.stats().computations, 2 * requests_.size());
+}
+
 TEST_F(ServeDifferentialTest, EquivalentSpellingsShareOneCacheEntry) {
-  QuantificationService service(
-      CubeSnapshot::Borrow(cube_.get(), indices_.get()));
+  QuantificationService service(CubeSnapshot::Make(*cube_));
 
   QuantificationRequest plain;
   plain.target = Dimension::kGroup;
@@ -242,8 +270,7 @@ TEST_F(ServeDifferentialTest, EquivalentSpellingsShareOneCacheEntry) {
 }
 
 TEST_F(ServeDifferentialTest, ErrorsPropagateAndAreNotCached) {
-  QuantificationService service(
-      CubeSnapshot::Borrow(cube_.get(), indices_.get()));
+  QuantificationService service(CubeSnapshot::Make(*cube_));
   QuantificationRequest bad;
   bad.k = 0;  // SolveQuantification rejects k = 0
   Status direct = SolveQuantification(*cube_, *indices_, bad).status();
@@ -273,10 +300,8 @@ TEST_F(ServeDifferentialTest, ErrorsPropagateAndAreNotCached) {
 }
 
 TEST(RequestCacheKeyTest, AlgorithmAndPolicyArePartOfTheIdentity) {
-  std::unique_ptr<UnfairnessCube> cube = MakeCube(/*seed=*/7);
-  IndexSet indices = IndexSet::Build(*cube);
   std::shared_ptr<const CubeSnapshot> snapshot =
-      CubeSnapshot::Borrow(cube.get(), &indices);
+      CubeSnapshot::Make(*MakeCube(/*seed=*/7));
   QuantificationRequest request;
   request.missing = MissingCellPolicy::kZero;
   RequestCacheKey base(request, *snapshot);
@@ -291,10 +316,8 @@ TEST(RequestCacheKeyTest, AlgorithmAndPolicyArePartOfTheIdentity) {
 
   // A snapshot over different contents has a different lineage, so the same
   // request stops matching; the same snapshot reproduces the same key.
-  std::unique_ptr<UnfairnessCube> other_cube = MakeCube(/*seed=*/8);
-  IndexSet other_indices = IndexSet::Build(*other_cube);
   std::shared_ptr<const CubeSnapshot> other_snapshot =
-      CubeSnapshot::Borrow(other_cube.get(), &other_indices);
+      CubeSnapshot::Make(*MakeCube(/*seed=*/8));
   EXPECT_FALSE(base == RequestCacheKey(request, *other_snapshot));
   EXPECT_TRUE(base == RequestCacheKey(request, *snapshot));
 }
@@ -304,10 +327,8 @@ TEST(RequestCacheKeyTest, AlgorithmAndPolicyArePartOfTheIdentity) {
 // stay distinct (selectors) or collapse (allowed), and explicit full-axis
 // spellings fold to the "all" form.
 TEST(RequestCacheKeyTest, NormalizationEquivalencesAreUnchanged) {
-  std::unique_ptr<UnfairnessCube> cube = MakeCube(/*seed=*/9);
-  IndexSet indices = IndexSet::Build(*cube);
   std::shared_ptr<const CubeSnapshot> snapshot =
-      CubeSnapshot::Borrow(cube.get(), &indices);
+      CubeSnapshot::Make(*MakeCube(/*seed=*/9));
   QuantificationRequest base;  // target kGroup: agg1 = 4 queries, agg2 = 3
   base.agg1.positions = {0, 2};
   RequestCacheKey key(base, *snapshot);
@@ -350,8 +371,7 @@ TEST(RequestCacheKeyTest, NormalizationEquivalencesAreUnchanged) {
 TEST(RequestCacheKeyTest, EpochDigestBindsOnlyTheColumnsARequestReads) {
   std::unique_ptr<UnfairnessCube> cube = MakeCube(/*seed=*/7);
   IndexSet indices = IndexSet::Build(*cube);
-  std::shared_ptr<const CubeSnapshot> before =
-      CubeSnapshot::Borrow(cube.get(), &indices);
+  std::shared_ptr<const CubeSnapshot> before = CubeSnapshot::Make(*cube);
 
   // Group-target request reading only query column 0 (all locations).
   QuantificationRequest narrow;
@@ -529,9 +549,7 @@ TEST(RequestCacheKeyTest, EpochDigestMatchesReadSetOracle) {
 // for every submitted request, whether or not the metrics registry is on.
 TEST(AnswerBatchAccountingTest, DedupedRequestsAreCountedWithMetricsOff) {
   ASSERT_FALSE(MetricsRegistry::Global().enabled());
-  std::unique_ptr<UnfairnessCube> cube = MakeCube(/*seed=*/13);
-  IndexSet indices = IndexSet::Build(*cube);
-  QuantificationService service(CubeSnapshot::Borrow(cube.get(), &indices));
+  QuantificationService service(CubeSnapshot::Make(*MakeCube(/*seed=*/13)));
   QuantificationRequest a;
   a.missing = MissingCellPolicy::kZero;
   QuantificationRequest b = a;

@@ -1,4 +1,4 @@
-#include "core/fagin_reference.h"
+#include "support/fagin_reference.h"
 
 #include <algorithm>
 #include <chrono>
@@ -73,7 +73,6 @@ std::optional<double> Aggregate(const std::vector<HashedListView>& lists,
   double sum = 0.0;
   size_t present = 0;
   stats->random_accesses += lists.size();
-  stats->hash_accesses += lists.size();
   for (const HashedListView& list : lists) {
     std::optional<double> v = list.Find(pos);
     if (v.has_value()) {

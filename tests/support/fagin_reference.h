@@ -1,5 +1,5 @@
-#ifndef FAIRJOB_CORE_FAGIN_REFERENCE_H_
-#define FAIRJOB_CORE_FAGIN_REFERENCE_H_
+#ifndef FAIRJOB_TESTS_SUPPORT_FAGIN_REFERENCE_H_
+#define FAIRJOB_TESTS_SUPPORT_FAGIN_REFERENCE_H_
 
 #include <optional>
 #include <unordered_map>
@@ -16,11 +16,10 @@ namespace fairjob {
 // tables. tests/fagin_dense_test.cc proves the dense engine returns
 // bitwise-identical top-k answers with identical access-count semantics,
 // and bench_fagin_perf's --dense_compare mode enforces the dense speedup
-// against this engine. Not wired into any serving path.
+// against this engine. It lives in the fairjob_testing library, which only
+// tests/ and bench/ targets link.
 //
-// Runs publish metrics under "fagin.ref_<algorithm>.*" and count their
-// random accesses in FaginStats::hash_accesses (the dense engine's
-// dense_accesses counterpart).
+// Runs publish metrics under "fagin.ref_<algorithm>.*".
 
 // Hash-based random-access view over an InvertedIndex, exactly the map the
 // pre-dense InvertedIndex carried. Build once, run many times.
@@ -42,7 +41,7 @@ class HashedListView {
 std::vector<HashedListView> BuildHashedViews(
     const std::vector<const InvertedIndex*>& lists);
 
-// Reference counterparts of FaginTopK / FaginFA / FaginNRA / ScanTopK.
+// Reference counterparts of RunTopK's TA / FA / NRA / scan.
 // Contracts (and error cases) match the dense engine exactly;
 // TopKOptions::universe_hint is ignored.
 Result<std::vector<ScoredEntry>> ReferenceFaginTopK(
@@ -65,4 +64,4 @@ Result<std::vector<ScoredEntry>> ReferenceRunTopK(
 
 }  // namespace fairjob
 
-#endif  // FAIRJOB_CORE_FAGIN_REFERENCE_H_
+#endif  // FAIRJOB_TESTS_SUPPORT_FAGIN_REFERENCE_H_

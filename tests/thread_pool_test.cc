@@ -117,18 +117,6 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   EXPECT_EQ(total.load(), 64u);
 }
 
-TEST(ThreadPoolTest, ParallelForPairsCoversTheGrid) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(5 * 7);
-  for (auto& h : hits) h.store(0);
-  Status s = pool.ParallelForPairs(5, 7, 4, [&](size_t i, size_t j) {
-    hits[i * 7 + j].fetch_add(1);
-    return Status::OK();
-  });
-  ASSERT_TRUE(s.ok());
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPoolTest, SharedPoolIsASingleton) {
   ThreadPool& a = ThreadPool::Shared();
   ThreadPool& b = ThreadPool::Shared();

@@ -537,38 +537,37 @@ int RunServeBench(const Flags& flags) {
     algorithms = {*algorithm};
   }
 
-  // Backend: loaded cube or synthetic demo world.
-  std::unique_ptr<UnfairnessCube> cube;
-  std::unique_ptr<TaskRabbitDataset> world;  // keeps the dataset alive
+  // Backend: loaded cube or synthetic demo world, in the one snapshot both
+  // services below serve.
+  std::shared_ptr<const CubeSnapshot> snapshot;
   std::string cube_path = flags.GetString("cube");
   if (!cube_path.empty()) {
     Result<UnfairnessCube> loaded = LoadCube(cube_path);
     if (!loaded.ok()) return Fail(loaded.status());
-    cube = std::make_unique<UnfairnessCube>(*std::move(loaded));
+    snapshot = CubeSnapshot::Make(*std::move(loaded));
   } else {
     TaskRabbitConfig config;
     config.num_workers = static_cast<size_t>(workers);
     config.max_cities = static_cast<size_t>(cities);
     config.max_subjobs_per_category = 2;
-    Result<TaskRabbitDataset> data = BuildTaskRabbitDataset(config);
-    if (!data.ok()) return Fail(data.status());
-    world = std::make_unique<TaskRabbitDataset>(*std::move(data));
+    Result<TaskRabbitDataset> world = BuildTaskRabbitDataset(config);
+    if (!world.ok()) return Fail(world.status());
     Result<GroupSpace> space = GroupSpace::Enumerate(world->dataset.schema());
     if (!space.ok()) return Fail(space.status());
     Result<UnfairnessCube> built = BuildMarketplaceCube(
         world->dataset, *space, MarketMeasure::kEmd, MeasureOptions{},
         CubeAxes{}, std::thread::hardware_concurrency());
     if (!built.ok()) return Fail(built.status());
-    cube = std::make_unique<UnfairnessCube>(*std::move(built));
+    snapshot = CubeSnapshot::Make(*std::move(built));
   }
-  IndexSet indices = IndexSet::Build(*cube);
+  const UnfairnessCube& cube = snapshot->cube();
 
   // Distinct request keyspace: target × direction × k × algorithm, trimmed
   // to --keyspace; the trace samples it with an 80/20-style skew.
   std::vector<QuantificationRequest> request_space;
   for (Dimension target :
        {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
-    size_t aggregated_lists = cube->num_cells() / cube->axis_size(target);
+    size_t aggregated_lists = cube.num_cells() / cube.axis_size(target);
     for (RankDirection direction :
          {RankDirection::kMostUnfair, RankDirection::kLeastUnfair}) {
       for (size_t k : {3u, 5u, 10u}) {
@@ -636,22 +635,20 @@ int RunServeBench(const Flags& flags) {
 
   std::printf("serve-bench: %zu distinct requests, trace of %ld, cube %zu "
               "cells, cache capacity %ld (%ld shards)%s\n",
-              request_space.size(), requests, cube->num_cells(), capacity,
+              request_space.size(), requests, cube.num_cells(), capacity,
               shards,
               batch > 0 ? ", batched" : "");
 
   QuantificationService::Options cold_options;
   cold_options.cache_capacity = 0;
-  QuantificationService cold(CubeSnapshot::Borrow(cube.get(), &indices),
-                            cold_options);
+  QuantificationService cold(snapshot, cold_options);
   Result<double> cold_qps = run_pass(cold, "cold (no cache)");
   if (!cold_qps.ok()) return Fail(cold_qps.status());
 
   QuantificationService::Options hot_options;
   hot_options.cache_capacity = static_cast<size_t>(capacity);
   hot_options.cache_shards = static_cast<size_t>(shards);
-  QuantificationService hot(CubeSnapshot::Borrow(cube.get(), &indices),
-                            hot_options);
+  QuantificationService hot(snapshot, hot_options);
   for (const QuantificationRequest& request : request_space) {
     Result<QuantificationResult> warmed = hot.Answer(request);  // warm
     if (!warmed.ok()) return Fail(warmed.status());
