@@ -1,19 +1,15 @@
 #ifndef FAIRJOB_COMMON_LRU_CACHE_H_
 #define FAIRJOB_COMMON_LRU_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
-
-#include "common/metrics.h"
 
 namespace fairjob {
 
@@ -31,12 +27,11 @@ namespace fairjob {
 //  * A capacity of 0 disables the cache: Get always misses, Put is a no-op.
 //    (Stats still count the lookups, so hit-rate math stays meaningful.)
 //
-// Observability: pass a metric prefix ("serve.cache") to publish
-// `<prefix>.hits` / `.misses` / `.evictions` / `.insertions` counters and an
-// `<prefix>.entries` gauge through the global MetricsRegistry. Independent of
-// that (and of whether metrics are enabled), exact counts are always
-// maintained under the shard locks and exposed via stats() — tests assert
-// hits + misses == lookups on them.
+// Observability: exact counts are maintained under the shard locks and
+// exposed via stats() (size() is derived from them); the cache writes no
+// metrics of its own. An owner that exports them reads both at export time
+// (QuantificationService publishes its cache as `serve.cache.*` through a
+// MetricsRegistry collector). Tests assert hits + misses == lookups on them.
 //
 // Value should be cheap to copy; cache std::shared_ptr<const T> for large T.
 template <typename Key, typename Value, typename Hash = std::hash<Key>,
@@ -53,8 +48,7 @@ class ShardedLruCache {
     uint64_t erasures = 0;    // entries dropped by Erase
   };
 
-  explicit ShardedLruCache(size_t capacity, size_t num_shards = 8,
-                           const std::string& metric_prefix = "")
+  explicit ShardedLruCache(size_t capacity, size_t num_shards = 8)
       : capacity_(capacity) {
     // Never create more shards than entries: a zero-capacity shard would
     // silently refuse to cache every key that hashes to it.
@@ -66,14 +60,6 @@ class ShardedLruCache {
       shards_.push_back(std::make_unique<Shard>());
       shards_.back()->capacity =
           capacity / shards + (i < capacity % shards ? 1 : 0);
-    }
-    if (!metric_prefix.empty()) {
-      MetricsRegistry& metrics = MetricsRegistry::Global();
-      hits_metric_ = metrics.counter(metric_prefix + ".hits");
-      misses_metric_ = metrics.counter(metric_prefix + ".misses");
-      evictions_metric_ = metrics.counter(metric_prefix + ".evictions");
-      insertions_metric_ = metrics.counter(metric_prefix + ".insertions");
-      entries_metric_ = metrics.gauge(metric_prefix + ".entries");
     }
   }
 
@@ -88,11 +74,9 @@ class ShardedLruCache {
     auto it = shard.index.find(key);
     if (it == shard.index.end()) {
       ++shard.stats.misses;
-      if (misses_metric_ != nullptr) misses_metric_->Add(1);
       return std::nullopt;
     }
     ++shard.stats.hits;
-    if (hits_metric_ != nullptr) hits_metric_->Add(1);
     shard.entries.splice(shard.entries.begin(), shard.entries, it->second);
     return it->second->second;
   }
@@ -112,16 +96,11 @@ class ShardedLruCache {
     shard.entries.emplace_front(key, std::move(value));
     shard.index.emplace(key, shard.entries.begin());
     ++shard.stats.insertions;
-    size_.fetch_add(1, std::memory_order_relaxed);
-    if (insertions_metric_ != nullptr) insertions_metric_->Add(1);
     if (shard.entries.size() > shard.capacity) {
       shard.index.erase(shard.entries.back().first);
       shard.entries.pop_back();
       ++shard.stats.evictions;
-      size_.fetch_sub(1, std::memory_order_relaxed);
-      if (evictions_metric_ != nullptr) evictions_metric_->Add(1);
     }
-    PublishSize();
   }
 
   // Removes `key` if present; returns whether anything was removed.
@@ -133,8 +112,6 @@ class ShardedLruCache {
     shard.entries.erase(it->second);
     shard.index.erase(it);
     ++shard.stats.erasures;
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    PublishSize();
     return true;
   }
 
@@ -142,14 +119,17 @@ class ShardedLruCache {
     for (const std::unique_ptr<Shard>& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mutex);
       shard->stats.erasures += shard->entries.size();
-      size_.fetch_sub(shard->entries.size(), std::memory_order_relaxed);
       shard->entries.clear();
       shard->index.clear();
     }
-    PublishSize();
   }
 
-  size_t size() const { return size_.load(std::memory_order_relaxed); }
+  // Entries held: every entry was inserted once and leaves by eviction or
+  // erasure, so the exact counts below determine it.
+  size_t size() const {
+    Stats total = stats();
+    return total.insertions - total.evictions - total.erasures;
+  }
 
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return shards_.size(); }
@@ -207,20 +187,8 @@ class ShardedLruCache {
     return static_cast<size_t>(h % shards_.size());
   }
 
-  void PublishSize() {
-    if (entries_metric_ != nullptr) {
-      entries_metric_->Set(static_cast<double>(size()));
-    }
-  }
-
   size_t capacity_;
-  std::atomic<size_t> size_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
-  Counter* hits_metric_ = nullptr;
-  Counter* misses_metric_ = nullptr;
-  Counter* evictions_metric_ = nullptr;
-  Counter* insertions_metric_ = nullptr;
-  Gauge* entries_metric_ = nullptr;
 };
 
 }  // namespace fairjob

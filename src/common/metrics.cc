@@ -164,46 +164,81 @@ LatencyHistogram* MetricsRegistry::histogram(const std::string& name,
   return histograms_.back().get();
 }
 
+MetricsRegistry::CollectorHandle MetricsRegistry::AddCollector(
+    MetricsCollector collect) {
+  CollectorHandle handle(new MetricsCollector(std::move(collect)),
+                         Retirer{this});
+  std::lock_guard<std::mutex> lock(mutex_);
+  collectors_.push_back(handle.get());
+  return handle;
+}
+
+void MetricsRegistry::Retirer::operator()(MetricsCollector* collector) const {
+  std::unique_ptr<MetricsCollector> owned(collector);
+  std::lock_guard<std::mutex> lock(registry->mutex_);
+  CollectedMetrics last = (*collector)();
+  for (const auto& [name, value] : last.counters) {
+    registry->collected_offsets_[name] += value;
+  }
+  for (const auto& gauge : last.gauges) {
+    registry->retired_gauges_.insert(gauge.first);
+  }
+  std::erase(registry->collectors_, collector);
+}
+
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& c : counters_) c->ResetForTesting();
   for (const auto& g : gauges_) g->ResetForTesting();
   for (const auto& h : histograms_) h->ResetForTesting();
+  for (auto& offset : collected_offsets_) offset.second = 0;
+  for (const MetricsCollector* collect : collectors_) {
+    for (const auto& [name, value] : (*collect)().counters) {
+      collected_offsets_[name] -= value;
+    }
+  }
 }
 
 std::string MetricsRegistry::ToJson() const {
-  // Snapshot name/value pairs under the lock, then render sorted so the
-  // export is deterministic regardless of registration order.
-  std::vector<std::pair<std::string, uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
+  // Sum name/value pairs (registered and collected) under the lock, then
+  // render sorted so the export is independent of registration order.
+  std::map<std::string, uint64_t> counters;
+  std::map<std::string, double> gauges;
   std::vector<std::pair<std::string, LatencyHistogram::Snapshot>> histograms;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& c : counters_) counters.emplace_back(c->name(), c->Value());
-    for (const auto& g : gauges_) gauges.emplace_back(g->name(), g->Value());
+    for (const auto& c : counters_) counters[c->name()] += c->Value();
+    for (const auto& g : gauges_) gauges[g->name()] += g->Value();
     for (const auto& h : histograms_) {
       histograms.emplace_back(h->name(), h->Aggregate());
     }
+    for (const auto& [name, value] : collected_offsets_) {
+      counters[name] += value;
+    }
+    for (const std::string& name : retired_gauges_) gauges[name] += 0.0;
+    for (const MetricsCollector* collect : collectors_) {
+      CollectedMetrics collected = (*collect)();
+      for (const auto& [name, value] : collected.counters) {
+        counters[name] += value;
+      }
+      for (const auto& [name, value] : collected.gauges) gauges[name] += value;
+    }
   }
-  auto by_name = [](const auto& a, const auto& b) { return a.first < b.first; };
-  std::sort(counters.begin(), counters.end(), by_name);
-  std::sort(gauges.begin(), gauges.end(), by_name);
-  std::sort(histograms.begin(), histograms.end(), by_name);
+  std::sort(histograms.begin(), histograms.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
 
   std::string json = "{\n  \"enabled\": ";
   json += enabled() ? "true" : "false";
   json += ",\n  \"counters\": {";
-  for (size_t i = 0; i < counters.size(); ++i) {
-    json += i == 0 ? "\n" : ",\n";
-    json += "    \"" + counters[i].first +
-            "\": " + std::to_string(counters[i].second);
+  for (auto it = counters.begin(); it != counters.end(); ++it) {
+    json += it == counters.begin() ? "\n" : ",\n";
+    json += "    \"" + it->first + "\": " + std::to_string(it->second);
   }
   json += counters.empty() ? "}" : "\n  }";
   json += ",\n  \"gauges\": {";
-  for (size_t i = 0; i < gauges.size(); ++i) {
-    json += i == 0 ? "\n" : ",\n";
-    json += "    \"" + gauges[i].first +
-            "\": " + JsonNumber(gauges[i].second);
+  for (auto it = gauges.begin(); it != gauges.end(); ++it) {
+    json += it == gauges.begin() ? "\n" : ",\n";
+    json += "    \"" + it->first + "\": " + JsonNumber(it->second);
   }
   json += gauges.empty() ? "}" : "\n  }";
   json += ",\n  \"histograms\": {";

@@ -4,8 +4,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,6 +28,8 @@ namespace fairjob {
 //    aggregate the shards, trading read cost for write scalability.
 //  * Compiled out (-DFAIRJOB_DISABLE_OBSERVABILITY): writes are constant
 //    no-ops the optimizer deletes entirely.
+//  * Collected (MetricsRegistry::AddCollector): counts an object keeps
+//    anyway are read at export, so they cost the hot path nothing more.
 //
 // Metric objects are created once via the registry and never destroyed
 // while the registry lives, so hot paths may cache the returned pointers
@@ -156,11 +161,24 @@ class LatencyHistogram {
   std::vector<Shard> shards_;
 };
 
+// What one collector reports: counters that only grow over the reporting
+// object's life, and gauges.
+struct CollectedMetrics {
+  std::vector<std::pair<std::string, uint64_t>> counters;
+  std::vector<std::pair<std::string, double>> gauges;
+};
+using MetricsCollector = std::function<CollectedMetrics()>;
+
 // Owner of all metrics. Processes normally use the leaked Global() instance;
 // tests may construct private registries. Metric creation takes a lock;
 // lookups of an existing name return the same object, so callers cache the
 // pointer rather than re-resolving per write.
 class MetricsRegistry {
+  struct Retirer {
+    MetricsRegistry* registry;
+    void operator()(MetricsCollector* collector) const;
+  };
+
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
@@ -172,7 +190,8 @@ class MetricsRegistry {
   static MetricsRegistry& Global();
 
   // All writes are dropped until SetEnabled(true); flipping the switch does
-  // not clear previously recorded values.
+  // not clear previously recorded values. Collected values ignore the
+  // switch: their owners count every event either way.
   void SetEnabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
@@ -186,9 +205,21 @@ class MetricsRegistry {
   LatencyHistogram* histogram(const std::string& name,
                        std::vector<double> bounds = {});
 
+  // Destroying the handle retires its collector; it must not outlive the
+  // registry.
+  using CollectorHandle = std::unique_ptr<MetricsCollector, Retirer>;
+
+  // Registers `collect`, which ToJson() and Reset() run under the registry
+  // lock, so it must take no lock held while metrics are created. Exports
+  // sum its counters by name with other collectors' and with the registered
+  // counter of that name, and its gauges over live collectors. Retiring
+  // keeps its final counters in the export; its gauges then read 0.
+  [[nodiscard]] CollectorHandle AddCollector(MetricsCollector collect);
+
   // Zeroes every metric (the metrics themselves survive, so cached pointers
-  // stay valid). Racy against concurrent writers by design; meant for tests
-  // and for benches separating a warm-up from a measured pass.
+  // stay valid); live collectors count on from their values at the Reset.
+  // Racy against concurrent writers by design; meant for tests and for
+  // benches separating a warm-up from a measured pass.
   void Reset();
 
   // Deterministic JSON export: names sorted, histograms with bucket counts
@@ -197,10 +228,15 @@ class MetricsRegistry {
 
  private:
   std::atomic<bool> enabled_{false};
-  mutable std::mutex mutex_;  // guards the three vectors below
+  mutable std::mutex mutex_;  // guards every member below
   std::vector<std::unique_ptr<Counter>> counters_;
   std::vector<std::unique_ptr<Gauge>> gauges_;
   std::vector<std::unique_ptr<LatencyHistogram>> histograms_;
+  std::vector<const MetricsCollector*> collectors_;
+  // Added to the live collectors' counters at export (modulo 2^64): the
+  // retired collectors' final counts less the live ones' at the last Reset.
+  std::map<std::string, uint64_t> collected_offsets_;
+  std::set<std::string> retired_gauges_;  // exported as 0 when not collected
 };
 
 }  // namespace fairjob

@@ -19,57 +19,22 @@ constexpr int64_t kNoDeadline = std::numeric_limits<int64_t>::max();
 // thrash the admission mutex under real load.
 constexpr std::chrono::microseconds kAdmissionPoll{200};
 
+// The serve metrics with no per-instance count; CollectMetrics exports the
+// counted ones.
 struct ServeMetrics {
-  Counter* requests;
-  Counter* computations;
-  Counter* coalesced;
-  Counter* errors;
-  Counter* batch_calls;
-  Counter* batch_requests;
-  Counter* batch_deduped;
-  Counter* snapshot_flips;
-  Counter* admitted;
-  Counter* admission_rejected;
-  Counter* shed_deadline;
-  Counter* shed_followers;
-  Counter* stale_hits;
-  Counter* stale_refreshes;
-  Counter* stale_ttl_expired;
-  Gauge* snapshot_version;
-  Gauge* admission_queue_depth;
-  LatencyHistogram* answer_us;
-  LatencyHistogram* batch_us;
-  LatencyHistogram* admission_wait_us;
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  Gauge* snapshot_version = registry.gauge("serve.snapshot.version");
+  Gauge* admission_queue_depth = registry.gauge("serve.admission.queue_depth");
+  LatencyHistogram* answer_us = registry.histogram("serve.answer_us");
+  LatencyHistogram* batch_us = registry.histogram("serve.batch_us");
+  LatencyHistogram* admission_wait_us =
+      registry.histogram("serve.admission.wait_us");
 };
 
 // Shared across all services (metric objects are process-wide anyway);
 // resolved once, cached like every other hot path (docs/observability.md).
 const ServeMetrics& Metrics() {
-  static const ServeMetrics metrics = [] {
-    MetricsRegistry& registry = MetricsRegistry::Global();
-    ServeMetrics m;
-    m.requests = registry.counter("serve.requests");
-    m.computations = registry.counter("serve.computations");
-    m.coalesced = registry.counter("serve.singleflight.coalesced");
-    m.errors = registry.counter("serve.errors");
-    m.batch_calls = registry.counter("serve.batch.calls");
-    m.batch_requests = registry.counter("serve.batch.requests");
-    m.batch_deduped = registry.counter("serve.batch.deduped");
-    m.snapshot_flips = registry.counter("serve.snapshot.flips");
-    m.admitted = registry.counter("serve.admission.admitted");
-    m.admission_rejected = registry.counter("serve.admission.rejected");
-    m.shed_deadline = registry.counter("serve.shed.deadline");
-    m.shed_followers = registry.counter("serve.shed.followers");
-    m.stale_hits = registry.counter("serve.stale.hits");
-    m.stale_refreshes = registry.counter("serve.stale.refreshes");
-    m.stale_ttl_expired = registry.counter("serve.stale.ttl_expired");
-    m.snapshot_version = registry.gauge("serve.snapshot.version");
-    m.admission_queue_depth = registry.gauge("serve.admission.queue_depth");
-    m.answer_us = registry.histogram("serve.answer_us");
-    m.batch_us = registry.histogram("serve.batch_us");
-    m.admission_wait_us = registry.histogram("serve.admission.wait_us");
-    return m;
-  }();
+  static const ServeMetrics metrics;
   return metrics;
 }
 
@@ -84,14 +49,15 @@ QuantificationService::QuantificationService(
     : options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock : Clock::Real()),
       snapshot_(std::move(snapshot)),
-      cache_(options_.cache_capacity, options_.cache_shards, "serve.cache") {}
+      cache_(options_.cache_capacity, options_.cache_shards),
+      metrics_collector_(MetricsRegistry::Global().AddCollector(
+          [this] { return CollectMetrics(); })) {}
 
 void QuantificationService::SetSnapshot(
     std::shared_ptr<const CubeSnapshot> snapshot) {
   Metrics().snapshot_version->Set(static_cast<double>(snapshot->version()));
   snapshot_.Publish(std::move(snapshot));
   snapshot_flips_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().snapshot_flips->Add(1);
 }
 
 std::shared_ptr<const CubeSnapshot> QuantificationService::snapshot() const {
@@ -195,7 +161,6 @@ Result<QuantificationResult> QuantificationService::AnswerInternal(
     const std::shared_ptr<const CubeSnapshot>& snapshot) {
   TraceSpan span("QuantificationService::Answer", "serve");
   ScopedTimer timer(Metrics().answer_us);
-  Metrics().requests->Add(1);
   requests_.fetch_add(1, std::memory_order_relaxed);
   if (from_batch) batch_requests_.fetch_add(1, std::memory_order_relaxed);
 
@@ -207,7 +172,6 @@ Result<QuantificationResult> QuantificationService::AnswerInternal(
                                                : options_.default_deadline_micros;
   if (budget < 0) {
     shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().shed_deadline->Add(1);
     return Status::DeadlineExceeded("deadline passed before arrival");
   }
   const bool needs_time = budget > 0 || options_.cache_ttl_micros > 0;
@@ -227,20 +191,14 @@ Result<QuantificationResult> QuantificationService::AnswerInternal(
   Probe probe = ProbeCache(key, now, &cached_answer);
   switch (probe) {
     case Probe::kFresh:
-      admitted_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().admitted->Add(1);
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       return *cached_answer;
     case Probe::kStaleServed:
-      admitted_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().admitted->Add(1);
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       stale_hits_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().stale_hits->Add(1);
       return *cached_answer;
     case Probe::kTtlExpired:
       ttl_expired_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().stale_ttl_expired->Add(1);
       break;
     case Probe::kDisabled:
     case Probe::kMiss:
@@ -261,10 +219,8 @@ Result<QuantificationResult> QuantificationService::AnswerInternal(
     if (!admit.ok()) {
       if (admit.code() == StatusCode::kDeadlineExceeded) {
         shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().shed_deadline->Add(1);
       } else {
         rejected_queue_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().admission_rejected->Add(1);
       }
       return admit;
     }
@@ -275,12 +231,9 @@ Result<QuantificationResult> QuantificationService::AnswerInternal(
                                  &cached_answer);
       if (reprobe == Probe::kFresh || reprobe == Probe::kStaleServed) {
         ReleasePermit();
-        admitted_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().admitted->Add(1);
         cache_hits_.fetch_add(1, std::memory_order_relaxed);
         if (reprobe == Probe::kStaleServed) {
           stale_hits_.fetch_add(1, std::memory_order_relaxed);
-          Metrics().stale_hits->Add(1);
         }
         return *cached_answer;
       }
@@ -304,7 +257,6 @@ Result<QuantificationResult> QuantificationService::AnswerInternal(
         // this computation. Typed rejection, no miss/coalesce counted.
         if (admission_on) ReleasePermit();
         rejected_followers_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().shed_followers->Add(1);
         return Status::Unavailable("single-flight follower bound reached");
       }
       flight_future = it->second.future;
@@ -322,15 +274,10 @@ Result<QuantificationResult> QuantificationService::AnswerInternal(
     // Follower: give the compute permit back before blocking — a parked
     // follower must not starve the computations it is waiting on.
     if (admission_on) ReleasePermit();
-    admitted_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().admitted->Add(1);
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
     coalesced_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().coalesced->Add(1);
     FlightOutcome outcome = flight_future.get();
     if (!outcome.status.ok()) {
       errors_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().errors->Add(1);
       return outcome.status;
     }
     return *outcome.result;
@@ -338,11 +285,7 @@ Result<QuantificationResult> QuantificationService::AnswerInternal(
 
   // Leader: compute, publish to cache, resolve the flight, retire it.
   if (options_.compute_started_hook) options_.compute_started_hook();
-  admitted_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().admitted->Add(1);
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
   computations_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().computations->Add(1);
   FlightOutcome outcome;
   {
     TraceSpan compute_span("serve.compute", "serve");
@@ -363,10 +306,7 @@ Result<QuantificationResult> QuantificationService::AnswerInternal(
         options_.cache_ttl_micros > 0 ? clock_->NowMicros() : now;
     entry.stale_served = std::make_shared<std::atomic<uint32_t>>(0);
     cache_.Put(key, std::move(entry));
-    if (refreshing) {
-      stale_refreshes_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().stale_refreshes->Add(1);
-    }
+    if (refreshing) stale_refreshes_.fetch_add(1, std::memory_order_relaxed);
   }
   promise->set_value(outcome);
   {
@@ -376,7 +316,6 @@ Result<QuantificationResult> QuantificationService::AnswerInternal(
   if (admission_on) ReleasePermit();
   if (!outcome.status.ok()) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().errors->Add(1);
     return outcome.status;
   }
   return *outcome.result;
@@ -386,8 +325,7 @@ std::vector<Result<QuantificationResult>> QuantificationService::AnswerBatch(
     const std::vector<QuantificationRequest>& requests) {
   TraceSpan span("QuantificationService::AnswerBatch", "serve");
   ScopedTimer timer(Metrics().batch_us);
-  Metrics().batch_calls->Add(1);
-  Metrics().batch_requests->Add(requests.size());
+  batch_calls_.fetch_add(1, std::memory_order_relaxed);
 
   // Pin ONE snapshot for the whole batch: dedup and every fanned-out answer
   // run against the same state, so a concurrent flip cannot split a batch
@@ -409,7 +347,6 @@ std::vector<Result<QuantificationResult>> QuantificationService::AnswerBatch(
   }
   const size_t deduped = requests.size() - representatives.size();
   batch_deduped_.fetch_add(deduped, std::memory_order_relaxed);
-  Metrics().batch_deduped->Add(deduped);
 
   std::vector<std::optional<Result<QuantificationResult>>> answered(
       requests.size());
@@ -437,15 +374,14 @@ std::vector<Result<QuantificationResult>> QuantificationService::AnswerBatch(
 QuantificationService::Stats QuantificationService::stats() const {
   Stats stats;
   stats.requests = requests_.load(std::memory_order_relaxed);
+  stats.batch_calls = batch_calls_.load(std::memory_order_relaxed);
   stats.batch_requests = batch_requests_.load(std::memory_order_relaxed);
   stats.batch_deduped = batch_deduped_.load(std::memory_order_relaxed);
-  stats.admitted = admitted_.load(std::memory_order_relaxed);
   stats.rejected_queue = rejected_queue_.load(std::memory_order_relaxed);
   stats.rejected_followers =
       rejected_followers_.load(std::memory_order_relaxed);
   stats.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
   stats.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  stats.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   stats.stale_hits = stale_hits_.load(std::memory_order_relaxed);
   stats.stale_refreshes = stale_refreshes_.load(std::memory_order_relaxed);
   stats.ttl_expired = ttl_expired_.load(std::memory_order_relaxed);
@@ -453,7 +389,41 @@ QuantificationService::Stats QuantificationService::stats() const {
   stats.coalesced = coalesced_.load(std::memory_order_relaxed);
   stats.errors = errors_.load(std::memory_order_relaxed);
   stats.snapshot_flips = snapshot_flips_.load(std::memory_order_relaxed);
+  // Every miss computes or coalesces, and every admitted request hits or
+  // misses, so these are sums rather than second counts of one event.
+  stats.cache_misses = stats.computations + stats.coalesced;
+  stats.admitted = stats.cache_hits + stats.cache_misses;
   return stats;
+}
+
+CollectedMetrics QuantificationService::CollectMetrics() const {
+  const Stats s = stats();
+  const AnswerCache::Stats cache = cache_.stats();
+  CollectedMetrics collected;
+  collected.counters = {
+      {"serve.requests", s.requests},
+      {"serve.computations", s.computations},
+      {"serve.singleflight.coalesced", s.coalesced},
+      {"serve.errors", s.errors},
+      {"serve.batch.calls", s.batch_calls},
+      {"serve.batch.requests", s.batch_requests + s.batch_deduped},
+      {"serve.batch.deduped", s.batch_deduped},
+      {"serve.snapshot.flips", s.snapshot_flips},
+      {"serve.admission.admitted", s.admitted},
+      {"serve.admission.rejected", s.rejected_queue},
+      {"serve.shed.deadline", s.shed_deadline},
+      {"serve.shed.followers", s.rejected_followers},
+      {"serve.stale.hits", s.stale_hits},
+      {"serve.stale.refreshes", s.stale_refreshes},
+      {"serve.stale.ttl_expired", s.ttl_expired},
+      {"serve.cache.hits", cache.hits},
+      {"serve.cache.misses", cache.misses},
+      {"serve.cache.evictions", cache.evictions},
+      {"serve.cache.insertions", cache.insertions},
+  };
+  collected.gauges = {
+      {"serve.cache.entries", static_cast<double>(cache_.size())}};
+  return collected;
 }
 
 }  // namespace fairjob

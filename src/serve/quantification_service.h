@@ -13,6 +13,7 @@
 
 #include "common/clock.h"
 #include "common/lru_cache.h"
+#include "common/metrics.h"
 #include "common/status.h"
 #include "core/quantification.h"
 #include "serve/cache_key.h"
@@ -89,21 +90,23 @@ class QuantificationService {
     std::function<void()> compute_started_hook;
   };
 
-  // Exact request-path counts, maintained independently of the metrics
-  // registry (relaxed atomics; snapshot after quiescing for exact totals).
+  // Exact request-path counts (relaxed atomics; snapshot after quiescing for
+  // exact totals), the only record of these events: the metrics registry
+  // reads them and cache_stats() when it exports, metrics enabled or not.
   //
   // Admission accounting is exact (every request, always — with the cache
   // disabled every admitted request is a miss):
   //   admitted + shed_deadline + rejected_queue + rejected_followers
   //     == requests
-  //   cache_hits + cache_misses == admitted
-  //   computations + coalesced  == cache_misses
+  //   cache_hits + cache_misses == admitted      (admitted is this sum)
+  //   computations + coalesced  == cache_misses  (cache_misses is this sum)
   // With admission off (max_inflight == 0) every request is admitted, so
   // the pre-hardening identities hold unchanged.
   struct Stats {
     // Requests that entered the request path: every Answer call plus each
     // distinct key of an AnswerBatch (its representative).
     uint64_t requests = 0;
+    uint64_t batch_calls = 0;     // AnswerBatch invocations
     uint64_t batch_requests = 0;  // AnswerBatch representatives (in requests)
     // AnswerBatch requests answered by an earlier in-batch duplicate; they
     // never reach the request path, so they sit outside every identity
@@ -246,6 +249,11 @@ class QuantificationService {
   Status AcquirePermit(int64_t deadline_abs_micros, bool* waited);
   void ReleasePermit();
 
+  // The serve.* and serve.cache.* values the metrics registry exports. It
+  // runs under the registry lock, so it must not take admission_mutex_:
+  // AcquirePermit creates registry metrics while holding it.
+  CollectedMetrics CollectMetrics() const;
+
   Options options_;
   const Clock* clock_;  // never null: options_.clock or Clock::Real()
 
@@ -268,14 +276,13 @@ class QuantificationService {
   size_t queued_ = 0;
 
   std::atomic<uint64_t> requests_{0};
+  std::atomic<uint64_t> batch_calls_{0};
   std::atomic<uint64_t> batch_requests_{0};
   std::atomic<uint64_t> batch_deduped_{0};
-  std::atomic<uint64_t> admitted_{0};
   std::atomic<uint64_t> rejected_queue_{0};
   std::atomic<uint64_t> rejected_followers_{0};
   std::atomic<uint64_t> shed_deadline_{0};
   std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> cache_misses_{0};
   std::atomic<uint64_t> stale_hits_{0};
   std::atomic<uint64_t> stale_refreshes_{0};
   std::atomic<uint64_t> ttl_expired_{0};
@@ -283,6 +290,10 @@ class QuantificationService {
   std::atomic<uint64_t> coalesced_{0};
   std::atomic<uint64_t> errors_{0};
   std::atomic<uint64_t> snapshot_flips_{0};
+
+  // Last member, so it is destroyed first: the final collection that
+  // retires this service's counts runs while everything it reads lives.
+  MetricsRegistry::CollectorHandle metrics_collector_;
 };
 
 }  // namespace fairjob

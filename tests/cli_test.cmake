@@ -52,6 +52,25 @@ run_case(unknown_flag_other_command 1 "unknown flag '--bogus'" topk --bogus 1)
 run_case(serve_bench_smoke 0 "hot/cold speedup:"
          serve-bench --requests 80 --keyspace 8 --workers 40 --cities 2)
 
+# --metrics_json exports the serve counts after serve-bench's services are
+# gone, so this checks that destroyed services' counts are retired, not lost.
+set(metrics_json "${CMAKE_CURRENT_BINARY_DIR}/cli_serve_bench_metrics.json")
+file(REMOVE "${metrics_json}")
+run_case(serve_bench_metrics_json 0 "hot/cold speedup:"
+         serve-bench --requests 80 --keyspace 8 --workers 40 --cities 2
+         --metrics_json "${metrics_json}")
+set(metrics_text "")
+if(EXISTS "${metrics_json}")
+  file(READ "${metrics_json}" metrics_text)
+endif()
+foreach(counter serve.requests serve.cache.hits)
+  if(NOT metrics_text MATCHES "\"${counter}\": [1-9]")
+    message(WARNING "serve_bench_metrics_json: ${counter} is not positive in "
+                    "'${metrics_json}':\n${metrics_text}")
+    math(EXPR failures "${failures} + 1")
+  endif()
+endforeach()
+
 if(failures GREATER 0)
   message(FATAL_ERROR "${failures} CLI case(s) failed")
 endif()

@@ -28,6 +28,7 @@
 #include "market/scale_gen.h"
 #include "serve/incremental.h"
 #include "serve/quantification_service.h"
+#include "support/serve_accounting.h"
 
 namespace fairjob {
 namespace {
@@ -101,14 +102,6 @@ struct Gate {
     cv.wait(lock, [&] { return open; });
   }
 };
-
-void ExpectExactAccounting(const QuantificationService::Stats& stats) {
-  EXPECT_EQ(stats.admitted + stats.shed_deadline + stats.rejected_queue +
-                stats.rejected_followers,
-            stats.requests);
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.admitted);
-  EXPECT_EQ(stats.computations + stats.coalesced, stats.cache_misses);
-}
 
 // --- Admission control -------------------------------------------------------
 
@@ -382,6 +375,7 @@ TEST(AdmissionTest, OverloadMixtureKeepsAccountingExactAndAnswersUntorn) {
   options.compute_started_hook = [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   };
+  MetricsRegistry::Global().Reset();
   QuantificationService service(CubeSnapshot::Make(*cube),
                                 options);
 
@@ -413,6 +407,7 @@ TEST(AdmissionTest, OverloadMixtureKeepsAccountingExactAndAnswersUntorn) {
   EXPECT_EQ(stats.errors, 0u);
   EXPECT_GE(stats.admitted, 1u);
   ExpectExactAccounting(stats);
+  ExpectExportMatches({CountsOf(service)});
 }
 
 // --- Cache TTL + stale-while-revalidate --------------------------------------
@@ -427,6 +422,7 @@ TEST(CacheFreshnessTest, TtlExpiryForcesRecomputeAndRefreshesEntry) {
   QuantificationService::Options options;
   options.cache_ttl_micros = 1000;
   options.clock = &clock;
+  MetricsRegistry::Global().Reset();
   QuantificationService service(CubeSnapshot::Make(*cube),
                                 options);
 
@@ -450,6 +446,7 @@ TEST(CacheFreshnessTest, TtlExpiryForcesRecomputeAndRefreshesEntry) {
   expect_answer();  // re-inserted at t=1001: hits again
   EXPECT_EQ(service.stats().computations, 2u);
   ExpectExactAccounting(service.stats());
+  ExpectExportMatches({CountsOf(service)});
 }
 
 // Marketplace fixture for staleness: C = queries × locations columns, one
@@ -556,6 +553,7 @@ TEST(CacheFreshnessTest, StaleServedAtMostBudgetTimesThenRefreshedBitwise) {
 
   QuantificationService::Options options;
   options.stale_budget = kStaleBudget;
+  MetricsRegistry::Global().Reset();
   QuantificationService service(fx.maintainer->snapshot(), options);
 
   // Warm pass: one computation per column; capture the pre-upsert oracle.
@@ -613,6 +611,7 @@ TEST(CacheFreshnessTest, StaleServedAtMostBudgetTimesThenRefreshedBitwise) {
   EXPECT_EQ(stats.computations, SwrFixture::kColumns + kTouched);
   EXPECT_EQ(stats.errors, 0u);
   ExpectExactAccounting(stats);
+  ExpectExportMatches({CountsOf(service)});
 }
 
 TEST(CacheFreshnessTest, StaleBudgetZeroKeepsStrictFreshness) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "support/metrics_json.h"
 
 namespace fairjob {
 namespace {
@@ -167,6 +168,128 @@ TEST(RegistryTest, ToJsonIsSortedAndContainsAllMetricKinds) {
   EXPECT_NE(json.find("\"h.latency_us\""), std::string::npos);
   // Sorted: "a.count" printed before "z.count".
   EXPECT_LT(json.find("\"a.count\""), json.find("\"z.count\""));
+}
+
+// A collector reporting `*count` as counter "c" (and "shared"), and
+// `*level` as gauge "g".
+MetricsRegistry::CollectorHandle AddCounting(MetricsRegistry& registry,
+                                             const std::atomic<uint64_t>* count,
+                                             const std::atomic<double>* level) {
+  return registry.AddCollector([count, level] {
+    CollectedMetrics collected;
+    collected.counters = {{"c", count->load()}, {"shared", count->load()}};
+    collected.gauges = {{"g", level->load()}};
+    return collected;
+  });
+}
+
+TEST(RegistryTest, CollectedCountersSumByNameWithRegisteredOnes) {
+  MetricsRegistry registry;  // disabled: collected values are read anyway
+  std::atomic<uint64_t> a{3}, b{4};
+  std::atomic<double> level_a{1.5}, level_b{2.0};
+  MetricsRegistry::CollectorHandle ha = AddCounting(registry, &a, &level_a);
+  MetricsRegistry::CollectorHandle hb = AddCounting(registry, &b, &level_b);
+  registry.SetEnabled(true);
+  registry.counter("shared")->Add(10);
+  registry.SetEnabled(false);
+  std::string json = registry.ToJson();
+  EXPECT_EQ(ExportedValue(json, "c"), 7.0);
+  EXPECT_EQ(ExportedValue(json, "shared"), 17.0);
+  EXPECT_EQ(ExportedValue(json, "g"), 3.5);
+  a = 5;  // read at export, not at registration
+  EXPECT_EQ(ExportedValue(registry.ToJson(), "c"), 9.0);
+}
+
+TEST(RegistryTest, DroppedCollectorRetiresItsCountersButNotItsGauges) {
+  MetricsRegistry registry;
+  std::atomic<uint64_t> a{3}, b{4};
+  std::atomic<double> level_a{1.5}, level_b{2.0};
+  MetricsRegistry::CollectorHandle hb = AddCounting(registry, &b, &level_b);
+  {
+    MetricsRegistry::CollectorHandle ha = AddCounting(registry, &a, &level_a);
+    a = 6;  // the retiring collection reads the final value
+  }
+  std::string json = registry.ToJson();
+  EXPECT_EQ(ExportedValue(json, "c"), 10.0);
+  EXPECT_EQ(ExportedValue(json, "g"), 2.0);
+
+  hb = MetricsRegistry::CollectorHandle();  // assigning over retires too
+  b = 100;                                  // no longer read
+  json = registry.ToJson();
+  EXPECT_EQ(ExportedValue(json, "c"), 10.0);
+  EXPECT_EQ(ExportedValue(json, "g"), 0.0);  // named, but no live instance
+}
+
+TEST(RegistryTest, ResetBaselinesLiveCollectorsAndClearsRetiredTotals) {
+  MetricsRegistry registry;
+  std::atomic<uint64_t> live{3}, gone{4};
+  std::atomic<double> level_live{1.5}, level_gone{2.0};
+  MetricsRegistry::CollectorHandle h =
+      AddCounting(registry, &live, &level_live);
+  {
+    MetricsRegistry::CollectorHandle retired =
+        AddCounting(registry, &gone, &level_gone);
+  }
+  EXPECT_EQ(ExportedValue(registry.ToJson(), "c"), 7.0);
+
+  registry.Reset();
+  std::string json = registry.ToJson();
+  EXPECT_EQ(ExportedValue(json, "c"), 0.0);
+  EXPECT_EQ(ExportedValue(json, "g"), 1.5);  // gauges are not baselined
+  live = 5;
+  EXPECT_EQ(ExportedValue(registry.ToJson(), "c"), 2.0);
+
+  // Retiring after a Reset keeps only what was counted since it.
+  h = MetricsRegistry::CollectorHandle();
+  json = registry.ToJson();
+  EXPECT_EQ(ExportedValue(json, "c"), 2.0);
+  EXPECT_EQ(ExportedValue(json, "g"), 0.0);
+
+  // A collector added after the Reset counts from its own start.
+  std::atomic<uint64_t> late{9};
+  MetricsRegistry::CollectorHandle h2 =
+      AddCounting(registry, &late, &level_live);
+  EXPECT_EQ(ExportedValue(registry.ToJson(), "c"), 11.0);
+}
+
+TEST(RegistryTest, CollectorsComeAndGoWhileExportsAndResetsRun) {
+  MetricsRegistry registry;
+  std::atomic<bool> done{false};
+  std::atomic<double> level{1.0};
+  std::thread exporter([&] {
+    size_t rounds = 0;
+    while (!done.load() || rounds < 10) {
+      std::string json = registry.ToJson();
+      EXPECT_NE(json.find("\"counters\""), std::string::npos);
+      if (++rounds % 4 == 0) registry.Reset();
+    }
+  });
+  constexpr size_t kThreads = 4;
+  constexpr size_t kCollectors = 200;
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      std::atomic<uint64_t> count{0};
+      for (size_t i = 0; i < kCollectors; ++i) {
+        MetricsRegistry::CollectorHandle h =
+            AddCounting(registry, &count, &level);
+        count.fetch_add(1);
+        if (i % 2 == 0) {
+          MetricsRegistry::CollectorHandle kept = std::move(h);
+          count.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  done = true;
+  exporter.join();
+
+  // Every collector is gone; one more Reset leaves nothing counted.
+  registry.Reset();
+  std::string json = registry.ToJson();
+  EXPECT_EQ(ExportedValue(json, "c"), 0.0);
+  EXPECT_EQ(ExportedValue(json, "g"), 0.0);
 }
 
 TEST(RegistryTest, GlobalIsASingleton) {

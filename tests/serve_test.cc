@@ -17,6 +17,7 @@
 #include "core/quantification.h"
 #include "serve/cache_key.h"
 #include "serve/cube_snapshot.h"
+#include "support/serve_accounting.h"
 
 namespace fairjob {
 namespace {
@@ -121,6 +122,7 @@ TEST_F(ServeDifferentialTest, CacheOffMatchesDirectForAllAlgorithms) {
 }
 
 TEST_F(ServeDifferentialTest, CachedMissAndHitMatchDirect) {
+  MetricsRegistry::Global().Reset();
   QuantificationService service(CubeSnapshot::Make(*cube_));
   for (size_t i = 0; i < requests_.size(); ++i) {
     Result<QuantificationResult> direct =
@@ -136,6 +138,8 @@ TEST_F(ServeDifferentialTest, CachedMissAndHitMatchDirect) {
   QuantificationService::Stats stats = service.stats();
   EXPECT_GE(stats.cache_hits, requests_.size() / 2);  // every repeat hit
   EXPECT_LT(stats.computations, stats.requests);
+  ExpectExactAccounting(stats);
+  ExpectExportMatches({CountsOf(service)});
 }
 
 TEST_F(ServeDifferentialTest, BatchedMatchesDirectIncludingDuplicates) {
@@ -546,9 +550,11 @@ TEST(RequestCacheKeyTest, EpochDigestMatchesReadSetOracle) {
 }
 
 // In-batch duplicates never reach the request path; Stats still accounts
-// for every submitted request, whether or not the metrics registry is on.
+// for every submitted request, and the registry exports those counts,
+// whether or not the metrics registry is on.
 TEST(AnswerBatchAccountingTest, DedupedRequestsAreCountedWithMetricsOff) {
   ASSERT_FALSE(MetricsRegistry::Global().enabled());
+  MetricsRegistry::Global().Reset();
   QuantificationService service(CubeSnapshot::Make(*MakeCube(/*seed=*/13)));
   QuantificationRequest a;
   a.missing = MissingCellPolicy::kZero;
@@ -573,6 +579,55 @@ TEST(AnswerBatchAccountingTest, DedupedRequestsAreCountedWithMetricsOff) {
   EXPECT_EQ(stats.batch_requests + stats.batch_deduped, batch.size());
   EXPECT_EQ(stats.requests, 4u);
   EXPECT_EQ(stats.computations, 4u);
+  ExpectExactAccounting(stats, /*batch_submitted=*/batch.size(),
+                        /*batch_calls=*/1);
+  ExpectExportMatches({CountsOf(service)});
+}
+
+// Live services' counts sum in the export; a destroyed service's counts are
+// retired and still exported; Reset() zeroes both, and later events count
+// from there.
+TEST(ServeExportTest, LiveServicesSumRetiredStayAndResetZeroes) {
+  MetricsRegistry::Global().Reset();
+  std::shared_ptr<const CubeSnapshot> snapshot =
+      CubeSnapshot::Make(*MakeCube(/*seed=*/17));
+  QuantificationRequest a;
+  a.missing = MissingCellPolicy::kZero;
+  QuantificationRequest b = a;
+  b.target = Dimension::kQuery;
+
+  QuantificationService first(snapshot);
+  ServeCounts retired;
+  {
+    QuantificationService::Options small;
+    small.cache_capacity = 1;  // each newly cached key evicts the last
+    QuantificationService second(snapshot, small);
+    for (const QuantificationRequest& request : {a, b, a, a}) {
+      ASSERT_TRUE(first.Answer(request).ok());
+      ASSERT_TRUE(second.Answer(request).ok());
+    }
+    ASSERT_EQ(second.AnswerBatch({a, b, b}).size(), 3u);
+    second.SetSnapshot(snapshot);
+    ExpectExactAccounting(first.stats());
+    ExpectExactAccounting(second.stats(), /*batch_submitted=*/3,
+                          /*batch_calls=*/1);
+    EXPECT_GE(second.cache_stats().evictions, 2u);
+    ExpectExportMatches({CountsOf(first), CountsOf(second)});
+    retired = CountsOf(second);
+  }
+  ExpectExportMatches({CountsOf(first)}, {retired});
+
+  MetricsRegistry::Global().Reset();
+  std::string json = MetricsRegistry::Global().ToJson();
+  for (const auto& [name, value] : ExpectedServeCounters(ServeCounts{})) {
+    EXPECT_EQ(ExportedValue(json, name), 0.0) << name;
+  }
+  EXPECT_EQ(ExportedValue(json, "serve.cache.entries"), 2.0);  // not reset
+  ASSERT_TRUE(first.Answer(b).ok());
+  json = MetricsRegistry::Global().ToJson();
+  EXPECT_EQ(ExportedValue(json, "serve.requests"), 1.0);
+  EXPECT_EQ(ExportedValue(json, "serve.cache.hits"), 1.0);
+  EXPECT_EQ(ExportedValue(json, "serve.cache.entries"), 2.0);
 }
 
 TEST(FingerprintCubeTest, SensitiveToValuesPresenceAndShape) {
