@@ -6,7 +6,7 @@
 //      only a subset of queries;
 //   3. refreshes exactly those cube columns and inverted lists
 //      (BuildMarketplaceCubeColumns into a CubeMaterializeSink +
-//      IndexSet::RefreshColumn);
+//      IndexSet::RefreshColumns);
 //   4. reports how the top-group ranking moved between epochs, with a
 //      bootstrap CI to separate drift from resampling noise.
 //
@@ -124,9 +124,7 @@ int main() {
            .ok()) {
     return 1;
   }
-  for (const CubeColumnRef& column : refreshed) {
-    indices.RefreshColumn(cube, column.query_pos, column.location_pos);
-  }
+  indices.RefreshColumns(cube, refreshed);
   std::printf("\nepoch 1: re-crawled %zu queries in %s, refreshed %zu cube "
               "columns incrementally\n",
               refreshed.size(), city.c_str(), refreshed.size());

@@ -35,19 +35,19 @@ namespace fagin_internal {
 // selected count still fixes kZero denominators, FA's completeness test,
 // NRA's width limit and the random-access counters.
 struct ListSet {
-  std::vector<const InvertedIndex*> lists;  // non-empty, selection order
+  std::vector<InvertedList> lists;  // non-empty, selection order
   size_t selected = 0;
   size_t entries = 0;  // total entries over `lists`
 };
 
-// Drops the empty lists of a selection whose lists are all non-null.
-inline ListSet GatherNonEmpty(std::vector<const InvertedIndex*> lists) {
+// Drops the empty lists of a selection.
+inline ListSet GatherNonEmpty(std::vector<InvertedList> lists) {
   ListSet set;
   set.selected = lists.size();
   size_t kept = 0;
-  for (const InvertedIndex* list : lists) {
-    if (list->empty()) continue;
-    set.entries += list->size();
+  for (const InvertedList& list : lists) {
+    if (list.empty()) continue;
+    set.entries += list.size();
     lists[kept++] = list;
   }
   lists.resize(kept);
@@ -94,14 +94,14 @@ inline double ThresholdBound(const ListSet& set,
                              const std::vector<size_t>& cursors,
                              const TopKOptions& opt) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const std::vector<const InvertedIndex*>& lists = set.lists;
+  const std::vector<InvertedList>& lists = set.lists;
   bool most = opt.direction == RankDirection::kMostUnfair;
   if (opt.missing == MissingCellPolicy::kSkip) {
     double bound = most ? -kInf : kInf;
     for (size_t i = 0; i < lists.size(); ++i) {
-      if (cursors[i] >= lists[i]->size()) continue;  // exhausted: no unseen ids
-      size_t next = most ? cursors[i] : lists[i]->size() - 1 - cursors[i];
-      double frontier = lists[i]->entry(next).value;
+      if (cursors[i] >= lists[i].size()) continue;  // exhausted: no unseen ids
+      size_t next = most ? cursors[i] : lists[i].size() - 1 - cursors[i];
+      double frontier = lists[i].entry(next).value;
       bound = most ? std::max(bound, frontier) : std::min(bound, frontier);
     }
     return bound;
@@ -110,9 +110,9 @@ inline double ThresholdBound(const ListSet& set,
   // cell (and so an empty list) contributes exactly 0.
   double sum = 0.0;
   for (size_t i = 0; i < lists.size(); ++i) {
-    if (cursors[i] >= lists[i]->size()) continue;  // per-list bound is 0
-    size_t next = most ? cursors[i] : lists[i]->size() - 1 - cursors[i];
-    double frontier = lists[i]->entry(next).value;
+    if (cursors[i] >= lists[i].size()) continue;  // per-list bound is 0
+    size_t next = most ? cursors[i] : lists[i].size() - 1 - cursors[i];
+    double frontier = lists[i].entry(next).value;
     sum += most ? std::max(frontier, 0.0) : std::min(frontier, 0.0);
   }
   return sum / static_cast<double>(set.selected);
@@ -122,8 +122,8 @@ inline double ThresholdBound(const ListSet& set,
 // [0, universe). An understated hint is corrected from the lists.
 inline size_t UniverseOf(const ListSet& set, size_t hint) {
   size_t universe = hint;
-  for (const InvertedIndex* list : set.lists) {
-    universe = std::max(universe, list->dense_size());
+  for (const InvertedList& list : set.lists) {
+    universe = std::max(universe, list.dense_size());
   }
   return universe;
 }
@@ -169,7 +169,7 @@ struct PositionSum {
 
 // The one source of candidate aggregates: TA's and FA's random accesses,
 // NRA's exact-value epilogue and the scan. A candidate is first answered by
-// random access, one InvertedIndex::Find (a rank-bitmap lookup) per
+// random access, one InvertedList::Find (a rank-bitmap lookup) per
 // non-empty list. Once those lookups would exceed the entry count of the
 // lists, the scorer instead fills a per-position (sum, present-count) table
 // in one pass over every entry and answers each later candidate from it.
@@ -221,8 +221,8 @@ class CandidateScorer {
       return s;
     }
     budget_ -= width;
-    for (const InvertedIndex* list : set_.lists) {
-      std::optional<double> v = list->Find(pos);
+    for (const InvertedList& list : set_.lists) {
+      std::optional<double> v = list.Find(pos);
       if (v.has_value()) {
         s.sum += *v;
         ++s.present;
@@ -238,9 +238,9 @@ class CandidateScorer {
     budget_ = 0;
     sums_.assign(universe_, 0.0);
     counts_.assign(universe_, 0);
-    for (const InvertedIndex* list : set_.lists) {
-      for (size_t i = 0; i < list->size(); ++i) {
-        const ScoredEntry& e = list->entry(i);
+    for (const InvertedList& list : set_.lists) {
+      for (size_t i = 0; i < list.size(); ++i) {
+        const ScoredEntry& e = list.entry(i);
         sums_[static_cast<size_t>(e.pos)] += e.value;
         ++counts_[static_cast<size_t>(e.pos)];
       }

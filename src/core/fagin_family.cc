@@ -18,6 +18,10 @@ Status ValidateLists(const std::vector<const InvertedIndex*>& lists, size_t k) {
     if (list == nullptr) {
       return Status::InvalidArgument("null inverted list");
     }
+    if (!list->valid()) {
+      return Status::InvalidArgument(
+          "inverted list was given a negative position");
+    }
   }
   return Status::OK();
 }
@@ -47,8 +51,11 @@ Result<std::vector<ScoredEntry>> RunTopK(
   lane.algorithm = algorithm;
   lane.options = options;
   if (stats != nullptr) lane.stats = *stats;
-  fagin_internal::RunLaneGroup(fagin_internal::GatherNonEmpty(lists), &lanes,
-                               /*alone=*/true);
+  std::vector<InvertedList> views;
+  views.reserve(lists.size());
+  for (const InvertedIndex* list : lists) views.push_back(*list);
+  fagin_internal::RunLaneGroup(fagin_internal::GatherNonEmpty(std::move(views)),
+                               &lanes, /*alone=*/true);
   if (stats != nullptr) *stats = lane.stats;
   if (!lane.status.ok()) return lane.status;
   return std::move(lane.entries);

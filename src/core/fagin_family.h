@@ -51,7 +51,8 @@ const char* TopKAlgorithmName(TopKAlgorithm algorithm);
 // returned. `stats`, when given, accumulates the run's access counts.
 //
 // Errors: InvalidArgument when k == 0, `lists` is empty or holds a null
-// list, plus the NRA restrictions above.
+// or invalid() list (one given a negative position), plus the NRA
+// restrictions above.
 //
 // The call gathers the non-empty lists and runs the request as a lane group
 // of one through the batch engine's lane runners

@@ -109,8 +109,8 @@ void RunScanLanes(const ListSet& set, size_t universe,
                   const std::vector<Lane*>& lanes, CandidateScorer* scorer) {
   scorer->Fill();
   size_t longest = 0;
-  for (const InvertedIndex* list : set.lists) {
-    longest = std::max(longest, list->size());
+  for (const InvertedList& list : set.lists) {
+    longest = std::max(longest, list.size());
   }
 
   // Present positions as a word bitmap: each lane's emit sweep intersects
@@ -183,7 +183,7 @@ void RunScanLanes(const ListSet& set, size_t universe,
 // policy within a round.
 void RunTaLanes(const ListSet& set, size_t universe, RankDirection direction,
                 const std::vector<Lane*>& lanes, CandidateScorer* scorer) {
-  const std::vector<const InvertedIndex*>& lists = set.lists;
+  const std::vector<InvertedList>& lists = set.lists;
   const bool most = direction == RankDirection::kMostUnfair;
   auto worse_on_top = [direction](const ScoredEntry& a, const ScoredEntry& b) {
     return Better(a.value, b.value, direction);
@@ -196,9 +196,9 @@ void RunTaLanes(const ListSet& set, size_t universe, RankDirection direction,
   while (!active.empty()) {
     size_t reads = 0;
     for (size_t i = 0; i < lists.size(); ++i) {
-      if (cursors[i] >= lists[i]->size()) continue;
-      const size_t at = most ? cursors[i] : lists[i]->size() - 1 - cursors[i];
-      const ScoredEntry& e = lists[i]->entry(at);
+      if (cursors[i] >= lists[i].size()) continue;
+      const size_t at = most ? cursors[i] : lists[i].size() - 1 - cursors[i];
+      const ScoredEntry& e = lists[i].entry(at);
       ++cursors[i];
       ++reads;
       if (seen[static_cast<size_t>(e.pos)] != 0) continue;
@@ -266,7 +266,7 @@ void RunTaLanes(const ListSet& set, size_t universe, RankDirection direction,
 // order against the group CandidateScorer.
 void RunFaLanes(const ListSet& set, size_t universe, RankDirection direction,
                 const std::vector<Lane*>& lanes, CandidateScorer* scorer) {
-  const std::vector<const InvertedIndex*>& lists = set.lists;
+  const std::vector<InvertedList>& lists = set.lists;
   struct FaState {
     Lane* lane;
     size_t complete_ids = 0;
@@ -289,9 +289,9 @@ void RunFaLanes(const ListSet& set, size_t universe, RankDirection direction,
     ++round;
     size_t reads = 0;
     for (size_t i = 0; i < lists.size(); ++i) {
-      if (cursors[i] >= lists[i]->size()) continue;
-      const size_t at = most ? cursors[i] : lists[i]->size() - 1 - cursors[i];
-      const ScoredEntry& e = lists[i]->entry(at);
+      if (cursors[i] >= lists[i].size()) continue;
+      const size_t at = most ? cursors[i] : lists[i].size() - 1 - cursors[i];
+      const ScoredEntry& e = lists[i].entry(at);
       ++cursors[i];
       ++reads;
       const size_t p = static_cast<size_t>(e.pos);
@@ -364,7 +364,7 @@ void RunNraLanes(const ListSet& set, size_t universe,
     bool top_built = false;
     bool active = true;
   };
-  const std::vector<const InvertedIndex*>& lists = set.lists;
+  const std::vector<InvertedList>& lists = set.lists;
   const size_t num_lists = lists.size();
   const double denom = static_cast<double>(set.selected);
 
@@ -374,8 +374,8 @@ void RunNraLanes(const ListSet& set, size_t universe,
     return a.second < b.second;
   };
   bool monotone = true;
-  for (const InvertedIndex* list : lists) {
-    if (!list->empty() && list->entry(list->size() - 1).value < 0.0) {
+  for (const InvertedList& list : lists) {
+    if (!list.empty() && list.entry(list.size() - 1).value < 0.0) {
       monotone = false;
       break;
     }
@@ -402,8 +402,8 @@ void RunNraLanes(const ListSet& set, size_t universe,
   while (active > 0) {
     reads.clear();
     for (size_t i = 0; i < num_lists; ++i) {
-      if (cursors[i] >= lists[i]->size()) continue;
-      reads.emplace_back(i, &lists[i]->entry(cursors[i]));
+      if (cursors[i] >= lists[i].size()) continue;
+      reads.emplace_back(i, &lists[i].entry(cursors[i]));
       ++cursors[i];
     }
     if (reads.empty()) break;  // exhausted: epilogue below
@@ -435,9 +435,9 @@ void RunNraLanes(const ListSet& set, size_t universe,
         // evaluation per round serves every lane that checks.
         frontier_sum = 0.0;
         for (size_t i = 0; i < num_lists; ++i) {
-          frontiers[i] = cursors[i] >= lists[i]->size()
+          frontiers[i] = cursors[i] >= lists[i].size()
                              ? 0.0
-                             : std::max(lists[i]->entry(cursors[i]).value, 0.0);
+                             : std::max(lists[i].entry(cursors[i]).value, 0.0);
           frontier_sum += frontiers[i];
         }
         frontiers_valid = true;

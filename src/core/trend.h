@@ -14,7 +14,7 @@ namespace fairjob {
 // unfairness across audit epochs (re-crawls), with drift and rank-crossing
 // detection between consecutive epochs. Complements the incremental
 // refresh path (BuildMarketplaceCubeColumns into a CubeMaterializeSink, then
-// IndexSet::RefreshColumn).
+// IndexSet::RefreshColumns).
 class TrendTracker {
  public:
   // Tracks the `dim` axis; positions refer to that axis of the recorded

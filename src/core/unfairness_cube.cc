@@ -99,7 +99,7 @@ UnfairnessCube::ColumnStore::ColumnStore(size_t num_groups,
     : words_((num_groups + 63) / 64),
       block_words_(words_ + num_groups),
       slot_of_(num_columns, kNoSlot),
-      alloc_mutex_(std::make_unique<std::mutex>()) {
+      ownership_(std::make_unique<Ownership>()) {
   // Chunks of about 64 KiB: a power-of-two slot count, so a slot id splits
   // into chunk and offset by shift and mask, and no more slots than the
   // cube has columns.
@@ -108,6 +108,7 @@ UnfairnessCube::ColumnStore::ColumnStore(size_t num_groups,
   slots_per_chunk = std::min(slots_per_chunk, std::bit_ceil(num_columns));
   chunk_shift_ = static_cast<size_t>(std::countr_zero(slots_per_chunk));
   chunks_.resize((num_columns + slots_per_chunk - 1) / slots_per_chunk);
+  owned_at_.assign(chunks_.size(), 0);
 }
 
 UnfairnessCube::ColumnStore::ColumnStore(const ColumnStore& other)
@@ -116,13 +117,12 @@ UnfairnessCube::ColumnStore::ColumnStore(const ColumnStore& other)
       chunk_shift_(other.chunk_shift_),
       num_slots_(other.num_slots_),
       slot_of_(other.slot_of_),
-      chunks_(other.chunks_.size()),
-      alloc_mutex_(std::make_unique<std::mutex>()) {
-  size_t chunk_words = block_words_ << chunk_shift_;
-  for (size_t c = 0; c < chunks_.size(); ++c) {
-    if (other.chunks_[c] == nullptr) continue;
-    chunks_[c] = std::make_unique_for_overwrite<uint64_t[]>(chunk_words);
-    std::copy_n(other.chunks_[c].get(), chunk_words, chunks_[c].get());
+      chunks_(other.chunks_),
+      owned_at_(other.owned_at_.size(), 0),
+      ownership_(std::make_unique<Ownership>()) {
+  // Every chunk is now shared: neither store may write one in place.
+  if (other.ownership_ != nullptr) {
+    other.ownership_->generation.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -132,18 +132,33 @@ UnfairnessCube::ColumnStore& UnfairnessCube::ColumnStore::operator=(
   return *this;
 }
 
-uint64_t* UnfairnessCube::ColumnStore::BlockOrAllocate(size_t column) {
-  // Only the caller writes this column's table entry, so reading it
-  // without the lock is safe; the lock orders slot and chunk allocation.
-  if (uint64_t* block = Block(column)) return block;
-  std::lock_guard<std::mutex> lock(*alloc_mutex_);
-  uint32_t slot = static_cast<uint32_t>(num_slots_++);
-  std::unique_ptr<uint64_t[]>& chunk = chunks_[slot >> chunk_shift_];
-  if (chunk == nullptr) {
-    chunk = std::make_unique<uint64_t[]>(block_words_ << chunk_shift_);
+uint64_t* UnfairnessCube::ColumnStore::MutableBlock(size_t column) {
+  uint32_t slot = slot_of_[column];
+  if (slot == kNoSlot) {
+    slot = static_cast<uint32_t>(num_slots_++);
+    slot_of_[column] = slot;
   }
-  slot_of_[column] = slot;
+  const size_t c = slot >> chunk_shift_;
+  const uint64_t generation =
+      ownership_->generation.load(std::memory_order_relaxed);
+  if (owned_at_[c] != generation) {
+    const size_t chunk_words = block_words_ << chunk_shift_;
+    std::shared_ptr<uint64_t[]> own;
+    if (chunks_[c] == nullptr) {
+      own = std::make_shared<uint64_t[]>(chunk_words);
+    } else {
+      own = std::make_shared_for_overwrite<uint64_t[]>(chunk_words);
+      std::copy_n(chunks_[c].get(), chunk_words, own.get());
+    }
+    chunks_[c] = std::move(own);
+    owned_at_[c] = generation;
+  }
   return BlockAt(slot);
+}
+
+uint64_t* UnfairnessCube::ColumnStore::LockedMutableBlock(size_t column) {
+  std::lock_guard<std::mutex> lock(ownership_->mutex);
+  return MutableBlock(column);
 }
 
 size_t UnfairnessCube::ColumnStore::num_present() const {
@@ -172,13 +187,14 @@ void UnfairnessCube::SetColumn(size_t q, size_t l,
                                size_t n) {
   assert(n == ids_[0].size());
   size_t column = ColumnOffset(q, l);
-  uint64_t* block = store_.Block(column);
-  if (block == nullptr) {
+  // Only this call writes the column's table entry, so reading it without
+  // the store's mutex is safe.
+  if (!store_.HasSlot(column)) {
     bool any = false;
     for (size_t g = 0; g < n && !any; ++g) any = values[g].has_value();
     if (!any) return;
-    block = store_.BlockOrAllocate(column);
   }
+  uint64_t* block = store_.LockedMutableBlock(column);
   size_t words = store_.words();
   std::fill_n(block, words, uint64_t{0});
   for (size_t g = 0; g < n; ++g) {

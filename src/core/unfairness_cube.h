@@ -1,6 +1,7 @@
 #ifndef FAIRJOB_CORE_UNFAIRNESS_CUBE_H_
 #define FAIRJOB_CORE_UNFAIRNESS_CUBE_H_
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -43,9 +44,15 @@ struct AxisSelector {
 // slot" for a column that never held a value. A slot is one block of
 // ⌈G/64⌉ presence words followed by G values (absent cells store 0.0), the
 // same block the binary cube file holds (crawl/cube_io.h). Slots live in
-// fixed-size chunks that never move, so a slot's address is stable once
-// allocated. An all-absent column costs one table entry; num_cells() still
-// reports the grid size G·Q·L.
+// chunks of about 64 KiB. An all-absent column costs one table entry;
+// num_cells() still reports the grid size G·Q·L.
+//
+// Copies share chunks: a copy takes the column table and the epochs, and
+// shares every chunk with its source. A chunk is cloned the first time
+// either cube writes into it (including allocating a new slot in a shared,
+// partly filled chunk), so a copy costs O(columns) words however many cells
+// the cube holds, and a cube derived from a published one allocates only
+// the chunks it writes.
 class UnfairnessCube {
  public:
   // Errors: InvalidArgument on an empty axis, duplicate ids within an axis,
@@ -65,13 +72,14 @@ class UnfairnessCube {
   // Single-cell access. Set and Clear are not safe to call concurrently
   // with any other write; use SetColumn for that.
   void Set(size_t g, size_t q, size_t l, double value) {
-    uint64_t* block = store_.BlockOrAllocate(ColumnOffset(q, l));
+    uint64_t* block = store_.MutableBlock(ColumnOffset(q, l));
     block[g >> 6] |= uint64_t{1} << (g & 63);
     block[store_.words() + g] = std::bit_cast<uint64_t>(value);
   }
   void Clear(size_t g, size_t q, size_t l) {
-    uint64_t* block = store_.Block(ColumnOffset(q, l));
-    if (block == nullptr) return;
+    const size_t column = ColumnOffset(q, l);
+    if (!store_.HasSlot(column)) return;
+    uint64_t* block = store_.MutableBlock(column);
     block[g >> 6] &= ~(uint64_t{1} << (g & 63));
     block[store_.words() + g] = 0;
   }
@@ -83,7 +91,7 @@ class UnfairnessCube {
   // cleared. `n` must equal axis_size(kGroup). An all-absent column that
   // has no slot stays without one. The one write that is safe to call
   // concurrently for distinct columns (the parallel builders and column
-  // sinks use it).
+  // sinks use it), also when they share a chunk that a copy shares too.
   void SetColumn(size_t q, size_t l, const std::optional<double>* values,
                  size_t n);
 
@@ -104,6 +112,11 @@ class UnfairnessCube {
       if (!present(g)) return std::nullopt;
       return value(g);
     }
+    // Presence bits of groups [64w, 64w + 64) of a stored column.
+    uint64_t presence_word(size_t w) const { return block_[w]; }
+    // The column's storage (nullptr when not stored). Two cubes that share
+    // the column's chunk return the same address.
+    const uint64_t* data() const { return block_; }
 
    private:
     friend class UnfairnessCube;
@@ -144,8 +157,10 @@ class UnfairnessCube {
   std::optional<double> AxisAverage(Dimension d, size_t pos) const;
 
  private:
-  // The column table and the slot chunks. Copies are deep; slot allocation
-  // is serialized by a mutex, so distinct columns may allocate concurrently.
+  // The column table and the slot chunks. Copies share chunks and clone
+  // one on its first write (see the class comment); slot allocation and
+  // cloning are serialized by a mutex, so distinct columns may be written
+  // concurrently through LockedMutableBlock.
   class ColumnStore {
    public:
     ColumnStore() = default;
@@ -157,20 +172,31 @@ class UnfairnessCube {
 
     // Presence words per block.
     size_t words() const { return words_; }
+    bool HasSlot(size_t column) const { return slot_of_[column] != kNoSlot; }
     // The column's block, or nullptr when it has no slot.
     const uint64_t* Block(size_t column) const {
       uint32_t slot = slot_of_[column];
       return slot == kNoSlot ? nullptr : BlockAt(slot);
     }
-    uint64_t* Block(size_t column) {
-      return const_cast<uint64_t*>(std::as_const(*this).Block(column));
-    }
-    // The column's block, allocating a zeroed slot when it has none.
-    uint64_t* BlockOrAllocate(size_t column);
+    // The column's block for writing: gives the column a zeroed slot when
+    // it has none, and first clones the block's chunk when it is shared.
+    // Not safe concurrently with any other write.
+    uint64_t* MutableBlock(size_t column);
+    // MutableBlock under the store's mutex: safe concurrently for distinct
+    // columns.
+    uint64_t* LockedMutableBlock(size_t column);
     size_t num_present() const;
 
    private:
     static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+    // Whether this store may write chunk c in place: it allocated or cloned
+    // the chunk, and has not been copied since. A copy bumps the source's
+    // generation, so every chunk the two now share reads as not owned.
+    struct Ownership {
+      std::mutex mutex;
+      std::atomic<uint64_t> generation{1};
+    };
 
     uint64_t* BlockAt(size_t slot) const {
       return chunks_[slot >> chunk_shift_].get() +
@@ -182,10 +208,12 @@ class UnfairnessCube {
     size_t chunk_shift_ = 0;  // log2(slots per chunk)
     size_t num_slots_ = 0;
     std::vector<uint32_t> slot_of_;  // per (q, l) column
-    // Fixed-length directory, sized in the constructor so that allocating
-    // a chunk never moves another chunk's pointer.
-    std::vector<std::unique_ptr<uint64_t[]>> chunks_;
-    std::unique_ptr<std::mutex> alloc_mutex_;
+    // Fixed-length directory, sized in the constructor; a null chunk holds
+    // no slot yet.
+    std::vector<std::shared_ptr<uint64_t[]>> chunks_;
+    // Per chunk: the generation at which this store made it its own.
+    std::vector<uint64_t> owned_at_;
+    std::unique_ptr<Ownership> ownership_;
   };
 
   UnfairnessCube() = default;
@@ -322,7 +350,7 @@ struct CubeColumnRef {
 
 // Delta builds: evaluate ONLY the listed columns over the resolved axes and
 // stream them into `sink`. To patch a cube after its dataset changed, pass
-// a CubeMaterializeSink over it (then IndexSet::RefreshColumn re-syncs the
+// a CubeMaterializeSink over it (then IndexSet::RefreshColumns re-syncs the
 // inverted lists); the maintainers (serve/incremental.h) stream into a
 // sink that also tracks which columns changed. The marketplace variant
 // takes a caller-maintained MarketplaceGroupMembership table, the

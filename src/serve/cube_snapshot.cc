@@ -1,5 +1,6 @@
 #include "serve/cube_snapshot.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "serve/cache_key.h"
@@ -30,43 +31,70 @@ uint64_t ColumnMix(size_t column, uint64_t epoch) {
 
 }  // namespace
 
-CubeSnapshot::CubeSnapshot(UnfairnessCube cube, IndexSet indices,
-                           uint64_t lineage, uint64_t version)
-    : cube_(std::move(cube)),
-      indices_(std::move(indices)),
-      lineage_(lineage),
-      version_(version) {
-  const size_t num_queries = cube_.axis_size(Dimension::kQuery);
-  const size_t num_locations = cube_.axis_size(Dimension::kLocation);
-  query_epoch_sums_.assign(num_queries, 0);
-  location_epoch_sums_.assign(num_locations, 0);
+std::shared_ptr<const CubeSnapshot> CubeSnapshot::Make(UnfairnessCube cube) {
+  IndexSet indices = IndexSet::Build(cube);
+  const uint64_t lineage = FingerprintCube(cube);
+  auto snapshot = std::shared_ptr<CubeSnapshot>(new CubeSnapshot(
+      std::move(cube), std::move(indices), lineage, /*version=*/0));
+  // One pass over the columns: the sums per query, per location and in
+  // total.
+  const UnfairnessCube& c = snapshot->cube_;
+  const size_t num_queries = c.axis_size(Dimension::kQuery);
+  const size_t num_locations = c.axis_size(Dimension::kLocation);
+  snapshot->query_epoch_sums_.assign(num_queries, 0);
+  snapshot->location_epoch_sums_.assign(num_locations, 0);
   uint64_t total = 0;
   for (size_t q = 0; q < num_queries; ++q) {
     uint64_t row = 0;
     for (size_t l = 0; l < num_locations; ++l) {
       const uint64_t mix =
-          ColumnMix(q * num_locations + l, cube_.column_epoch(q, l));
+          ColumnMix(q * num_locations + l, c.column_epoch(q, l));
       row += mix;
-      location_epoch_sums_[l] += mix;
+      snapshot->location_epoch_sums_[l] += mix;
     }
-    query_epoch_sums_[q] = row;
+    snapshot->query_epoch_sums_[q] = row;
     total += row;
   }
-  full_epoch_digest_ = Mix64(lineage_, total);
-}
-
-std::shared_ptr<const CubeSnapshot> CubeSnapshot::Make(UnfairnessCube cube) {
-  IndexSet indices = IndexSet::Build(cube);
-  const uint64_t lineage = FingerprintCube(cube);
-  return MakeDerived(std::move(cube), std::move(indices), lineage,
-                     /*version=*/0);
+  snapshot->epoch_total_ = total;
+  snapshot->full_epoch_digest_ = Mix64(lineage, total);
+  return snapshot;
 }
 
 std::shared_ptr<const CubeSnapshot> CubeSnapshot::MakeDerived(
-    UnfairnessCube cube, IndexSet indices, uint64_t lineage,
-    uint64_t version) {
-  return std::shared_ptr<const CubeSnapshot>(new CubeSnapshot(
-      std::move(cube), std::move(indices), lineage, version));
+    const CubeSnapshot& parent, UnfairnessCube cube, IndexSet indices,
+    std::vector<CubeColumnRef> changed) {
+  auto snapshot = std::shared_ptr<CubeSnapshot>(
+      new CubeSnapshot(std::move(cube), std::move(indices), parent.lineage_,
+                       parent.version_ + 1));
+  snapshot->query_epoch_sums_ = parent.query_epoch_sums_;
+  snapshot->location_epoch_sums_ = parent.location_epoch_sums_;
+  uint64_t total = parent.epoch_total_;
+  // Each changed column swaps its parent term for its new one, mod 2^64 —
+  // the sums a from-scratch pass over the new epochs would compute.
+  std::sort(changed.begin(), changed.end(),
+            [](const CubeColumnRef& a, const CubeColumnRef& b) {
+              if (a.query_pos != b.query_pos) return a.query_pos < b.query_pos;
+              return a.location_pos < b.location_pos;
+            });
+  const size_t num_locations = parent.location_epoch_sums_.size();
+  const UnfairnessCube& c = snapshot->cube_;
+  for (size_t i = 0; i < changed.size(); ++i) {
+    const size_t q = changed[i].query_pos;
+    const size_t l = changed[i].location_pos;
+    if (i > 0 && changed[i - 1].query_pos == q &&
+        changed[i - 1].location_pos == l) {
+      continue;
+    }
+    const size_t column = q * num_locations + l;
+    const uint64_t delta = ColumnMix(column, c.column_epoch(q, l)) -
+                           ColumnMix(column, parent.cube_.column_epoch(q, l));
+    snapshot->query_epoch_sums_[q] += delta;
+    snapshot->location_epoch_sums_[l] += delta;
+    total += delta;
+  }
+  snapshot->epoch_total_ = total;
+  snapshot->full_epoch_digest_ = Mix64(parent.lineage_, total);
+  return snapshot;
 }
 
 uint64_t CubeSnapshot::EpochDigest(Dimension target,

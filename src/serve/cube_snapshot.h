@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/indices.h"
@@ -35,17 +36,20 @@ class CubeSnapshot {
  public:
   // Takes the cube, builds indices from it, fingerprints it (the O(cells)
   // lineage computation happens here, once per family — never on the delta
-  // path and never per request). A snapshot always owns its cube and
-  // indices; services that serve one cube share one snapshot.
+  // path and never per request). Services that serve one cube share one
+  // snapshot.
   static std::shared_ptr<const CubeSnapshot> Make(UnfairnessCube cube);
 
-  // For the delta path: inherits lineage/version from the snapshot this one
-  // was derived from instead of re-fingerprinting. The caller (the
-  // maintainer) guarantees cube/indices consistency and bumped epochs.
-  static std::shared_ptr<const CubeSnapshot> MakeDerived(UnfairnessCube cube,
-                                                         IndexSet indices,
-                                                         uint64_t lineage,
-                                                         uint64_t version);
+  // For the delta path: the snapshot after `parent`, whose cube and indices
+  // were derived from the parent's (so they share every chunk and list
+  // block the delta did not write) and whose column epochs differ from the
+  // parent's at most in `changed` (duplicates allowed). Inherits the
+  // lineage, bumps the version, and updates the epoch sums from the changed
+  // columns only: O(|changed| + Q + L), not O(Q·L). The caller (the
+  // maintainer) guarantees cube/indices consistency.
+  static std::shared_ptr<const CubeSnapshot> MakeDerived(
+      const CubeSnapshot& parent, UnfairnessCube cube, IndexSet indices,
+      std::vector<CubeColumnRef> changed);
 
   const UnfairnessCube& cube() const { return cube_; }
   const IndexSet& indices() const { return indices_; }
@@ -81,15 +85,19 @@ class CubeSnapshot {
   uint64_t full_epoch_digest() const { return full_epoch_digest_; }
 
  private:
-  // Takes the cube and indices and, in one pass over the columns, computes
-  // the epoch sums EpochDigest folds: per query, per location and in total.
   CubeSnapshot(UnfairnessCube cube, IndexSet indices, uint64_t lineage,
-               uint64_t version);
+               uint64_t version)
+      : cube_(std::move(cube)),
+        indices_(std::move(indices)),
+        lineage_(lineage),
+        version_(version) {}
 
   UnfairnessCube cube_;
   IndexSet indices_;
   uint64_t lineage_ = 0;
   uint64_t version_ = 0;
+  // The epoch sums EpochDigest folds: in total, per query and per location.
+  uint64_t epoch_total_ = 0;
   uint64_t full_epoch_digest_ = 0;
   std::vector<uint64_t> query_epoch_sums_;     // Σ_l column mix (q, l)
   std::vector<uint64_t> location_epoch_sums_;  // Σ_q column mix (q, l)

@@ -47,15 +47,17 @@ bool BitwiseEqual(const std::optional<double>& a,
   return ba == bb;
 }
 
-// Sink for the delta rebuild: patches the cube copy in place and records,
-// per column, whether any cell actually changed. Consume runs on pool
-// threads: distinct columns write through UnfairnessCube::SetColumn, which
-// is safe for concurrent distinct columns, and into disjoint changed_ slots
-// (the slot map is built up front and read-only after).
+// Sink for the delta rebuild: compares each recomputed column with the
+// served cube's and writes only the columns that differ into the derived
+// cube, so an unchanged column never un-shares its chunk. Consume runs on
+// pool threads: distinct columns write through UnfairnessCube::SetColumn,
+// which is safe for concurrent distinct columns, and into disjoint
+// changed_ slots (the slot map is built up front and read-only after).
 class DeltaSink final : public CubeColumnSink {
  public:
-  DeltaSink(UnfairnessCube* cube, const std::vector<CubeColumnRef>& columns)
-      : cube_(cube), changed_(columns.size(), 0) {
+  DeltaSink(const UnfairnessCube* served, UnfairnessCube* cube,
+            const std::vector<CubeColumnRef>& columns)
+      : served_(served), cube_(cube), changed_(columns.size(), 0) {
     slot_.reserve(columns.size());
     for (size_t i = 0; i < columns.size(); ++i) {
       slot_.emplace(Key(columns[i].query_pos, columns[i].location_pos), i);
@@ -72,12 +74,12 @@ class DeltaSink final : public CubeColumnSink {
     if (it == slot_.end()) {
       return Status::Internal("delta build produced an unrequested column");
     }
-    UnfairnessCube::Column old = cube_->column(query_pos, location_pos);
+    UnfairnessCube::Column old = served_->column(query_pos, location_pos);
     bool changed = false;
     for (size_t g = 0; g < num_groups && !changed; ++g) {
       changed = !BitwiseEqual(old.Get(g), values[g]);
     }
-    cube_->SetColumn(query_pos, location_pos, values, num_groups);
+    if (changed) cube_->SetColumn(query_pos, location_pos, values, num_groups);
     changed_[it->second] = changed ? 1 : 0;
     return Status::OK();
   }
@@ -90,6 +92,7 @@ class DeltaSink final : public CubeColumnSink {
            static_cast<uint64_t>(location_pos);
   }
 
+  const UnfairnessCube* served_;
   UnfairnessCube* cube_;
   std::vector<uint8_t> changed_;
   std::unordered_map<uint64_t, size_t> slot_;
@@ -112,26 +115,29 @@ std::vector<CubeColumnRef> DedupColumns(std::vector<CubeColumnRef> columns) {
   return columns;
 }
 
-// The shared tail of both upsert paths: recompute `touched` columns into a
-// cube copy via `build_columns`, bump epochs for the bitwise-changed ones,
-// patch an index copy and publish a derived snapshot — or keep the current
-// one when nothing changed.
+// The shared tail of both upsert paths: recompute `touched` columns via
+// `build_columns` into a cube derived from the served one, bump epochs for
+// the bitwise-changed ones, refresh the indices derived from the served
+// ones and publish a derived snapshot — or keep the current one when
+// nothing changed. The derived cube and indices share every chunk and list
+// the changed columns did not write.
 template <typename BuildColumns>
 Result<UpsertReport> ApplyColumnDelta(
     std::shared_ptr<const CubeSnapshot>* snapshot, size_t rows_applied,
-    const std::vector<CubeColumnRef>& touched,
+    const std::vector<CubeColumnRef>& touched, size_t parallelism,
     const BuildColumns& build_columns) {
   TraceSpan span("CubeMaintainer::ApplyColumnDelta", "serve");
   ScopedTimer timer(Metrics().upsert_us);
+  const CubeSnapshot& served = **snapshot;
 
   UpsertReport report;
   report.rows_applied = rows_applied;
   report.columns_touched = touched.size();
   report.cells_recomputed =
-      touched.size() * (*snapshot)->cube().axis_size(Dimension::kGroup);
+      touched.size() * served.cube().axis_size(Dimension::kGroup);
 
-  UnfairnessCube cube = (*snapshot)->cube();  // copy; the served one is immutable
-  DeltaSink sink(&cube, touched);
+  UnfairnessCube cube = served.cube();  // shares every chunk
+  DeltaSink sink(&served.cube(), &cube, touched);
   FAIRJOB_RETURN_IF_ERROR(build_columns(touched, &sink));
 
   std::vector<CubeColumnRef> changed;
@@ -152,14 +158,10 @@ Result<UpsertReport> ApplyColumnDelta(
   for (const CubeColumnRef& column : changed) {
     cube.BumpColumnEpoch(column.query_pos, column.location_pos);
   }
-  IndexSet indices = (*snapshot)->indices();  // copy
-  for (const CubeColumnRef& column : changed) {
-    indices.RefreshColumn(cube, column.query_pos, column.location_pos);
-  }
-  *snapshot =
-      CubeSnapshot::MakeDerived(std::move(cube), std::move(indices),
-                                (*snapshot)->lineage(),
-                                (*snapshot)->version() + 1);
+  IndexSet indices = served.indices();  // shares every list
+  indices.RefreshColumns(cube, changed, parallelism);
+  *snapshot = CubeSnapshot::MakeDerived(served, std::move(cube),
+                                        std::move(indices), std::move(changed));
   report.published_new_snapshot = true;
   return report;
 }
@@ -223,6 +225,7 @@ Result<UpsertReport> MarketplaceCubeMaintainer::UpsertCrawlBatch(
 
   return ApplyColumnDelta(
       &snapshot_, batch.rows.size(), DedupColumns(std::move(columns)),
+      parallelism_,
       [&](const std::vector<CubeColumnRef>& touched, CubeColumnSink* sink) {
         return BuildMarketplaceCubeColumns(data_, space_, membership_, measure_,
                                            options_, axes_, touched,
@@ -276,6 +279,7 @@ Result<UpsertReport> SearchCubeMaintainer::UpsertStudySnapshot(
 
   return ApplyColumnDelta(
       &snapshot_, snapshot.cells.size(), DedupColumns(std::move(columns)),
+      parallelism_,
       [&](const std::vector<CubeColumnRef>& touched, CubeColumnSink* sink) {
         return BuildSearchCubeColumns(data_, space_, measure_, options_, axes_,
                                       touched, parallelism_, sink);

@@ -17,9 +17,10 @@ namespace fairjob {
 // Incremental cube maintenance (docs/serving.md, "Incremental maintenance &
 // snapshots"): a maintainer owns the dataset and the current CubeSnapshot
 // and turns a delta — a re-crawled batch of marketplace rankings, a fresh
-// study snapshot of search observations — into a *derived* snapshot in time
-// proportional to the touched (query, location) columns, not the whole
-// cube.
+// study snapshot of search observations — into a *derived* snapshot. The
+// derived snapshot shares every cube chunk and every inverted-list block
+// the delta did not write, so an upsert costs the touched columns, the
+// blocks that hold them and O(Q + L) words of tables, not the cube.
 //
 // The differential contract: after any sequence of successful upserts, the
 // maintainer's cube is bitwise identical (presence + double bit patterns)
@@ -37,8 +38,9 @@ namespace fairjob {
 //
 // Concurrency: one writer. Upserts may run while any number of readers
 // serve the *previous* snapshot (they pinned it via the service's atomic);
-// the maintainer never mutates a published snapshot — it copies the cube
-// and indices, patches the copies, and publishes via
+// the maintainer never mutates a published snapshot — it derives a cube
+// and indices that share the served ones' storage, writes only the changed
+// columns and lists (into storage of their own), and publishes via
 // CubeSnapshot::MakeDerived.
 
 // One re-crawled result page: the ranking observed for (query, location) on
@@ -97,9 +99,11 @@ class MarketplaceCubeMaintainer {
   // Applies a crawl batch: validates EVERY row first (unknown axis ids, bad
   // rankings), so a failed call leaves dataset and snapshot untouched; then
   // writes the rankings, recomputes exactly the touched columns, bumps
-  // epochs for the changed ones, patches a copy of the inverted indices and
-  // publishes a derived snapshot. Cost: O(touched columns × column cost) +
-  // O(changed columns × index-refresh cost) — never O(cube).
+  // epochs for the changed ones, refreshes the inverted lists they feed
+  // and publishes a derived snapshot. Cost: O(touched columns × column
+  // cost) + the rewrite of each list block holding a changed cell (one
+  // block per changed query and per changed location) + O(Q + L + blocks)
+  // for the column tables and block pointers.
   Result<UpsertReport> UpsertCrawlBatch(const CrawlBatch& batch);
 
   // The snapshot reflecting every upsert so far; hand it to

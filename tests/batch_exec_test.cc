@@ -585,9 +585,9 @@ TEST(BatchExecTest, ThresholdLanesBeforeAndAfterTheScorerSwitch) {
 
   // Entries over the 12 (all non-empty) lists.
   size_t entries = 0;
-  for (const InvertedIndex* list : indices.ListsFor(
+  for (const InvertedList& list : indices.ListsFor(
            Dimension::kGroup, AxisSelector::All(), AxisSelector::All())) {
-    entries += list->size();
+    entries += list.size();
   }
   Result<QuantificationResult> early_run =
       SolveQuantification(cube, indices, early);

@@ -134,6 +134,22 @@ void RunFullGrid(const std::vector<const InvertedIndex*>& lists,
   }
 }
 
+// The same grid over an index set's lists, through owned copies of them
+// (RunTopK takes caller-built lists).
+void RunFullGrid(const std::vector<InvertedList>& views, size_t universe,
+                 const std::vector<int32_t>& allowed, size_t k) {
+  std::vector<InvertedIndex> owned;
+  owned.reserve(views.size());
+  for (const InvertedList& view : views) {
+    std::vector<ScoredEntry> entries;
+    for (size_t i = 0; i < view.size(); ++i) entries.push_back(view.entry(i));
+    owned.emplace_back(std::move(entries));
+  }
+  std::vector<const InvertedIndex*> lists;
+  for (const InvertedIndex& list : owned) lists.push_back(&list);
+  RunFullGrid(lists, universe, allowed, k);
+}
+
 TEST(FaginDenseDifferential, RandomCubesFullGrid) {
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
     Rng rng(seed);
@@ -150,7 +166,7 @@ TEST(FaginDenseDifferential, RandomCubesFullGrid) {
          {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
       SCOPED_TRACE(::testing::Message() << "seed=" << seed << " target="
                                         << DimensionName(target));
-      std::vector<const InvertedIndex*> lists =
+      std::vector<InvertedList> lists =
           indices.ListsFor(target, AxisSelector::All(), AxisSelector::All());
       size_t universe = cube.axis_size(target);
       // An arbitrary-but-deterministic subset of eligible targets.
@@ -170,13 +186,13 @@ TEST(FaginDenseDifferential, SelectorSubsetsAgree) {
   UnfairnessCube cube = MakeRandomCube(rng, 6, 5, 4, 0.5);
   IndexSet indices = IndexSet::Build(cube);
   // Restrict the aggregation box: only some queries and locations.
-  std::vector<const InvertedIndex*> lists = indices.ListsFor(
+  std::vector<InvertedList> lists = indices.ListsFor(
       Dimension::kGroup, AxisSelector{{0, 2, 4}}, AxisSelector{{1, 3}});
   std::vector<int32_t> allowed = {0, 1, 5};
   RunFullGrid(lists, cube.axis_size(Dimension::kGroup), allowed, 3);
 }
 
-// After IndexSet::RefreshColumn upserts/removes, the dense value columns
+// After IndexSet::RefreshColumns upserts/removes, the dense value columns
 // must stay in sync: the refreshed set must match a set rebuilt from
 // scratch, list by list, both via sorted access and via random access.
 TEST(FaginDenseDifferential, RefreshColumnKeepsDenseColumnsInSync) {
@@ -194,7 +210,7 @@ TEST(FaginDenseDifferential, RefreshColumnKeepsDenseColumnsInSync) {
         cube.Set(g, q, l, rng.NextDouble());
       }
     }
-    indices.RefreshColumn(cube, q, l);
+    indices.RefreshColumns(cube, {{q, l}});
   }
 
   IndexSet rebuilt = IndexSet::Build(cube);
@@ -206,8 +222,8 @@ TEST(FaginDenseDifferential, RefreshColumnKeepsDenseColumnsInSync) {
                                                   : Dimension::kLocation;
     for (size_t a = 0; a < cube.axis_size(o1); ++a) {
       for (size_t b = 0; b < cube.axis_size(o2); ++b) {
-        const InvertedIndex& got = indices.ListAt(target, a, b);
-        const InvertedIndex& want = rebuilt.ListAt(target, a, b);
+        const InvertedList got = indices.ListAt(target, a, b);
+        const InvertedList want = rebuilt.ListAt(target, a, b);
         SCOPED_TRACE(::testing::Message() << DimensionName(target) << " list ("
                                           << a << ", " << b << ")");
         ASSERT_EQ(got.size(), want.size());
@@ -228,7 +244,7 @@ TEST(FaginDenseDifferential, RefreshColumnKeepsDenseColumnsInSync) {
   }
 
   // And the refreshed lists still drive every algorithm identically.
-  std::vector<const InvertedIndex*> lists = indices.ListsFor(
+  std::vector<InvertedList> lists = indices.ListsFor(
       Dimension::kGroup, AxisSelector::All(), AxisSelector::All());
   std::vector<int32_t> allowed = {0, 2, 3};
   RunFullGrid(lists, cube.axis_size(Dimension::kGroup), allowed, 4);
@@ -475,7 +491,7 @@ TEST(FaginDenseDifferential, MostlyEmptyColumnsFullGrid) {
   for (Dimension target :
        {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
     SCOPED_TRACE(DimensionName(target));
-    std::vector<const InvertedIndex*> lists =
+    std::vector<InvertedList> lists =
         indices.ListsFor(target, AxisSelector::All(), AxisSelector::All());
     size_t universe = cube.axis_size(target);
     std::vector<int32_t> allowed;
@@ -584,7 +600,7 @@ TEST(FaginDenseDifferential, CandidateScorerSwitchesAtTheEntryCount) {
   InvertedIndex b({{1, 0.2}, {2, 0.9}});
   InvertedIndex empty({});
   fagin_internal::ListSet set =
-      fagin_internal::GatherNonEmpty({&a, &empty, &b});
+      fagin_internal::GatherNonEmpty({a, empty, b});
   ASSERT_EQ(set.lists.size(), 2u);
   EXPECT_EQ(set.selected, 3u);
   EXPECT_EQ(set.entries, 5u);

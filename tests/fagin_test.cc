@@ -32,6 +32,19 @@ TEST(FaginTest, RejectsBadArguments) {
   EXPECT_FALSE(RunTopK(kTA, {nullptr}, options).ok());
 }
 
+// A negative position never indexes the rank words: the list drops it and
+// reports itself invalid, and RunTopK rejects the list.
+TEST(FaginTest, NegativePositionIsInvalidArgument) {
+  InvertedIndex list({{-1, 0.5}});
+  TopKOptions options;
+  options.k = 1;
+  EXPECT_EQ(RunTopK(kTA, {&list}, options).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(list.valid());
+  EXPECT_TRUE(list.empty());
+  EXPECT_EQ(list.Find(-1), std::nullopt);
+}
+
 TEST(FaginTest, SingleListTopKIsPrefix) {
   std::vector<InvertedIndex> lists;
   lists.emplace_back(

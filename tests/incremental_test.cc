@@ -7,8 +7,11 @@
 
 #include "serve/incremental.h"
 
+#include <bit>
 #include <cstring>
 #include <memory>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -172,8 +175,8 @@ void ExpectIndicesMatchCube(const IndexSet& actual,
     if (target == Dimension::kGroup) o1 = sizes[1], o2 = sizes[2];
     for (size_t a = 0; a < o1; ++a) {
       for (size_t b = 0; b < o2; ++b) {
-        const InvertedIndex& got = actual.ListAt(target, a, b);
-        const InvertedIndex& want = fresh.ListAt(target, a, b);
+        const InvertedList got = actual.ListAt(target, a, b);
+        const InvertedList want = fresh.ListAt(target, a, b);
         ASSERT_EQ(got.size(), want.size())
             << context << " list (" << DimensionName(target) << "," << a << ","
             << b << ")";
@@ -507,6 +510,416 @@ TEST(IncrementalServingTest, UntouchedColumnsServeFromCacheAfterUpsert) {
       EXPECT_EQ(served->answers[i].id, direct->answers[i].id);
       EXPECT_EQ(served->answers[i].value, direct->answers[i].value);
     }
+  }
+}
+
+// --- Persistent snapshots ---------------------------------------------------
+
+// A deep copy of one list: its entries in list order (value bits kept) and
+// Find at every position of its axis.
+struct ListCopy {
+  std::vector<std::pair<int32_t, uint64_t>> entries;
+  std::vector<std::optional<uint64_t>> found;
+
+  friend bool operator==(const ListCopy&, const ListCopy&) = default;
+};
+
+ListCopy CopyOf(const InvertedList& list, size_t axis) {
+  ListCopy copy;
+  for (size_t i = 0; i < list.size(); ++i) {
+    copy.entries.emplace_back(list.entry(i).pos,
+                              std::bit_cast<uint64_t>(list.entry(i).value));
+  }
+  for (size_t pos = 0; pos < axis; ++pos) {
+    std::optional<double> v = list.Find(static_cast<int32_t>(pos));
+    std::optional<uint64_t> bits;
+    if (v.has_value()) bits = std::bit_cast<uint64_t>(*v);
+    copy.found.push_back(bits);
+  }
+  return copy;
+}
+
+constexpr Dimension kTargets[] = {Dimension::kGroup, Dimension::kQuery,
+                                  Dimension::kLocation};
+
+// Every list of every family, deep-copied, in ListsFor(All, All) order.
+std::vector<std::vector<ListCopy>> CopyAllLists(const IndexSet& indices) {
+  std::vector<std::vector<ListCopy>> copies;
+  for (Dimension target : kTargets) {
+    std::vector<ListCopy> family;
+    for (const InvertedList& list : indices.ListsFor(
+             target, AxisSelector::All(), AxisSelector::All())) {
+      family.push_back(CopyOf(list, indices.axis_size(target)));
+    }
+    copies.push_back(std::move(family));
+  }
+  return copies;
+}
+
+// Whether list `i` of `target` (in ListsFor(All, All) order, ids
+// other1 * n2 + other2) lies in a block that a change to columns with query
+// positions `qs` and location positions `ls` rewrites: the group lists
+// (q, ·) and location lists (·, q) of a changed q, and the query lists
+// (·, l) of a changed l.
+bool InTouchedBlock(Dimension target, size_t i, size_t num_queries,
+                    size_t num_locations, const std::set<size_t>& qs,
+                    const std::set<size_t>& ls) {
+  switch (target) {
+    case Dimension::kGroup:
+      return qs.count(i / num_locations) > 0;
+    case Dimension::kQuery:
+      return ls.count(i % num_locations) > 0;
+    case Dimension::kLocation:
+      return qs.count(i % num_queries) > 0;
+  }
+  return true;
+}
+
+// Per family, how many non-empty lists lie outside the blocks the
+// `changed` columns rewrite, and how many of those are the same object (the
+// same storage) in `before` and `after`.
+struct Sharing {
+  size_t untouched = 0;
+  size_t shared = 0;
+};
+std::vector<Sharing> CountSharing(const IndexSet& before, const IndexSet& after,
+                                  const std::vector<CubeColumnRef>& changed) {
+  const size_t num_queries = before.axis_size(Dimension::kQuery);
+  const size_t num_locations = before.axis_size(Dimension::kLocation);
+  std::set<size_t> qs;
+  std::set<size_t> ls;
+  for (const CubeColumnRef& c : changed) {
+    qs.insert(c.query_pos);
+    ls.insert(c.location_pos);
+  }
+  std::vector<Sharing> out;
+  for (Dimension target : kTargets) {
+    std::vector<InvertedList> a =
+        before.ListsFor(target, AxisSelector::All(), AxisSelector::All());
+    std::vector<InvertedList> b =
+        after.ListsFor(target, AxisSelector::All(), AxisSelector::All());
+    Sharing sharing;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].empty() ||
+          InTouchedBlock(target, i, num_queries, num_locations, qs, ls)) {
+        continue;
+      }
+      ++sharing.untouched;
+      if (!b[i].empty() && &a[i].entry(0) == &b[i].entry(0)) ++sharing.shared;
+    }
+    out.push_back(sharing);
+  }
+  return out;
+}
+
+// A cube over groups × queries × locations with `density` of its cells
+// present.
+UnfairnessCube RandomCube(Rng& rng, size_t groups, size_t queries,
+                          size_t locations, double density) {
+  std::vector<int32_t> ids[3];
+  const size_t sizes[3] = {groups, queries, locations};
+  for (size_t d = 0; d < 3; ++d) {
+    for (size_t i = 0; i < sizes[d]; ++i) {
+      ids[d].push_back(static_cast<int32_t>(i));
+    }
+  }
+  UnfairnessCube cube = *UnfairnessCube::Make(ids[0], ids[1], ids[2]);
+  for (size_t g = 0; g < groups; ++g) {
+    for (size_t q = 0; q < queries; ++q) {
+      for (size_t l = 0; l < locations; ++l) {
+        if (rng.NextBernoulli(density)) cube.Set(g, q, l, rng.NextDouble());
+      }
+    }
+  }
+  return cube;
+}
+
+// After any number of upserts, the first snapshot still reads exactly as it
+// did: same cube fingerprint, same cells, same lists bit for bit.
+TEST(PersistentSnapshotTest, UpsertsLeaveTheParentSnapshotUntouched) {
+  GroupSpace space = *GroupSpace::Enumerate(TwoAttributeSchema());
+  Result<MarketplaceCubeMaintainer> made = MarketplaceCubeMaintainer::Make(
+      MakeMarketplace(/*seed=*/11), space, MarketMeasure::kExposure);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  MarketplaceCubeMaintainer maintainer = std::move(*made);
+
+  const std::shared_ptr<const CubeSnapshot> parent = maintainer.snapshot();
+  const uint64_t fingerprint = FingerprintCube(parent->cube());
+  const UnfairnessCube cells = *BuildMarketplaceCube(
+      maintainer.data(), space, MarketMeasure::kExposure);
+  const std::vector<std::vector<ListCopy>> lists =
+      CopyAllLists(parent->indices());
+
+  Rng rng(/*seed=*/91);
+  size_t published = 0;
+  for (size_t round = 0; round < 8; ++round) {
+    CrawlBatch batch;
+    for (size_t r = 0; r < 1 + rng.NextBelow(3); ++r) {
+      CrawlBatchRow row;
+      row.query = static_cast<QueryId>(rng.NextBelow(kQueries));
+      row.location = static_cast<LocationId>(rng.NextBelow(kLocations));
+      row.ranking = RandomRanking(rng, rng.NextBernoulli(0.5));
+      batch.rows.push_back(std::move(row));
+    }
+    Result<UpsertReport> report = maintainer.UpsertCrawlBatch(batch);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    published += report->published_new_snapshot ? 1 : 0;
+  }
+  ASSERT_GT(published, 0u);
+  ASSERT_NE(maintainer.snapshot(), parent);
+
+  EXPECT_EQ(FingerprintCube(parent->cube()), fingerprint);
+  ExpectCubesBitwiseEqual(parent->cube(), cells, "parent");
+  EXPECT_TRUE(CopyAllLists(parent->indices()) == lists);
+}
+
+// Deriving an index set shares every block a refresh did not rewrite: each
+// list outside the changed columns' blocks is the same object in parent
+// and child, and neither set ever sees the other's lists change.
+TEST(PersistentSnapshotTest, UntouchedListsAreSharedByDerivedIndexSets) {
+  Rng rng(/*seed=*/404);
+  const size_t groups = 6;
+  const size_t queries = 24;
+  const size_t locations = 20;
+  UnfairnessCube cube = RandomCube(rng, groups, queries, locations, 0.6);
+  IndexSet indices = IndexSet::Build(cube);
+  for (size_t round = 0; round < 12; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    const std::vector<std::vector<ListCopy>> parent_lists =
+        CopyAllLists(indices);
+    const uint64_t parent_fingerprint = FingerprintCube(cube);
+
+    UnfairnessCube next = cube;
+    std::vector<CubeColumnRef> changed;
+    const size_t columns = 1 + rng.NextBelow(2);
+    for (size_t c = 0; c < columns; ++c) {
+      const size_t q = rng.NextBelow(queries);
+      const size_t l = rng.NextBelow(locations);
+      for (size_t g = 0; g < groups; ++g) {
+        const double coin = rng.NextDouble();
+        if (coin < 0.3) {
+          next.Clear(g, q, l);
+        } else if (coin < 0.8) {
+          next.Set(g, q, l, rng.NextDouble());
+        }
+      }
+      changed.push_back(CubeColumnRef{q, l});
+    }
+    IndexSet derived = indices;
+    derived.RefreshColumns(next, changed);
+
+    // The parent is untouched, and the child is the cold build's.
+    EXPECT_EQ(FingerprintCube(cube), parent_fingerprint);
+    EXPECT_TRUE(CopyAllLists(indices) == parent_lists);
+    EXPECT_TRUE(CopyAllLists(derived) == CopyAllLists(IndexSet::Build(next)));
+
+    const std::vector<Sharing> sharing =
+        CountSharing(indices, derived, changed);
+    for (size_t t = 0; t < 3; ++t) {
+      SCOPED_TRACE(DimensionName(kTargets[t]));
+      ASSERT_GT(sharing[t].untouched, 0u);
+      EXPECT_EQ(sharing[t].shared, sharing[t].untouched);
+    }
+    cube = std::move(next);
+    indices = std::move(derived);
+  }
+}
+
+// A cube copy shares its chunks; a write un-shares only the written chunk.
+// At 4096 groups a column's block is over half of a chunk, so each chunk
+// holds one column and exactly the written columns move.
+TEST(PersistentSnapshotTest, UntouchedChunksAreSharedByCubeCopies) {
+  Rng rng(/*seed=*/5);
+  const size_t kGroups = 4096;
+  UnfairnessCube cube = RandomCube(rng, kGroups, 3, 4, 0.5);
+  const uint64_t fingerprint = FingerprintCube(cube);
+  UnfairnessCube copy = cube;
+  std::vector<std::optional<double>> values(kGroups);
+  for (size_t g = 0; g < kGroups; ++g) {
+    if (g % 3 != 0) values[g] = 0.25 * static_cast<double>(g % 7);
+  }
+  copy.SetColumn(1, 2, values.data(), kGroups);
+  for (size_t q = 0; q < 3; ++q) {
+    for (size_t l = 0; l < 4; ++l) {
+      const bool written = q == 1 && l == 2;
+      EXPECT_EQ(cube.column(q, l).data() == copy.column(q, l).data(), !written)
+          << "column (" << q << ", " << l << ")";
+    }
+  }
+  EXPECT_EQ(FingerprintCube(cube), fingerprint);
+  for (size_t g = 0; g < kGroups; ++g) {
+    ASSERT_TRUE(BitwiseEqual(copy.Get(g, 1, 2), values[g])) << g;
+  }
+  // The source, written after the copy, un-shares too.
+  const uint64_t copy_fingerprint = FingerprintCube(copy);
+  cube.Set(0, 0, 0, 9.0);
+  EXPECT_EQ(FingerprintCube(copy), copy_fingerprint);
+  EXPECT_NE(cube.column(0, 0).data(), copy.column(0, 0).data());
+}
+
+// A column without a slot gets one in the last, partly filled chunk, which
+// the copy shares with its source: the chunk is cloned first, so neither
+// cube sees the other's new slot.
+TEST(PersistentSnapshotTest, NewSlotInASharedPartlyFilledChunk) {
+  UnfairnessCube cube = *UnfairnessCube::Make({0, 1, 2}, {0, 1}, {0, 1, 2});
+  cube.Set(0, 0, 0, 0.5);
+  cube.Set(1, 1, 2, 0.75);
+  UnfairnessCube copy = cube;
+  cube.Set(1, 1, 0, 0.375);  // a new slot in the source
+  copy.Set(2, 0, 1, 0.125);  // and one in the copy
+  EXPECT_FALSE(cube.column(0, 1).stored());
+  EXPECT_FALSE(copy.column(1, 0).stored());
+  EXPECT_EQ(cube.Get(1, 1, 0), std::optional<double>(0.375));
+  EXPECT_EQ(copy.Get(2, 0, 1), std::optional<double>(0.125));
+  EXPECT_EQ(cube.num_present(), 3u);
+  EXPECT_EQ(copy.num_present(), 3u);
+  for (const UnfairnessCube* c : {&cube, &copy}) {
+    EXPECT_EQ(c->Get(0, 0, 0), std::optional<double>(0.5));
+    EXPECT_EQ(c->Get(1, 1, 2), std::optional<double>(0.75));
+  }
+}
+
+// Concurrent SetColumn on distinct columns of one chunk that a copy shares:
+// both threads race to un-share it, and the clone happens once (clean under
+// ThreadSanitizer). One of the columns has no slot yet.
+TEST(PersistentSnapshotTest, ConcurrentSetColumnInASharedChunk) {
+  Rng rng(/*seed=*/17);
+  const size_t kGroups = 10;
+  UnfairnessCube cube = RandomCube(rng, kGroups, 2, 4, 0.7);
+  cube.SetColumn(1, 3, std::vector<std::optional<double>>(kGroups).data(),
+                 kGroups);
+  const uint64_t fingerprint = FingerprintCube(cube);
+  std::vector<std::optional<double>> a(kGroups);
+  std::vector<std::optional<double>> b(kGroups);
+  for (size_t g = 0; g < kGroups; ++g) {
+    a[g] = 1.0 + static_cast<double>(g);
+    if (g % 2 == 0) b[g] = -static_cast<double>(g);
+  }
+  for (int round = 0; round < 20; ++round) {
+    UnfairnessCube copy = cube;
+    std::thread first([&] { copy.SetColumn(0, 1, a.data(), kGroups); });
+    std::thread second([&] { copy.SetColumn(1, 3, b.data(), kGroups); });
+    first.join();
+    second.join();
+    for (size_t g = 0; g < kGroups; ++g) {
+      ASSERT_TRUE(BitwiseEqual(copy.Get(g, 0, 1), a[g]));
+      ASSERT_TRUE(BitwiseEqual(copy.Get(g, 1, 3), b[g]));
+    }
+    ASSERT_EQ(FingerprintCube(cube), fingerprint);
+  }
+}
+
+// Two edge cases of the upsert path against a cold rebuild, bit for bit:
+// an upsert that empties a stored column, and one that fills a column that
+// never had a slot (a new slot in the served cube's partly filled chunk).
+TEST(MarketplaceMaintainerTest, EmptiedAndNewColumnsMatchColdRebuild) {
+  GroupSpace space = *GroupSpace::Enumerate(TwoAttributeSchema());
+  MarketplaceDataset data = MakeMarketplace(/*seed=*/11);
+  std::optional<CubeColumnRef> stored;
+  std::optional<CubeColumnRef> unobserved;
+  for (size_t q = 0; q < kQueries; ++q) {
+    for (size_t l = 0; l < kLocations; ++l) {
+      const bool observed = data.GetRanking(static_cast<QueryId>(q),
+                                            static_cast<LocationId>(l)) !=
+                            nullptr;
+      if (observed && !stored.has_value()) stored = CubeColumnRef{q, l};
+      if (!observed && !unobserved.has_value()) {
+        unobserved = CubeColumnRef{q, l};
+      }
+    }
+  }
+  ASSERT_TRUE(stored.has_value());
+  ASSERT_TRUE(unobserved.has_value());
+  Result<MarketplaceCubeMaintainer> made = MarketplaceCubeMaintainer::Make(
+      std::move(data), space, MarketMeasure::kExposure);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  MarketplaceCubeMaintainer maintainer = std::move(*made);
+  ASSERT_TRUE(maintainer.snapshot()
+                  ->cube()
+                  .column(stored->query_pos, stored->location_pos)
+                  .stored());
+  ASSERT_FALSE(maintainer.snapshot()
+                   ->cube()
+                   .column(unobserved->query_pos, unobserved->location_pos)
+                   .stored());
+
+  Rng rng(/*seed=*/3);
+  const CrawlBatchRow rows[] = {
+      {static_cast<QueryId>(stored->query_pos),
+       static_cast<LocationId>(stored->location_pos), MarketRanking{}},
+      {static_cast<QueryId>(unobserved->query_pos),
+       static_cast<LocationId>(unobserved->location_pos),
+       RandomRanking(rng, /*with_scores=*/true)},
+  };
+  const char* contexts[] = {"emptied column", "new column"};
+  for (size_t i = 0; i < 2; ++i) {
+    const std::shared_ptr<const CubeSnapshot> before = maintainer.snapshot();
+    const uint64_t fingerprint = FingerprintCube(before->cube());
+    CrawlBatch batch;
+    batch.rows.push_back(rows[i]);
+    Result<UpsertReport> report = maintainer.UpsertCrawlBatch(batch);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_TRUE(report->published_new_snapshot) << contexts[i];
+
+    Result<UnfairnessCube> expected = BuildMarketplaceCube(
+        maintainer.data(), space, MarketMeasure::kExposure);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    ExpectCubesBitwiseEqual(maintainer.snapshot()->cube(), *expected,
+                            contexts[i]);
+    ExpectIndicesMatchCube(maintainer.snapshot()->indices(), *expected,
+                           contexts[i]);
+    EXPECT_EQ(FingerprintCube(before->cube()), fingerprint) << contexts[i];
+  }
+  EXPECT_FALSE(maintainer.snapshot()
+                   ->cube()
+                   .Get(0, stored->query_pos, stored->location_pos)
+                   .has_value());
+}
+
+// A derived snapshot updates its epoch sums from the changed columns only;
+// every digest must equal the one a from-scratch pass over the same cube
+// computes. Only epochs change here, so both snapshots share a lineage.
+TEST(PersistentSnapshotTest, DerivedEpochDigestsMatchAFromScratchSnapshot) {
+  Rng rng(/*seed=*/29);
+  const size_t sizes[3] = {4, 7, 5};
+  std::shared_ptr<const CubeSnapshot> current =
+      CubeSnapshot::Make(RandomCube(rng, sizes[0], sizes[1], sizes[2], 0.6));
+  for (size_t round = 0; round < 10; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    UnfairnessCube cube = current->cube();
+    std::vector<CubeColumnRef> changed;
+    for (size_t c = 0; c < 1 + rng.NextBelow(4); ++c) {
+      const CubeColumnRef column{rng.NextBelow(sizes[1]),
+                                 rng.NextBelow(sizes[2])};
+      cube.BumpColumnEpoch(column.query_pos, column.location_pos);
+      changed.push_back(column);
+      if (rng.NextBernoulli(0.3)) changed.push_back(column);  // listed twice
+    }
+    std::shared_ptr<const CubeSnapshot> derived = CubeSnapshot::MakeDerived(
+        *current, cube, current->indices(), changed);
+    std::shared_ptr<const CubeSnapshot> scratch = CubeSnapshot::Make(cube);
+    ASSERT_EQ(derived->lineage(), scratch->lineage());
+    EXPECT_EQ(derived->version(), current->version() + 1);
+    EXPECT_EQ(derived->full_epoch_digest(), scratch->full_epoch_digest());
+    for (Dimension target : kTargets) {
+      Dimension d1;
+      Dimension d2;
+      QuantificationOtherDims(target, &d1, &d2);
+      const size_t n1 = sizes[static_cast<size_t>(d1)];
+      const size_t n2 = sizes[static_cast<size_t>(d2)];
+      const std::vector<size_t> full;
+      const std::vector<size_t> window1 = {n1 - 1, 0, 0};
+      const std::vector<size_t> window2 = {1, n2 - 1};
+      for (const std::vector<size_t>* agg1 : {&full, &window1}) {
+        for (const std::vector<size_t>* agg2 : {&full, &window2}) {
+          EXPECT_EQ(derived->EpochDigest(target, *agg1, *agg2),
+                    scratch->EpochDigest(target, *agg1, *agg2))
+              << DimensionName(target) << " window1 " << (agg1 == &window1)
+              << " window2 " << (agg2 == &window2);
+        }
+      }
+    }
+    current = derived;
   }
 }
 

@@ -168,7 +168,7 @@ class IndexSetTest : public ::testing::Test {
 
 TEST_F(IndexSetTest, GroupBasedListPerQueryLocationPair) {
   // I(q=1, l=0): groups with their d values, descending.
-  const InvertedIndex& list = indices_->ListAt(Dimension::kGroup, 1, 0);
+  const InvertedList list = indices_->ListAt(Dimension::kGroup, 1, 0);
   ASSERT_EQ(list.size(), 2u);  // group 2 has no value
   EXPECT_EQ(list.entry(0).pos, 1);
   EXPECT_DOUBLE_EQ(list.entry(0).value, 11.0);
@@ -178,14 +178,14 @@ TEST_F(IndexSetTest, GroupBasedListPerQueryLocationPair) {
 
 TEST_F(IndexSetTest, QueryBasedListPerGroupLocationPair) {
   // I(g=0, l=1): queries descending: q1 -> 110, q0 -> 100.
-  const InvertedIndex& list = indices_->ListAt(Dimension::kQuery, 0, 1);
+  const InvertedList list = indices_->ListAt(Dimension::kQuery, 0, 1);
   ASSERT_EQ(list.size(), 2u);
   EXPECT_EQ(list.entry(0).pos, 1);
   EXPECT_DOUBLE_EQ(list.entry(0).value, 110.0);
 }
 
 TEST_F(IndexSetTest, LocationBasedListPerGroupQueryPair) {
-  const InvertedIndex& list = indices_->ListAt(Dimension::kLocation, 1, 1);
+  const InvertedList list = indices_->ListAt(Dimension::kLocation, 1, 1);
   ASSERT_EQ(list.size(), 2u);
   EXPECT_EQ(list.entry(0).pos, 1);  // l=1 -> 111
   EXPECT_DOUBLE_EQ(list.entry(0).value, 111.0);
@@ -202,17 +202,17 @@ TEST_F(IndexSetTest, MissingGroupAbsentFromEveryList) {
 }
 
 TEST_F(IndexSetTest, ListsForAllSelectorsCoversCrossProduct) {
-  std::vector<const InvertedIndex*> lists = indices_->ListsFor(
+  std::vector<InvertedList> lists = indices_->ListsFor(
       Dimension::kGroup, AxisSelector::All(), AxisSelector::All());
   EXPECT_EQ(lists.size(), 4u);  // 2 queries × 2 locations
 }
 
 TEST_F(IndexSetTest, ListsForSubsetsSelectsPairs) {
-  std::vector<const InvertedIndex*> lists = indices_->ListsFor(
+  std::vector<InvertedList> lists = indices_->ListsFor(
       Dimension::kGroup, AxisSelector::Single(1), AxisSelector::All());
   ASSERT_EQ(lists.size(), 2u);
-  EXPECT_DOUBLE_EQ(lists[0]->entry(0).value, 11.0);   // (q=1, l=0)
-  EXPECT_DOUBLE_EQ(lists[1]->entry(0).value, 111.0);  // (q=1, l=1)
+  EXPECT_DOUBLE_EQ(lists[0].entry(0).value, 11.0);   // (q=1, l=0)
+  EXPECT_DOUBLE_EQ(lists[1].entry(0).value, 111.0);  // (q=1, l=1)
 }
 
 TEST_F(IndexSetTest, AxisSizes) {
@@ -256,7 +256,7 @@ TEST_F(IndexSetTest, RefreshColumnMatchesFullRebuild) {
   cube_->Set(0, 1, 0, 99.0);
   cube_->Set(2, 1, 0, 55.0);   // group 2 becomes defined here
   cube_->Clear(1, 1, 0);       // group 1 becomes undefined here
-  indices_->RefreshColumn(*cube_, 1, 0);
+  indices_->RefreshColumns(*cube_, {{1, 0}});
   IndexSet rebuilt = IndexSet::Build(*cube_);
 
   for (Dimension target :
@@ -275,8 +275,8 @@ TEST_F(IndexSetTest, RefreshColumnMatchesFullRebuild) {
     }
     for (size_t p1 = 0; p1 < n1; ++p1) {
       for (size_t p2 = 0; p2 < n2; ++p2) {
-        const InvertedIndex& incremental = indices_->ListAt(target, p1, p2);
-        const InvertedIndex& fresh = rebuilt.ListAt(target, p1, p2);
+        const InvertedList incremental = indices_->ListAt(target, p1, p2);
+        const InvertedList fresh = rebuilt.ListAt(target, p1, p2);
         ASSERT_EQ(incremental.size(), fresh.size())
             << DimensionName(target) << " " << p1 << " " << p2;
         for (size_t i = 0; i < fresh.size(); ++i) {
@@ -316,8 +316,8 @@ std::vector<InvertedIndex> OracleFamily(const UnfairnessCube& cube,
   return family;
 }
 
-void ExpectListsIdentical(const InvertedIndex& actual,
-                          const InvertedIndex& expected, size_t axis) {
+void ExpectListsIdentical(const InvertedList& actual,
+                          const InvertedList& expected, size_t axis) {
   ASSERT_EQ(actual.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     ASSERT_EQ(actual.entry(i).pos, expected.entry(i).pos) << "entry " << i;
@@ -343,13 +343,13 @@ void ExpectMatchesOracle(const IndexSet& indices, const UnfairnessCube& cube) {
   for (Dimension target :
        {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
     std::vector<InvertedIndex> oracle = OracleFamily(cube, target);
-    std::vector<const InvertedIndex*> lists =
+    std::vector<InvertedList> lists =
         indices.ListsFor(target, AxisSelector::All(), AxisSelector::All());
     ASSERT_EQ(lists.size(), oracle.size()) << DimensionName(target);
     for (size_t i = 0; i < oracle.size(); ++i) {
       SCOPED_TRACE(std::string(DimensionName(target)) + " list " +
                    std::to_string(i));
-      ExpectListsIdentical(*lists[i], oracle[i], cube.axis_size(target));
+      ExpectListsIdentical(lists[i], oracle[i], cube.axis_size(target));
     }
   }
 }
@@ -417,13 +417,13 @@ TEST_F(IndexSetTest, RepeatedBuildsAreIdentical) {
   IndexSet second = IndexSet::Build(cube);
   for (Dimension target :
        {Dimension::kGroup, Dimension::kQuery, Dimension::kLocation}) {
-    std::vector<const InvertedIndex*> a =
+    std::vector<InvertedList> a =
         first.ListsFor(target, AxisSelector::All(), AxisSelector::All());
-    std::vector<const InvertedIndex*> b =
+    std::vector<InvertedList> b =
         second.ListsFor(target, AxisSelector::All(), AxisSelector::All());
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
-      ExpectListsIdentical(*a[i], *b[i], cube.axis_size(target));
+      ExpectListsIdentical(a[i], b[i], cube.axis_size(target));
     }
   }
 }
@@ -457,7 +457,7 @@ TEST_F(IndexSetTest, SparseCubeIndexIsSizedByItsEntries) {
   size_t found = 0;
   for (size_t g = 0; g < kGroups; ++g) {
     for (size_t l = 0; l < kLocations; ++l) {
-      const InvertedIndex& list = indices.ListAt(Dimension::kQuery, g, l);
+      const InvertedList list = indices.ListAt(Dimension::kQuery, g, l);
       for (size_t i = 0; i < list.size(); ++i) {
         const ScoredEntry& e = list.entry(i);
         ASSERT_EQ(list.Find(e.pos), cube.Get(g, static_cast<size_t>(e.pos), l));

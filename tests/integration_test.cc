@@ -210,9 +210,7 @@ TEST(MonitoringPipelineTest, IncrementalRefreshMatchesFreshAuditAcrossEpochs) {
                                           MarketMeasure::kEmd, {}, {},
                                           refreshed, /*parallelism=*/2, &sink)
                   .ok());
-  for (const CubeColumnRef& column : refreshed) {
-    indices.RefreshColumn(cube, column.query_pos, column.location_pos);
-  }
+  indices.RefreshColumns(cube, refreshed);
 
   // Fresh audit of the same updated dataset.
   UnfairnessCube rebuilt =

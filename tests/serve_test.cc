@@ -399,9 +399,12 @@ TEST(RequestCacheKeyTest, EpochDigestBindsOnlyTheColumnsARequestReads) {
   for (size_t l = 0; l < cube->axis_size(Dimension::kLocation); ++l) {
     cube->BumpColumnEpoch(1, l);
   }
+  std::vector<CubeColumnRef> bumped;
+  for (size_t l = 0; l < cube->axis_size(Dimension::kLocation); ++l) {
+    bumped.push_back(CubeColumnRef{1, l});
+  }
   std::shared_ptr<const CubeSnapshot> after =
-      CubeSnapshot::MakeDerived(*cube, indices, before->lineage(),
-                                before->version() + 1);
+      CubeSnapshot::MakeDerived(*before, *cube, indices, bumped);
 
   // The request over untouched columns keeps its key (its cache entry
   // survives); requests reading a touched column get re-keyed.
@@ -492,7 +495,7 @@ TEST(RequestCacheKeyTest, EpochDigestMatchesReadSetOracle) {
         cube.BumpColumnEpoch(q, l);
         IndexSet indices = IndexSet::Build(cube);
         bumped.push_back(CubeSnapshot::MakeDerived(
-            std::move(cube), std::move(indices), before->lineage(), 1));
+            *before, std::move(cube), std::move(indices), {{q, l}}));
       }
     }
 

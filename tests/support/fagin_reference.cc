@@ -113,11 +113,10 @@ double Threshold(const std::vector<HashedListView>& lists,
 
 }  // namespace
 
-HashedListView::HashedListView(const InvertedIndex* list) : list_(list) {
-  if (list_ == nullptr) return;
-  by_pos_.reserve(list_->size());
-  for (size_t i = 0; i < list_->size(); ++i) {
-    const ScoredEntry& e = list_->entry(i);
+HashedListView::HashedListView(const InvertedList& list) : list_(list) {
+  by_pos_.reserve(list_.size());
+  for (size_t i = 0; i < list_.size(); ++i) {
+    const ScoredEntry& e = list_.entry(i);
     by_pos_.emplace(e.pos, e.value);
   }
 }
@@ -132,8 +131,13 @@ std::vector<HashedListView> BuildHashedViews(
     const std::vector<const InvertedIndex*>& lists) {
   std::vector<HashedListView> views;
   views.reserve(lists.size());
-  for (const InvertedIndex* list : lists) views.emplace_back(list);
+  for (const InvertedIndex* list : lists) views.emplace_back(*list);
   return views;
+}
+
+std::vector<HashedListView> BuildHashedViews(
+    const std::vector<InvertedList>& lists) {
+  return std::vector<HashedListView>(lists.begin(), lists.end());
 }
 
 Result<std::vector<ScoredEntry>> ReferenceFaginTopK(

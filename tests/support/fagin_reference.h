@@ -21,25 +21,28 @@ namespace fairjob {
 //
 // Runs publish metrics under "fagin.ref_<algorithm>.*".
 
-// Hash-based random-access view over an InvertedIndex, exactly the map the
-// pre-dense InvertedIndex carried. Build once, run many times.
+// Hash-based random access over an inverted list, exactly the map the
+// pre-dense InvertedIndex carried. Build once, run many times; the list's
+// storage must outlive the view.
 class HashedListView {
  public:
-  explicit HashedListView(const InvertedIndex* list);
+  explicit HashedListView(const InvertedList& list);
 
-  const InvertedIndex& list() const { return *list_; }
-  size_t size() const { return list_->size(); }
-  const ScoredEntry& entry(size_t i) const { return list_->entry(i); }
+  const InvertedList& list() const { return list_; }
+  size_t size() const { return list_.size(); }
+  const ScoredEntry& entry(size_t i) const { return list_.entry(i); }
   std::optional<double> Find(int32_t pos) const;
 
  private:
-  const InvertedIndex* list_;
+  InvertedList list_;
   std::unordered_map<int32_t, double> by_pos_;
 };
 
 // One view per list, in order. Lists must be non-null.
 std::vector<HashedListView> BuildHashedViews(
     const std::vector<const InvertedIndex*>& lists);
+std::vector<HashedListView> BuildHashedViews(
+    const std::vector<InvertedList>& lists);
 
 // Reference counterparts of RunTopK's TA / FA / NRA / scan.
 // Contracts (and error cases) match the dense engine exactly;
